@@ -22,6 +22,7 @@ from .syntax import (
     Global,
     IntLit,
     IntPat,
+    Key,
     Lambda,
     Let,
     Letrec,
@@ -29,13 +30,16 @@ from .syntax import (
     Program,
     Var,
     all_identifiers,
+    canonical,
+    children,
     fold_apps,
     fold_lambdas,
     free_vars,
-    free_vars_ordered,
     fun_names,
     is_linear,
-    match_renaming,
+    match_keys,
+    rebuild,
+    replace_global,
     substitute,
     subterms,
     unfold_apps,
@@ -101,7 +105,11 @@ class _NonHoleVars:
 class MemoEntry:
     name: str
     term: Expression
-    params: tuple[str, ...]  # fv(term) in first-occurrence order
+    key: Key  # canonical(term)
+
+    @property
+    def params(self) -> tuple[str, ...]:  # fv(term) in first-occurrence order
+        return tuple(dict.fromkeys(self.key.free))
 
 
 # driving context R ::= [] | R e | case R of alts | R (+) e | e (+) R,
@@ -262,8 +270,8 @@ class DriveSession:
                 self._emit("R14", e, context, rho)
                 if g in G:
                     g2 = self.supply.fun()
-                    rhs = _rename_global(rhs, g, g2)
-                    body = _rename_global(body, g, g2)
+                    rhs = replace_global(rhs, g, Global(g2))
+                    body = replace_global(body, g, Global(g2))
                     g = g2
                 result = rec(plug_r(context, body), [], {**G, g: rhs})
                 if g in fun_names(result):
@@ -396,10 +404,11 @@ class DriveSession:
         me: Optional[Measure],
     ) -> Expression:
         term = plug_r(context, Global(g))
+        key = canonical(term)
 
         # (1) fold: the term is a renaming of something already driven
         for entry in reversed(rho):
-            sigma = match_renaming(entry.term, term)
+            sigma = match_keys(entry.key, key)
             if sigma is not None:
                 self._emit("Dapp1", term, context, rho)
                 args = [Var(sigma[p]) for p in entry.params] or [IntLit(0)]
@@ -422,14 +431,13 @@ class DriveSession:
         if v is None:
             raise DriverError(f"undefined function {g} during driving")
         h = self.supply.fun()
-        params = tuple(free_vars_ordered(term))
         if self.assert_measure:
             for entry in rho:
                 if embeds(entry.term, term):
                     raise DriverError(
                         f"memo invariant broken: {entry.name} embeds into new term"
                     )
-        entry = MemoEntry(h, term, params)
+        entry = MemoEntry(h, term, key)
         self._emit("Dapp4", term, context, rho)
         e = self.drive(plug_r(context, v), [], G, rho + (entry,), me)
 
@@ -442,8 +450,8 @@ class DriveSession:
             return e
         if h in fun_names(e):  # (4b)
             self._emit("Dapp4b", term, context, rho)
-            lam_params = list(params) or [self.supply.var("u")]
-            call_args = [Var(p) for p in params] or [IntLit(0)]
+            lam_params = list(entry.params) or [self.supply.var("u")]
+            call_args = [Var(p) for p in entry.params] or [IntLit(0)]
             return Letrec(
                 h, fold_lambdas(lam_params, e), fold_apps(Global(h), call_args)
             )
@@ -463,66 +471,17 @@ class DriveSession:
         return substitute(dict(zip(holes, driven_parts)), driven_common)
 
 
-def _rename_global(e: Expression, old: str, new: str) -> Expression:
-    match e:
-        case Global(name) if name == old:
-            return Global(new)
-        case Letrec(g, _, _) if g == old:
-            return e
-        case Letrec(g, rhs, body):
-            return Letrec(g, _rename_global(rhs, old, new), _rename_global(body, old, new))
-        case App(f, a):
-            return App(_rename_global(f, old, new), _rename_global(a, old, new))
-        case Lambda(p, b):
-            return Lambda(p, _rename_global(b, old, new))
-        case CtorApp(k, args):
-            return CtorApp(k, tuple(_rename_global(a, old, new) for a in args))
-        case PrimOp(op, l, r):
-            return PrimOp(op, _rename_global(l, old, new), _rename_global(r, old, new))
-        case Case(s, alts):
-            return Case(
-                _rename_global(s, old, new),
-                tuple(Alt(a.pattern, _rename_global(a.body, old, new)) for a in alts),
-            )
-        case Let(x, bound, body):
-            return Let(x, _rename_global(bound, old, new), _rename_global(body, old, new))
-        case GenRequest(owner, t):
-            return GenRequest(owner, _rename_global(t, old, new))
-        case _:
-            return e
-
-
 # ---------------------------------------------------------------------------
 # residual post-processing
 
 
 def lift_letrecs(e: Expression, lifted: list[tuple[str, Expression]]) -> Expression:
     """Hoist closed letrec definitions, innermost first."""
-    match e:
-        case Letrec(g, rhs, body):
-            rhs = lift_letrecs(rhs, lifted)
-            body = lift_letrecs(body, lifted)
-            if not free_vars(rhs):
-                lifted.append((g, rhs))
-                return body
-            return Letrec(g, rhs, body)
-        case App(f, a):
-            return App(lift_letrecs(f, lifted), lift_letrecs(a, lifted))
-        case Lambda(p, b):
-            return Lambda(p, lift_letrecs(b, lifted))
-        case CtorApp(k, args):
-            return CtorApp(k, tuple(lift_letrecs(a, lifted) for a in args))
-        case PrimOp(op, l, r):
-            return PrimOp(op, lift_letrecs(l, lifted), lift_letrecs(r, lifted))
-        case Case(s, alts):
-            return Case(
-                lift_letrecs(s, lifted),
-                tuple(Alt(a.pattern, lift_letrecs(a.body, lifted)) for a in alts),
-            )
-        case Let(x, bound, body):
-            return Let(x, lift_letrecs(bound, lifted), lift_letrecs(body, lifted))
-        case _:
-            return e
+    e = rebuild(e, [lift_letrecs(c, lifted) for c in children(e)])
+    if isinstance(e, Letrec) and not free_vars(e.rhs):
+        lifted.append((e.fun, e.rhs))
+        return e.body
+    return e
 
 
 def supercompile(
@@ -596,78 +555,20 @@ def supercompile(
 
 
 def canonical_program(p: Program) -> tuple:
-    """Rename functions (in reference discovery order from the entry) and all
-    binders (in traversal order) to canonical names, returning a comparable
-    structure.  Definitions unreachable from the entry are ignored.
+    """The canonical keys of the definitions reachable from the entry, in
+    discovery order, with function symbols numbered in that order.
     """
-    fun_ids: dict[str, int] = {}
-    pending: list[str] = []
-
-    def fun_id(name: str) -> int:
-        if name not in fun_ids:
-            fun_ids[name] = len(fun_ids)
-            pending.append(name)
-        return fun_ids[name]
-
-    def canon(e: Expression, env: dict) -> tuple:
-        match e:
-            case IntLit(n):
-                return ("int", n)
-            case Var(x):
-                return ("var", env.get(("v", x), x))
-            case Global(g):
-                if ("f", g) in env:
-                    return ("lfun", env[("f", g)])
-                return ("fun", fun_id(g))
-            case App(f, a):
-                return ("app", canon(f, env), canon(a, env))
-            case Lambda(x, b):
-                env2 = {**env, ("v", x): len(env)}
-                return ("lam", canon(b, env2))
-            case CtorApp(k, args):
-                return ("ctor", k, tuple(canon(a, env) for a in args))
-            case PrimOp(op, l, r):
-                return ("prim", op, canon(l, env), canon(r, env))
-            case Case(s, alts):
-                out = ["case", canon(s, env)]
-                for alt in alts:
-                    match alt.pattern:
-                        case IntPat(n):
-                            key: tuple = ("ip", n)
-                            binders: tuple[str, ...] = ()
-                        case CtorPat(k, bs):
-                            key = ("cp", k, len(bs))
-                            binders = bs
-                        case DefaultPat(b):
-                            key = ("dp",)
-                            binders = (b,) if b is not None else ()
-                    env2 = dict(env)
-                    for i, b in enumerate(binders):
-                        env2[("v", b)] = len(env) + i
-                    out.append((key, len(binders), canon(alt.body, env2)))
-                return tuple(out)
-            case Let(x, bound, body):
-                env2 = {**env, ("v", x): len(env)}
-                return ("let", canon(bound, env), canon(body, env2))
-            case Letrec(g, rhs, body):
-                env2 = {**env, ("f", g): len(env)}
-                return ("letrec", canon(rhs, env2), canon(body, env2))
-            case _:
-                raise DriverError(f"cannot canonicalize {e!r}")
-
-    entry_c = canon(p.defs[p.entry], {})
-    defs_c = [("entry", entry_c)]
-    seen = set()
-    while pending:
-        name = pending.pop(0)
-        if name in seen:
-            continue
-        seen.add(name)
-        if name not in p.defs:
-            defs_c.append((fun_ids[name], "external"))
-            continue
-        defs_c.append((fun_ids[name], canon(p.defs[name], {})))
-    return tuple(defs_c)
+    ids: dict[str, int] = {}
+    order = [p.entry]
+    out = []
+    for name in order:  # order grows as functions are discovered
+        shape, free, globals_ = canonical(p.defs[name])
+        for g in globals_:
+            if g not in ids:
+                ids[g] = len(ids)
+                order.append(g)
+        out.append((shape, free, tuple(ids[g] for g in globals_)))
+    return tuple(out)
 
 
 def program_alpha_eq(p1: Program, p2: Program) -> bool:

@@ -25,8 +25,10 @@ from .syntax import (
     Letrec,
     PrimOp,
     Var,
+    children,
     free_vars,
     pattern_binders,
+    rebuild,
 )
 
 
@@ -223,7 +225,10 @@ def msg(t1: Expression, t2: Expression, supply=None) -> Generalization:
             case (_PNODE, t1n, t2n, kids, *extra):
                 if _carried_conflict(node, conflicted):
                     return hole(t1n, t2n)
-                return _rebuild(t1n, [render(k) for k in kids])
+                # the children after the paired ones (case alternatives, a
+                # let body) are carried over from t1
+                rendered = [render(k) for k in kids]
+                return rebuild(t1n, rendered + list(children(t1n)[len(kids):]))
             case _:
                 raise AssertionError(node)
 
@@ -250,22 +255,6 @@ def _carried_conflict(node, conflicted: set[str]) -> bool:
             return any(v in conflicted for v in free_vars(body1) - {x1})
         case _:
             return False
-
-
-def _rebuild(t1: Expression, kids: list[Expression]) -> Expression:
-    match t1:
-        case App(_, _):
-            return App(kids[0], kids[1])
-        case CtorApp(k, _):
-            return CtorApp(k, tuple(kids))
-        case PrimOp(op, _, _):
-            return PrimOp(op, kids[0], kids[1])
-        case Case(_, alts):
-            return Case(kids[0], alts)
-        case Let(x, _, body):
-            return Let(x, kids[0], body)
-        case _:
-            raise AssertionError(f"not a recursable node: {t1!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,17 @@
 
 Expressions are immutable; all functions here return fresh terms and never
 mutate their arguments.
+
+"Modulo renaming" (`canonical`, and so `alpha_eq`, `match_renaming` and the
+golden comparison) allows a consistent renaming of bound variables, pattern
+binders and letrec symbols.  Every default alternative is one binder slot,
+so `x -> e` with x unused equals `_ -> e`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 FIX_NAME = "fix"
 
@@ -205,6 +210,41 @@ def children(e: Expression) -> tuple[Expression, ...]:
             return (t,)
         case _:
             return ()
+
+
+def rebuild(e: Expression, kids) -> Expression:
+    """The inverse of `children`: e with its children replaced by kids."""
+    match e:
+        case App():
+            return App(kids[0], kids[1])
+        case Lambda(p, _):
+            return Lambda(p, kids[0])
+        case CtorApp(k, _):
+            return CtorApp(k, tuple(kids))
+        case PrimOp(op, _, _):
+            return PrimOp(op, kids[0], kids[1])
+        case Case(_, alts):
+            return Case(kids[0], tuple(Alt(a.pattern, b) for a, b in zip(alts, kids[1:])))
+        case Let(x, _, _):
+            return Let(x, kids[0], kids[1])
+        case Letrec(g, _, _):
+            return Letrec(g, kids[0], kids[1])
+        case GenRequest(owner, _):
+            return GenRequest(owner, kids[0])
+        case _:
+            return e
+
+
+def replace_global(e: Expression, name: str, new: Expression) -> Expression:
+    """Replace the free occurrences of Global(name) by new; a letrec that
+    binds name shadows it.
+    """
+    match e:
+        case Global(g) if g == name:
+            return new
+        case Letrec(g, _, _) if g == name:
+            return e
+    return rebuild(e, [replace_global(c, name, new) for c in children(e)])
 
 
 # ---------------------------------------------------------------------------
@@ -422,91 +462,109 @@ def _rebind_pattern(p: Pattern, binders: list[str]) -> Pattern:
 
 
 # ---------------------------------------------------------------------------
-# alpha equivalence
+# canonical key: alpha equivalence and the folding test
+
+
+class Key(NamedTuple):
+    shape: tuple  # preorder tokens; see `canonical`
+    free: tuple[str, ...]  # free-variable occurrences, left to right
+    globals: tuple[str, ...]  # free function-symbol occurrences, left to right
+
+
+def canonical(e: Expression) -> Key:
+    """The term modulo renaming of its binders.
+
+    The shape is a preorder token sequence in which every tag fixes how many
+    payload tokens and subterms follow it, so equal shapes mean equal trees.
+    Each binder (lambda, let, pattern binder, default alternative, letrec
+    symbol) takes the next de Bruijn level from a depth counter, and a bound
+    occurrence becomes its binder's level.  Free variables and free function
+    symbols become the markers "fv" and "fg" and are listed, in order, in
+    `free` and `globals`.
+    """
+    shape: list = []
+    free: list[str] = []
+    globals_: list[str] = []
+
+    def go(e: Expression, vs: dict, fs: dict, depth: int) -> None:
+        match e:
+            case Var(x) if x in vs:
+                shape.extend(("v", vs[x]))
+            case Var(x):
+                shape.append("fv")
+                free.append(x)
+            case Global(g) if g in fs:
+                shape.extend(("g", fs[g]))
+            case Global(g):
+                shape.append("fg")
+                globals_.append(g)
+            case IntLit(n):
+                shape.extend(("i", n))
+            case App(f, a):
+                shape.append("@")
+                go(f, vs, fs, depth)
+                go(a, vs, fs, depth)
+            case Lambda(p, b):
+                shape.append("\\")
+                go(b, {**vs, p: depth}, fs, depth + 1)
+            case CtorApp(k, args):
+                shape.extend(("K", k, len(args)))
+                for a in args:
+                    go(a, vs, fs, depth)
+            case PrimOp(op, l, r):
+                shape.extend(("p", op))
+                go(l, vs, fs, depth)
+                go(r, vs, fs, depth)
+            case Case(scrut, alts):
+                shape.extend(("case", len(alts)))
+                go(scrut, vs, fs, depth)
+                for alt in alts:
+                    match alt.pattern:
+                        case IntPat(n):
+                            shape.extend(("ip", n))
+                            binders: tuple = ()
+                        case CtorPat(k, binders):
+                            shape.extend(("cp", k, len(binders)))
+                        case DefaultPat(b):
+                            # one slot whether named or "_"
+                            shape.append("dp")
+                            binders = (b,)
+                    vs2 = {**vs, **{b: depth + i for i, b in enumerate(binders)}}
+                    go(alt.body, vs2, fs, depth + len(binders))
+            case Let(x, bound, body):
+                shape.append("let")
+                go(bound, vs, fs, depth)
+                go(body, {**vs, x: depth}, fs, depth + 1)
+            case Letrec(g, rhs, body):
+                shape.append("letrec")
+                for c in (rhs, body):
+                    go(c, vs, {**fs, g: depth}, depth + 1)
+            case GenRequest(owner, t):
+                shape.extend(("gen", owner))
+                go(t, vs, fs, depth)
+            case _:
+                raise SyntaxError_(f"unknown expression {e!r}")
+
+    go(e, {}, {}, 0)
+    return Key(tuple(shape), tuple(free), tuple(globals_))
 
 
 def alpha_eq(e1: Expression, e2: Expression) -> bool:
     """Equality up to consistent renaming of bound variables and of
     letrec-bound function symbols.  Free variables must match exactly.
     """
-
-    def go(a: Expression, b: Expression, env1: dict, env2: dict) -> bool:
-        match a, b:
-            case IntLit(n), IntLit(m):
-                return n == m
-            case Var(x), Var(y):
-                bx, by = env1.get(("v", x)), env2.get(("v", y))
-                if bx is None and by is None:
-                    return x == y
-                return bx is not None and bx == by
-            case Global(f), Global(g):
-                bf, bg = env1.get(("f", f)), env2.get(("f", g))
-                if bf is None and bg is None:
-                    return f == g
-                return bf is not None and bf == bg
-            case App(f1, a1), App(f2, a2):
-                return go(f1, f2, env1, env2) and go(a1, a2, env1, env2)
-            case Lambda(p1, b1), Lambda(p2, b2):
-                lvl = len(env1)
-                return go(b1, b2, {**env1, ("v", p1): lvl}, {**env2, ("v", p2): lvl})
-            case CtorApp(k1, a1), CtorApp(k2, a2):
-                return (
-                    k1 == k2
-                    and len(a1) == len(a2)
-                    and all(go(x, y, env1, env2) for x, y in zip(a1, a2))
-                )
-            case PrimOp(o1, l1, r1), PrimOp(o2, l2, r2):
-                return o1 == o2 and go(l1, l2, env1, env2) and go(r1, r2, env1, env2)
-            case Case(s1, alts1), Case(s2, alts2):
-                if len(alts1) != len(alts2) or not go(s1, s2, env1, env2):
-                    return False
-                for alt1, alt2 in zip(alts1, alts2):
-                    p1, p2 = alt1.pattern, alt2.pattern
-                    match p1, p2:
-                        case IntPat(n), IntPat(m):
-                            if n != m:
-                                return False
-                            bs1, bs2 = (), ()
-                        case CtorPat(k1, v1), CtorPat(k2, v2):
-                            if k1 != k2 or len(v1) != len(v2):
-                                return False
-                            bs1, bs2 = v1, v2
-                        case DefaultPat(x), DefaultPat(y):
-                            bs1 = (x,) if x is not None else ()
-                            bs2 = (y,) if y is not None else ()
-                            if len(bs1) != len(bs2):
-                                # a named default and a wildcard only differ
-                                # when the name is used; align them anyway
-                                bs1 = bs1 or ("_",)
-                                bs2 = bs2 or ("_",)
-                        case _:
-                            return False
-                    lvl = len(env1)
-                    e1x = {**env1, **{("v", v): lvl + i for i, v in enumerate(bs1)}}
-                    e2x = {**env2, **{("v", v): lvl + i for i, v in enumerate(bs2)}}
-                    if not go(alt1.body, alt2.body, e1x, e2x):
-                        return False
-                return True
-            case Let(x1, bd1, b1), Let(x2, bd2, b2):
-                if not go(bd1, bd2, env1, env2):
-                    return False
-                lvl = len(env1)
-                return go(b1, b2, {**env1, ("v", x1): lvl}, {**env2, ("v", x2): lvl})
-            case Letrec(g1, r1, b1), Letrec(g2, r2, b2):
-                lvl = len(env1)
-                e1x = {**env1, ("f", g1): lvl}
-                e2x = {**env2, ("f", g2): lvl}
-                return go(r1, r2, e1x, e2x) and go(b1, b2, e1x, e2x)
-            case GenRequest(o1, t1), GenRequest(o2, t2):
-                return o1 == o2 and go(t1, t2, env1, env2)
-            case _:
-                return False
-
-    return go(e1, e2, {}, {})
+    return canonical(e1) == canonical(e2)
 
 
-# ---------------------------------------------------------------------------
-# renaming match (folding test)
+def match_keys(pattern: Key, subject: Key) -> Optional[dict[str, str]]:
+    """`match_renaming` on precomputed keys."""
+    if pattern.shape != subject.shape or pattern.globals != subject.globals:
+        return None
+    sigma: dict[str, str] = {}
+    for x, y in zip(pattern.free, subject.free):
+        if sigma.setdefault(x, y) != y:
+            return None
+    return sigma
 
 
 def match_renaming(pattern_term: Expression, subject: Expression) -> Optional[dict[str, str]]:
@@ -514,82 +572,7 @@ def match_renaming(pattern_term: Expression, subject: Expression) -> Optional[di
     on the free variables of pattern_term with sigma(pattern_term) equal to
     subject up to bound-variable renaming, or None.
     """
-    sigma: dict[str, str] = {}
-
-    def go(a: Expression, b: Expression, env1: dict, env2: dict) -> bool:
-        match a, b:
-            case Var(x), Var(y):
-                bx, by = env1.get(("v", x)), env2.get(("v", y))
-                if bx is not None or by is not None:
-                    return bx is not None and bx == by
-                if x in sigma:
-                    return sigma[x] == y
-                sigma[x] = y
-                return True
-            case Var(_), _:
-                return False
-            case IntLit(n), IntLit(m):
-                return n == m
-            case Global(f), Global(g):
-                bf, bg = env1.get(("f", f)), env2.get(("f", g))
-                if bf is None and bg is None:
-                    return f == g
-                return bf is not None and bf == bg
-            case App(f1, a1), App(f2, a2):
-                return go(f1, f2, env1, env2) and go(a1, a2, env1, env2)
-            case Lambda(p1, b1), Lambda(p2, b2):
-                lvl = len(env1)
-                return go(b1, b2, {**env1, ("v", p1): lvl}, {**env2, ("v", p2): lvl})
-            case CtorApp(k1, a1), CtorApp(k2, a2):
-                return (
-                    k1 == k2
-                    and len(a1) == len(a2)
-                    and all(go(x, y, env1, env2) for x, y in zip(a1, a2))
-                )
-            case PrimOp(o1, l1, r1), PrimOp(o2, l2, r2):
-                return o1 == o2 and go(l1, l2, env1, env2) and go(r1, r2, env1, env2)
-            case Case(s1, alts1), Case(s2, alts2):
-                if len(alts1) != len(alts2) or not go(s1, s2, env1, env2):
-                    return False
-                for alt1, alt2 in zip(alts1, alts2):
-                    p1, p2 = alt1.pattern, alt2.pattern
-                    match p1, p2:
-                        case IntPat(n), IntPat(m):
-                            if n != m:
-                                return False
-                            bs1: tuple[str, ...] = ()
-                            bs2: tuple[str, ...] = ()
-                        case CtorPat(k1, v1), CtorPat(k2, v2):
-                            if k1 != k2 or len(v1) != len(v2):
-                                return False
-                            bs1, bs2 = v1, v2
-                        case DefaultPat(x), DefaultPat(y):
-                            bs1 = (x,) if x is not None else ("_",)
-                            bs2 = (y,) if y is not None else ("_",)
-                        case _:
-                            return False
-                    lvl = len(env1)
-                    e1x = {**env1, **{("v", v): lvl + i for i, v in enumerate(bs1)}}
-                    e2x = {**env2, **{("v", v): lvl + i for i, v in enumerate(bs2)}}
-                    if not go(alt1.body, alt2.body, e1x, e2x):
-                        return False
-                return True
-            case Let(x1, bd1, b1), Let(x2, bd2, b2):
-                if not go(bd1, bd2, env1, env2):
-                    return False
-                lvl = len(env1)
-                return go(b1, b2, {**env1, ("v", x1): lvl}, {**env2, ("v", x2): lvl})
-            case Letrec(g1, r1, b1), Letrec(g2, r2, b2):
-                lvl = len(env1)
-                e1x = {**env1, ("f", g1): lvl}
-                e2x = {**env2, ("f", g2): lvl}
-                return go(r1, r2, e1x, e2x) and go(b1, b2, e1x, e2x)
-            case _:
-                return False
-
-    if go(pattern_term, subject, {}, {}):
-        return sigma
-    return None
+    return match_keys(canonical(pattern_term), canonical(subject))
 
 
 # ---------------------------------------------------------------------------
@@ -665,39 +648,11 @@ def desugar_letrec(fun: str, rhs: Expression, body: Expression) -> Expression:
     recursive = Lambda(
         "y",
         App(
-            App(Global(FIX_NAME), Lambda("_h", _as_var(rhs, fun, "_h"))),
+            App(Global(FIX_NAME), Lambda("_h", replace_global(rhs, fun, Var("_h")))),
             Var("y"),
         ),
     )
-    return App(Lambda("_h", _as_var(body, fun, "_h")), recursive)
-
-
-def _as_var(e: Expression, fun: str, var: str) -> Expression:
-    """Replace Global(fun) by Var(var), respecting letrec shadowing."""
-    match e:
-        case Global(name) if name == fun:
-            return Var(var)
-        case Letrec(g, rhs, body) if g == fun:
-            return e
-        case Letrec(g, rhs, body):
-            return Letrec(g, _as_var(rhs, fun, var), _as_var(body, fun, var))
-        case App(f, a):
-            return App(_as_var(f, fun, var), _as_var(a, fun, var))
-        case Lambda(p, b):
-            return Lambda(p, _as_var(b, fun, var))
-        case CtorApp(k, args):
-            return CtorApp(k, tuple(_as_var(a, fun, var) for a in args))
-        case PrimOp(op, l, r):
-            return PrimOp(op, _as_var(l, fun, var), _as_var(r, fun, var))
-        case Case(s, alts):
-            return Case(
-                _as_var(s, fun, var),
-                tuple(Alt(a.pattern, _as_var(a.body, fun, var)) for a in alts),
-            )
-        case Let(x, bound, b):
-            return Let(x, _as_var(bound, fun, var), _as_var(b, fun, var))
-        case _:
-            return e
+    return App(Lambda("_h", replace_global(body, fun, Var("_h"))), recursive)
 
 
 # ---------------------------------------------------------------------------

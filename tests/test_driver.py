@@ -237,6 +237,21 @@ def test_no_lift_keeps_letrec_in_place():
     assert isinstance(body, Letrec)
 
 
+def test_golden_comparison_respects_shadowing():
+    shadowed = parse_program("main = \\x y x w -> w;")
+    third = parse_program("main = \\a b c d -> c;")
+    call = parse_expression("main 1 2 3 4", frozenset({"main"}))
+    assert eval_program(shadowed, call).value != eval_program(third, call).value
+    assert not program_alpha_eq(shadowed, third)
+    assert program_alpha_eq(shadowed, parse_program("main = \\a b c d -> d;"))
+
+
+def test_golden_comparison_unused_default_binder_is_a_wildcard():
+    named = parse_program("main y = case y of { 0 -> 1; x -> 2 };")
+    wildcard = parse_program("main y = case y of { 0 -> 1; _ -> 2 };")
+    assert program_alpha_eq(named, wildcard)
+
+
 def test_missing_entry_rejected():
     p = parse_program("f x = x;")
     with pytest.raises(DriverError):

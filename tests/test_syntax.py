@@ -22,7 +22,7 @@ from deforest import (
     substitute,
     weight,
 )
-from deforest.syntax import SyntaxError_, free_vars_ordered
+from deforest.syntax import SyntaxError_, fold_lambdas, free_vars_ordered
 
 from conftest import expressions
 
@@ -146,6 +146,18 @@ def test_alpha_eq_letrec_symbols_are_binders():
     e1 = Letrec("h1", Lambda("x", App(Global("h1"), V("x"))), Global("h1"))
     e2 = Letrec("h2", Lambda("x", App(Global("h2"), V("x"))), Global("h2"))
     assert alpha_eq(e1, e2)
+
+
+def test_alpha_eq_shadowing_binder_takes_a_new_level():
+    # the second x shadows the first, so w is the fourth binder, not the third
+    shadowed = fold_lambdas(["x", "y", "x", "w"], V("w"))
+    assert not alpha_eq(shadowed, fold_lambdas(["a", "b", "c", "d"], V("c")))
+    assert alpha_eq(shadowed, fold_lambdas(["a", "b", "c", "d"], V("d")))
+
+
+def test_match_renaming_shadowing_binder_takes_a_new_level():
+    shadowed = fold_lambdas(["x", "y", "x", "w"], V("w"))
+    assert match_renaming(shadowed, fold_lambdas(["a", "b", "c", "d"], V("c"))) is None
 
 
 def _append_app(a, b):
