@@ -11,7 +11,7 @@
     pat     := int | ctor ident* | "[]" | "(" ident ":" ident ")" | ident | "_"
     arith   := app (("+"|"-"|"*") app)*        (left associative)
     app     := atom+
-    atom    := int | ident | ctor | "(" expr [":" expr] ")" | list
+    atom    := int | "(" "-" int ")" | ident | ctor | "(" expr [":" expr] ")" | list
 
 Constructors are capitalized identifiers; "[]"/"(x:xs)"/"[a,b]" are sugar for
 Nil and Cons.  A lowercase identifier pattern (or "_") is a default
@@ -273,6 +273,10 @@ class _Parser:
         if t.kind == "ctor":
             return CtorApp(t.text, ())
         if t.text == "(":
+            if self.peek().text == "-" and self.peek(1).kind == "int" and self.peek(2).text == ")":
+                n = int(self.peek(1).text)
+                self.pos += 3
+                return IntLit(-n)
             e = self.expr(scope)
             if self.peek().text == ":":
                 self.next()

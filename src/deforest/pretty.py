@@ -51,7 +51,7 @@ def _literal_list(e: Expression) -> list[Expression] | None:
 def _show(e: Expression, ctx: int) -> str:
     match e:
         case IntLit(n):
-            return str(n)
+            return str(n) if n >= 0 else f"({n})"
         case Var(name):
             return name
         case Global(name):

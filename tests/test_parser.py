@@ -12,6 +12,7 @@ from deforest import (
     parse_program,
     pretty_expr,
     pretty_program,
+    supercompile,
 )
 from deforest.driver import program_alpha_eq
 
@@ -106,6 +107,7 @@ def test_expression_roundtrip_through_pretty():
         "(\\x -> x) (K 1 [2, 3])",
         "x : y : rest",
         "f (g 1) (2 - 3 * 4)",
+        "f (-4) (x - (-3))",
     ]
     for text in samples:
         e = parse_expression(text, frozenset({"f", "g"}))
@@ -119,3 +121,5 @@ def test_generated_programs_roundtrip():
         again = parse_program(text)
         assert program_alpha_eq(again, program)
         assert alpha_eq(again.defs["main"], program.defs["main"])
+        residual = supercompile(program)
+        assert program_alpha_eq(parse_program(pretty_program(residual)), residual)
