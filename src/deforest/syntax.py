@@ -12,7 +12,7 @@ so `x -> e` with x unused equals `_ -> e`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 FIX_NAME = "fix"
 
@@ -212,8 +212,10 @@ def children(e: Expression) -> tuple[Expression, ...]:
             return ()
 
 
-def rebuild(e: Expression, kids) -> Expression:
+def rebuild(e: Expression, kids: Sequence[Expression]) -> Expression:
     """The inverse of `children`: e with its children replaced by kids."""
+    if not kids:
+        return e
     match e:
         case App():
             return App(kids[0], kids[1])
@@ -231,8 +233,6 @@ def rebuild(e: Expression, kids) -> Expression:
             return Letrec(g, kids[0], kids[1])
         case GenRequest(owner, _):
             return GenRequest(owner, kids[0])
-        case _:
-            return e
 
 
 def replace_global(e: Expression, name: str, new: Expression) -> Expression:
@@ -682,30 +682,11 @@ def all_identifiers(e: Expression) -> set[str]:
 
     def go(e: Expression) -> None:
         match e:
-            case Var(name):
+            case Var(name) | Global(name) | Lambda(name) | Let(name) | Letrec(name):
                 out.add(name)
-            case Global(name):
-                out.add(name)
-            case Lambda(p, b):
-                out.add(p)
-                go(b)
-                return
-            case Case(scrut, alts):
-                go(scrut)
+            case Case(_, alts):
                 for alt in alts:
                     out.update(pattern_binders(alt.pattern))
-                    go(alt.body)
-                return
-            case Let(x, bound, body):
-                out.add(x)
-                go(bound)
-                go(body)
-                return
-            case Letrec(g, rhs, body):
-                out.add(g)
-                go(rhs)
-                go(body)
-                return
         for c in children(e):
             go(c)
 
