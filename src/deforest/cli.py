@@ -15,6 +15,7 @@ from .parser import ParseError, parse_expression, parse_program
 from .pretty import pretty_expr, pretty_program
 from .semantics import EvalOutcome, eval_program
 from .syntax import (
+    Expression,
     Program,
     SyntaxError_,
     alpha_eq,
@@ -35,6 +36,14 @@ def _load_program(path: str) -> Program:
     program = parse_program(text)
     validate_program(program)
     return program
+
+
+def _parse_entry(text: str, program: Program) -> Expression:
+    call = parse_expression(text, frozenset(program.defs))
+    missing = free_vars(call)
+    if missing:
+        raise ParseError(f"entry call has free variables {sorted(missing)}", 0, 0)
+    return call
 
 
 def _render_outcome(outcome: EvalOutcome) -> str:
@@ -68,10 +77,7 @@ def cmd_build(args) -> int:
 
 def cmd_eval(args) -> int:
     program = _load_program(args.file)
-    call = parse_expression(args.expr, frozenset(program.defs))
-    missing = free_vars(call)
-    if missing:
-        raise ParseError(f"entry call has free variables {sorted(missing)}", 0, 0)
+    call = _parse_entry(args.expr, program)
     outcome = eval_program(program, call, args.fuel)
     print(_render_outcome(outcome))
     if args.stats:
@@ -94,7 +100,10 @@ def _read_manifest(path: Path) -> dict:
         elif key == "golden":
             golden = value
         elif key == "fuel":
-            fuel = int(value)
+            try:
+                fuel = int(value)
+            except ValueError:
+                raise ParseError(f"manifest fuel {value!r} is not an integer", 0, 0) from None
         else:
             raise ParseError(f"unknown manifest key {key!r}", 0, 0)
     return {"entries": entries, "golden": golden, "fuel": fuel}
@@ -107,6 +116,7 @@ def cmd_check(args) -> int:
         raise ParseError(f"no manifest at {manifest_path}", 0, 0)
     manifest = _read_manifest(manifest_path)
     fuel = args.fuel if args.fuel is not None else (manifest["fuel"] or DEFAULT_FUEL)
+    calls = [_parse_entry(entry, program) for entry in manifest["entries"]]
 
     residual = supercompile(program)
     failed = False
@@ -115,13 +125,12 @@ def cmd_check(args) -> int:
         golden_path = Path(manifest["golden"])
         if not golden_path.is_absolute():
             golden_path = manifest_path.parent / golden_path
-        golden = parse_program(golden_path.read_text(encoding="utf-8"))
+        golden = _load_program(str(golden_path))
         ok = program_alpha_eq(residual, golden)
         print(f"golden: {'match' if ok else 'MISMATCH'}")
         failed |= not ok
 
-    for entry in manifest["entries"]:
-        call = parse_expression(entry, frozenset(program.defs))
+    for entry, call in zip(manifest["entries"], calls):
         before = eval_program(program, call, fuel)
         after = eval_program(residual, call, fuel)
         if before.kind == "value" and after.kind == "value":

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from deforest.cli import main
 
 from conftest import FIXTURES
@@ -126,6 +128,20 @@ def test_check_detects_golden_mismatch(tmp_path, capsys):
     code, out, _ = run_cli("check", str(prog), capsys=capsys)
     assert code == 1
     assert "MISMATCH" in out
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    ["fuel: abc\n", "entry: main y\n", "golden: missing.core\n"],
+    ids=["bad-fuel", "free-variable-entry", "missing-golden"],
+)
+def test_check_bad_manifest_exits_2(tmp_path, capsys, manifest):
+    prog = tmp_path / "p.core"
+    prog.write_text("main x = x + 1;")
+    (tmp_path / "p.manifest").write_text(manifest)
+    code, out, err = run_cli("check", str(prog), capsys=capsys)
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_embed_command(capsys):
