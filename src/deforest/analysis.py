@@ -10,16 +10,13 @@ from __future__ import annotations
 from .syntax import (
     App,
     Case,
-    CtorApp,
     Expression,
-    GenRequest,
-    Global,
     IntLit,
     Lambda,
     Let,
-    Letrec,
     PrimOp,
     Var,
+    children,
     pattern_binders,
     unfold_apps,
 )
@@ -32,23 +29,10 @@ def strict_vars(e: Expression) -> set[str]:
     match e:
         case Var(x):
             return {x}
-        case IntLit() | Global():
-            return set()
         case Lambda(_, _):
             return set()
-        case CtorApp(_, args):
-            out: set[str] = set()
-            for a in args:
-                out |= strict_vars(a)
-            return out
-        case App(f, a):
-            return strict_vars(f) | strict_vars(a)
-        case PrimOp(_, l, r):
-            return strict_vars(l) | strict_vars(r)
         case Let(x, bound, body):
             return strict_vars(bound) | (strict_vars(body) - {x})
-        case Letrec(_, _, body):
-            return strict_vars(body)
         case Case(scrut, alts):
             branches = [
                 strict_vars(alt.body) - set(pattern_binders(alt.pattern))
@@ -58,10 +42,10 @@ def strict_vars(e: Expression) -> set[str]:
             for b in branches[1:]:
                 common &= b
             return strict_vars(scrut) | common
-        case GenRequest(_, t):
-            return strict_vars(t)
-        case _:
-            raise TypeError(f"strict_vars: unknown expression {e!r}")
+    out: set[str] = set()
+    for c in children(e):
+        out |= strict_vars(c)
+    return out
 
 
 def is_annoying(e: Expression) -> bool:

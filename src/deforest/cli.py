@@ -46,6 +46,12 @@ def _parse_entry(text: str, program: Program) -> Expression:
     return call
 
 
+def _fuel(value: int, source: str) -> int:
+    if value < 1:
+        raise ParseError(f"{source} must be at least 1, got {value}", 0, 0)
+    return value
+
+
 def _render_outcome(outcome: EvalOutcome) -> str:
     if outcome.kind == "value":
         return pretty_expr(outcome.value)
@@ -78,7 +84,7 @@ def cmd_build(args) -> int:
 def cmd_eval(args) -> int:
     program = _load_program(args.file)
     call = _parse_entry(args.expr, program)
-    outcome = eval_program(program, call, args.fuel)
+    outcome = eval_program(program, call, _fuel(args.fuel, "--fuel"))
     print(_render_outcome(outcome))
     if args.stats:
         print(outcome.stats_block())
@@ -104,6 +110,7 @@ def _read_manifest(path: Path) -> dict:
                 fuel = int(value)
             except ValueError:
                 raise ParseError(f"manifest fuel {value!r} is not an integer", 0, 0) from None
+            _fuel(fuel, "manifest fuel")
         else:
             raise ParseError(f"unknown manifest key {key!r}", 0, 0)
     return {"entries": entries, "golden": golden, "fuel": fuel}
@@ -115,7 +122,9 @@ def cmd_check(args) -> int:
     if not manifest_path.exists():
         raise ParseError(f"no manifest at {manifest_path}", 0, 0)
     manifest = _read_manifest(manifest_path)
-    fuel = args.fuel if args.fuel is not None else (manifest["fuel"] or DEFAULT_FUEL)
+    fuel = _fuel(args.fuel, "--fuel") if args.fuel is not None else manifest["fuel"]
+    if fuel is None:
+        fuel = DEFAULT_FUEL
     calls = [_parse_entry(entry, program) for entry in manifest["entries"]]
 
     residual = supercompile(program)

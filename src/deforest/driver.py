@@ -18,6 +18,7 @@ from .syntax import (
     CtorPat,
     DefaultPat,
     Expression,
+    FreshSupply,
     GenRequest,
     Global,
     IntLit,
@@ -40,6 +41,7 @@ from .syntax import (
     match_keys,
     rebuild,
     replace_global,
+    select_alt,
     substitute,
     subterms,
     unfold_apps,
@@ -53,39 +55,6 @@ Globals = dict[str, Expression]
 
 class DriverError(Exception):
     """Internal invariant violation; corresponds to CLI exit code 3."""
-
-
-class FreshSupply:
-    """Deterministic source of names that collide with nothing in the input
-    program and nothing issued before.
-    """
-
-    def __init__(self, reserved: set[str]):
-        self.reserved = set(reserved)
-        self.counters: dict[str, int] = {}
-        self.hole_names: set[str] = set()
-
-    def _mint(self, base: str) -> str:
-        n = self.counters.get(base, 0)
-        while True:
-            n += 1
-            name = f"{base}{n}"
-            if name not in self.reserved:
-                self.counters[base] = n
-                self.reserved.add(name)
-                return name
-
-    def var(self, base: str = "v") -> str:
-        return self._mint(base)
-
-    def fresh_var(self, base: str = "z") -> Var:
-        """A split-hole variable; rule R12 refuses to propagate these."""
-        name = self._mint(base)
-        self.hole_names.add(name)
-        return Var(name, fresh=True)
-
-    def fun(self) -> str:
-        return self._mint("h")
 
 
 class _NonHoleVars:
@@ -288,11 +257,10 @@ class DriveSession:
                         branch = substitute({x.name: info["value"]}, branch)
                     new_alts.append(Alt(pat, rec(branch, [])))
                 return Case(x, tuple(new_alts))
-            case Case(CtorApp(k, args) as scrut, alts) if self._ctor_alt(
-                k, len(args), alts
+            case Case(CtorApp(_, args) as scrut, alts) if (
+                alt := select_alt(scrut, alts)
             ) is not None:  # R16
                 self._emit("R16", e, context, rho)
-                alt = self._ctor_alt(k, len(args), alts)
                 match alt.pattern:
                     case CtorPat(_, binders):
                         fresh = [self.supply.var(b) for b in binders]
@@ -309,17 +277,15 @@ class DriveSession:
                         if b is not None:
                             body = substitute({b: Var(binder)}, body)
                         return rec(Let(binder, scrut, plug_r(context, body)), [])
-            case Case(IntLit(n), alts) if self._int_alt(n, alts) is not None:  # R17
+            case Case(IntLit() as scrut, alts) if (
+                alt := select_alt(scrut, alts)
+            ) is not None:  # R17
                 self._emit("R17", e, context, rho)
-                alt = self._int_alt(n, alts)
+                body = alt.body
                 match alt.pattern:
-                    case IntPat(_):
-                        return rec(plug_r(context, alt.body), [])
-                    case DefaultPat(None):
-                        return rec(plug_r(context, alt.body), [])
-                    case DefaultPat(b):
-                        body = substitute({b: IntLit(n)}, alt.body)
-                        return rec(plug_r(context, body), [])
+                    case DefaultPat(b) if b is not None:
+                        body = substitute({b: scrut}, body)
+                return rec(plug_r(context, body), [])
             case Case(scrut, alts) if is_annoying(scrut):  # R18
                 self._emit("R18", e, context, rho)
                 new_alts = []
@@ -371,28 +337,6 @@ class DriveSession:
             case _:
                 raise DriverError(f"unknown pattern {pat!r}")
 
-    @staticmethod
-    def _ctor_alt(k: str, arity: int, alts: tuple[Alt, ...]) -> Optional[Alt]:
-        for alt in alts:
-            match alt.pattern:
-                case CtorPat(k2, binders) if k2 == k and len(binders) == arity:
-                    return alt
-        for alt in alts:
-            if isinstance(alt.pattern, DefaultPat):
-                return alt
-        return None
-
-    @staticmethod
-    def _int_alt(n: int, alts: tuple[Alt, ...]) -> Optional[Alt]:
-        for alt in alts:
-            match alt.pattern:
-                case IntPat(m) if m == n:
-                    return alt
-        for alt in alts:
-            if isinstance(alt.pattern, DefaultPat):
-                return alt
-        return None
-
     # ------------------------------------------------------------------
 
     def drive_app(
@@ -414,29 +358,22 @@ class DriveSession:
                 args = [Var(sigma[p]) for p in entry.params] or [IntLit(0)]
                 return fold_apps(Global(entry.name), args)
 
-        # (2) mutual embedding: ask the owning activation to generalize
-        for entry in reversed(rho):
-            if embeds(entry.term, term) and embeds(term, entry.term):
+        # (2) mutual embedding: ask the owning activation to generalize;
+        # (3) otherwise generalize downwards against the nearest entry
+        below = [entry for entry in reversed(rho) if embeds(entry.term, term)]
+        for entry in below:
+            if embeds(term, entry.term):
                 self._emit("Dapp2", term, context, rho)
                 return GenRequest(entry.name, term)
-
-        # (3) downwards generalization
-        for entry in reversed(rho):
-            if embeds(entry.term, term):
-                self._emit("Dapp3", term, context, rho)
-                return self._generalize(term, entry.term, G, rho, me)
+        if below:
+            self._emit("Dapp3", term, context, rho)
+            return self._generalize(term, below[0].term, G, rho, me)
 
         # (4) memoize, unfold and drive
         v = G.get(g)
         if v is None:
             raise DriverError(f"undefined function {g} during driving")
         h = self.supply.fun()
-        if self.assert_measure:
-            for entry in rho:
-                if embeds(entry.term, term):
-                    raise DriverError(
-                        f"memo invariant broken: {entry.name} embeds into new term"
-                    )
         entry = MemoEntry(h, term, key)
         self._emit("Dapp4", term, context, rho)
         e = self.drive(plug_r(context, v), [], G, rho + (entry,), me)

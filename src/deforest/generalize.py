@@ -1,11 +1,12 @@
-"""Termination machinery: uniform terms, the homeomorphic-embedding whistle,
-most specific generalization and split.
+"""Termination machinery: the homeomorphic-embedding whistle, most specific
+generalization and split.
 
-Embedding works on the uniform encoding (binders erased, one symbol for all
-arithmetic), which makes the whistle slightly eager and keeps it a
-well-quasi-order.  msg/split are stricter: operators and case shapes must
-agree, and generalization never descends below a binder, so the common term
-is always rebuilt from its parts by ordinary substitution.
+Embedding compares terms up to erasure: all variables are alike, all integers
+are alike, and binders, operators and patterns are ignored, which makes the
+whistle slightly eager and keeps it a well-quasi-order.  msg/split are
+stricter: operators and case shapes must agree, and generalization never
+descends below a binder, so the common term is always rebuilt from its parts
+by ordinary substitution.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from .syntax import (
     Case,
     CtorApp,
     Expression,
-    GenRequest,
+    FreshSupply,
     Global,
     IntLit,
-    Lambda,
     Let,
-    Letrec,
     PrimOp,
     Var,
     children,
@@ -32,75 +31,44 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class UniformTerm:
-    symbol: tuple
-    children: tuple["UniformTerm", ...]
-
-
-VAR_ATOM = ("var",)
-INT_ATOM = ("int",)
-
-
-def to_uniform(e: Expression) -> UniformTerm:
-    """Structure-preserving encoding: variables collapse to one atom,
-    integers to another, binders are erased.
+def _symbol(e: Expression):
+    """The node symbol that coupling compares; equal symbols mean equally
+    many children.
     """
-    match e:
-        case Var(_):
-            return UniformTerm(VAR_ATOM, ())
-        case IntLit(_):
-            return UniformTerm(INT_ATOM, ())
-        case Global(g):
-            return UniformTerm(("global", g), ())
-        case App(f, a):
-            return UniformTerm(("apply",), (to_uniform(f), to_uniform(a)))
-        case Lambda(_, b):
-            return UniformTerm(("lambda",), (to_uniform(b),))
-        case CtorApp(k, args):
-            return UniformTerm(("ctor", k, len(args)), tuple(to_uniform(a) for a in args))
-        case PrimOp(_, l, r):
-            return UniformTerm(("primop",), (to_uniform(l), to_uniform(r)))
-        case Case(scrut, alts):
-            kids = (to_uniform(scrut),) + tuple(to_uniform(a.body) for a in alts)
-            return UniformTerm(("caseof", len(alts)), kids)
-        case Let(_, bound, body):
-            return UniformTerm(("let",), (to_uniform(bound), to_uniform(body)))
-        case Letrec(_, rhs, body):
-            return UniformTerm(("letrec",), (to_uniform(rhs), to_uniform(body)))
-        case GenRequest(_, t):
-            return to_uniform(t)
-        case _:
-            raise TypeError(f"to_uniform: unknown expression {e!r}")
+    t = type(e)
+    if t is Global:
+        return ("global", e.name)
+    if t is CtorApp:
+        return ("ctor", e.ctor, len(e.args))
+    if t is Case:
+        return ("caseof", len(e.alts))
+    return t
 
 
-def embeds_uniform(u1: UniformTerm, u2: UniformTerm) -> bool:
+def embeds(e: Expression, f: Expression) -> bool:
+    """The whistle: e is homeomorphically embedded in f, either in a child
+    of f (diving) or with equal symbols and each child of e embedded in the
+    matching child of f (coupling).  Symbols erase variable names, integer
+    values, binders, operators and patterns, so a variable embeds in any
+    variable and an integer in any integer.
+    """
     memo: dict[tuple[int, int], bool] = {}
 
-    def go(a: UniformTerm, b: UniformTerm) -> bool:
+    def go(a: Expression, b: Expression) -> bool:
         key = (id(a), id(b))
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if a.symbol == VAR_ATOM and b.symbol == VAR_ATOM:
-            out = True
-        elif a.symbol == INT_ATOM and b.symbol == INT_ATOM:
-            out = True
-        else:
-            out = any(go(a, c) for c in b.children) or (
-                a.symbol == b.symbol
-                and len(a.children) == len(b.children)
-                and all(go(x, y) for x, y in zip(a.children, b.children))
-            )
+        kids = children(b)
+        out = any(go(a, c) for c in kids) or (
+            type(a) is type(b)
+            and _symbol(a) == _symbol(b)
+            and all(go(x, y) for x, y in zip(children(a), kids))
+        )
         memo[key] = out
         return out
 
-    return go(u1, u2)
-
-
-def embeds(e: Expression, f: Expression) -> bool:
-    """The whistle: e is embedded in f."""
-    return embeds_uniform(to_uniform(e), to_uniform(f))
+    return go(e, f)
 
 
 # ---------------------------------------------------------------------------
@@ -113,22 +81,6 @@ class Generalization:
     theta1: dict[str, Expression]
     theta2: dict[str, Expression]
     holes: tuple[str, ...]  # fresh hole variables, first occurrence order
-
-
-class _LocalSupply:
-    """Fallback name supply for standalone msg/split calls."""
-
-    def __init__(self, avoid: set[str]):
-        self.avoid = set(avoid)
-        self.n = 0
-
-    def fresh_var(self, base: str = "z") -> Var:
-        while True:
-            self.n += 1
-            name = f"{base}{self.n}"
-            if name not in self.avoid:
-                self.avoid.add(name)
-                return Var(name, fresh=True)
 
 
 # pair-tree nodes used while anti-unifying
@@ -185,7 +137,7 @@ def msg(t1: Expression, t2: Expression, supply=None) -> Generalization:
     fresh hole variable.
     """
     if supply is None:
-        supply = _LocalSupply(free_vars(t1) | free_vars(t2))
+        supply = FreshSupply(free_vars(t1) | free_vars(t2))
 
     varmap: dict[str, set[str]] = {}
     tree = _pair(t1, t2, varmap)
@@ -285,7 +237,7 @@ def split(
     otherwise every binder-free immediate subterm of t1 becomes a hole.
     """
     if supply is None:
-        supply = _LocalSupply(free_vars(t1) | free_vars(t2))
+        supply = FreshSupply(free_vars(t1) | free_vars(t2))
     if _heads_agree(t1, t2):
         g = msg(t1, t2, supply)
         return g.common, [g.theta1[h] for h in g.holes], list(g.holes)

@@ -80,9 +80,9 @@ def tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if c.isdigit():
+        if c in "0123456789":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in "0123456789":
                 j += 1
             tokens.append(Token("int", text[i:j], line, col))
             col += j - i

@@ -23,7 +23,6 @@ from .syntax import (
     FIX_NAME,
     Global,
     IntLit,
-    IntPat,
     Lambda,
     Let,
     Letrec,
@@ -34,6 +33,7 @@ from .syntax import (
     fix_definition,
     free_vars,
     program_externals,
+    select_alt,
     substitute,
 )
 
@@ -85,33 +85,20 @@ def apply_prim(op: str, a: int, b: int) -> int:
 
 def _select_alt(v: Expression, alts: tuple[Alt, ...]) -> Expression:
     """(KCase)/(NCase): pick the branch for a scrutinee value and substitute."""
-    match v:
-        case CtorApp(k, args):
-            for alt in alts:
-                match alt.pattern:
-                    case CtorPat(k2, binders) if k2 == k and len(binders) == len(args):
-                        return substitute(dict(zip(binders, args)), alt.body)
-            for alt in alts:
-                match alt.pattern:
-                    case DefaultPat(None):
-                        return alt.body
-                    case DefaultPat(b):
-                        return substitute({b: v}, alt.body)
-            raise StuckError(f"no alternative matches constructor {k}")
-        case IntLit(n):
-            for alt in alts:
-                match alt.pattern:
-                    case IntPat(m) if m == n:
-                        return alt.body
-            for alt in alts:
-                match alt.pattern:
-                    case DefaultPat(None):
-                        return alt.body
-                    case DefaultPat(b):
-                        return substitute({b: v}, alt.body)
-            raise StuckError(f"no alternative matches {n}")
-        case _:
-            raise StuckError("case scrutinee is not a data value")
+    alt = select_alt(v, alts)
+    if alt is None:
+        match v:
+            case CtorApp(k, _):
+                raise StuckError(f"no alternative matches constructor {k}")
+            case IntLit(n):
+                raise StuckError(f"no alternative matches {n}")
+        raise StuckError("case scrutinee is not a data value")
+    match alt.pattern:
+        case CtorPat(_, binders):
+            return substitute(dict(zip(binders, v.args)), alt.body)
+        case DefaultPat(b) if b is not None:
+            return substitute({b: v}, alt.body)
+    return alt.body
 
 
 def _lookup_global(name: str, G: Globals) -> Expression:

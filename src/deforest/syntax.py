@@ -150,6 +150,31 @@ def pattern_binders(p: Pattern) -> tuple[str, ...]:
             return ()
 
 
+def select_alt(v: Expression, alts: tuple[Alt, ...]) -> Optional[Alt]:
+    """The alternative a data value selects: the first constructor pattern
+    with its name and arity, or integer pattern with its value, else the
+    default alternative; None when nothing matches or v is not data.
+    """
+    if isinstance(v, CtorApp):
+        k, arity = v.ctor, len(v.args)
+        for alt in alts:
+            p = alt.pattern
+            if type(p) is CtorPat and p.ctor == k and len(p.binders) == arity:
+                return alt
+    elif isinstance(v, IntLit):
+        n = v.value
+        for alt in alts:
+            p = alt.pattern
+            if type(p) is IntPat and p.value == n:
+                return alt
+    else:
+        return None
+    for alt in alts:
+        if type(alt.pattern) is DefaultPat:
+            return alt
+    return None
+
+
 def unfold_lambdas(e: Expression) -> tuple[list[str], Expression]:
     """n-ary view of nested lambdas: (params, body)."""
     params = []
@@ -245,6 +270,45 @@ def replace_global(e: Expression, name: str, new: Expression) -> Expression:
         case Letrec(g, _, _) if g == name:
             return e
     return rebuild(e, [replace_global(c, name, new) for c in children(e)])
+
+
+# ---------------------------------------------------------------------------
+# fresh names
+
+
+class FreshSupply:
+    """Deterministic source of names that collide with nothing reserved and
+    nothing issued before; one counter per base name.
+    """
+
+    def __init__(self, reserved: set[str]):
+        self.reserved = set(reserved)
+        self.counters: dict[str, int] = {}
+        self.hole_names: set[str] = set()
+
+    def _mint(self, base: str) -> str:
+        n = self.counters.get(base, 0)
+        while True:
+            n += 1
+            name = f"{base}{n}"
+            if name not in self.reserved:
+                self.counters[base] = n
+                self.reserved.add(name)
+                return name
+
+    def var(self, base: str = "v") -> str:
+        return self._mint(base)
+
+    def fresh_var(self, base: str = "z") -> Var:
+        """A generalization hole; the driver's rule R12 refuses to propagate
+        these.
+        """
+        name = self._mint(base)
+        self.hole_names.add(name)
+        return Var(name, fresh=True)
+
+    def fun(self) -> str:
+        return self._mint("h")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
+import io
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deforest.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURE_NAMES, FIXTURES
 
 
 def run_cli(*args, capsys=None):
@@ -132,8 +138,14 @@ def test_check_detects_golden_mismatch(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "manifest",
-    ["fuel: abc\n", "entry: main y\n", "golden: missing.core\n"],
-    ids=["bad-fuel", "free-variable-entry", "missing-golden"],
+    [
+        "fuel: abc\n",
+        "entry: main y\n",
+        "golden: missing.core\n",
+        "fuel: -5\nentry: main 1\n",
+        "fuel: 0\nentry: main 1\n",
+    ],
+    ids=["bad-fuel", "free-variable-entry", "missing-golden", "negative-fuel", "zero-fuel"],
 )
 def test_check_bad_manifest_exits_2(tmp_path, capsys, manifest):
     prog = tmp_path / "p.core"
@@ -142,6 +154,34 @@ def test_check_bad_manifest_exits_2(tmp_path, capsys, manifest):
     code, out, err = run_cli("check", str(prog), capsys=capsys)
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fuel", ["0", "-1"])
+@pytest.mark.parametrize("command", ["eval", "check"])
+def test_fuel_flag_below_one_exits_2(tmp_path, capsys, command, fuel):
+    prog = tmp_path / "p.core"
+    prog.write_text("main x = x + 1;")
+    (tmp_path / "p.manifest").write_text("entry: main 1\n")
+    extra = ["-e", "main 1"] if command == "eval" else []
+    code, out, err = run_cli(command, str(prog), *extra, "--fuel", fuel, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "scrutinee, reason",
+    [
+        ("3", "no alternative matches 3"),
+        ("Just 1", "no alternative matches constructor Just"),
+    ],
+)
+def test_eval_reports_unmatched_case(tmp_path, capsys, scrutinee, reason):
+    prog = tmp_path / "p.core"
+    prog.write_text(f"main = case {scrutinee} of {{ 0 -> 1; Nothing -> 2 }};")
+    code, out, _ = run_cli("eval", str(prog), "-e", "main", capsys=capsys)
+    assert code == 1
+    assert out.strip() == f"STUCK: {reason}"
 
 
 def test_embed_command(capsys):
@@ -181,6 +221,96 @@ def test_console_script_entry_point():
         [sys.executable, "-m", "deforest.cli", "eval", fixture("factorial"), "-e", "main"],
         capture_output=True,
         text=True,
+        cwd=FIXTURES.parents[1],  # src/, so that -m finds the package uninstalled
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "6"
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract on random input: 0, 1 or 2, and never an exception
+
+
+_WORDS = [
+    "main", "f", "x", "xs", "=", ";", "case", "of", "{", "}", "->", "_", "0",
+    "1", "(-1)", "[]", "[1,2]", "(x:xs)", ":", "Nil", "Cons", "Just", "(",
+    ")", "+", "-", "*", "\\", "let", "in", "letrec", "\n",
+]
+_FIXTURE_TEXTS = [(FIXTURES / f"{n}.core").read_text() for n in FIXTURE_NAMES]
+
+
+@st.composite
+def _mutated_fixture(draw):
+    words = draw(st.sampled_from(_FIXTURE_TEXTS)).split(" ")
+    i = draw(st.integers(0, len(words)))
+    j = draw(st.integers(i, min(len(words), i + 3)))
+    inserted = draw(st.lists(st.sampled_from(_WORDS), max_size=2))
+    return " ".join(words[:i] + inserted + words[j:])
+
+
+_SOUP = st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join)
+_PROGRAMS = st.one_of(
+    st.sampled_from(_FIXTURE_TEXTS), _mutated_fixture(), _SOUP, st.text(max_size=30)
+)
+_EXPRS = st.one_of(
+    st.sampled_from(["main", "main 1", "main [1,2] [3]", "f (x - 1)", "Just x"]),
+    _SOUP,
+    st.text(max_size=20),
+)
+_ENTRIES = st.sampled_from(
+    ["main", "main 1", "main [1,2]", "main [1,2] [3]", "main 2 [3]"]
+)
+# mostly well-formed lines, then at most one that may be malformed
+_MANIFESTS = st.tuples(
+    st.lists(
+        st.one_of(st.builds("entry: {}".format, _ENTRIES), st.just("golden: g.core")),
+        max_size=3,
+    ),
+    st.lists(
+        st.one_of(
+            st.builds("entry: {}".format, _EXPRS),
+            st.builds(
+                "fuel: {}".format, st.one_of(st.integers(-2, 300), st.text(max_size=5))
+            ),
+            st.sampled_from(["golden: missing.core", "# note", "", "bogus: 1"]),
+            st.text(max_size=20),
+        ),
+        max_size=1,
+    ),
+).map(lambda parts: parts[0] + parts[1])
+
+
+@given(
+    command=st.sampled_from(["build", "check", "eval", "strict", "embed", "msg"]),
+    program=_PROGRAMS,
+    golden=_PROGRAMS,
+    fuel=st.integers(-2, 300),
+    manifest=_MANIFESTS,
+    flag_fuel=st.booleans(),
+    entry=st.one_of(_ENTRIES, _EXPRS),
+    e1=_EXPRS,
+    e2=_EXPRS,
+)
+@settings(max_examples=300, deadline=None)
+def test_cli_exit_codes_on_random_input(
+    command, program, golden, fuel, manifest, flag_fuel, entry, e1, e2
+):
+    with tempfile.TemporaryDirectory() as d:
+        prog = Path(d) / "p.core"
+        prog.write_text(program)
+        (Path(d) / "g.core").write_text(golden)
+        # a leading fuel line keeps every evaluation bounded
+        (Path(d) / "p.manifest").write_text("\n".join([f"fuel: {fuel}"] + manifest))
+        argv = {
+            "build": ["build", str(prog)],
+            "check": ["check", str(prog)]
+            + (["--fuel", str(fuel)] if flag_fuel else []),
+            "eval": ["eval", str(prog), f"--expr={entry}", "--fuel", str(fuel)],
+            "strict": ["strict", str(prog)],
+            "embed": ["embed", "--", e1, e2],
+            "msg": ["msg", "--", e1, e2],
+        }[command]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())

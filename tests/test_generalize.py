@@ -16,9 +16,8 @@ from deforest import (
     parse_expression,
     split,
     substitute,
-    to_uniform,
 )
-from deforest.generalize import INT_ATOM, VAR_ATOM, UniformTerm, embeds_uniform
+from deforest.syntax import children
 
 from conftest import expressions
 
@@ -27,26 +26,28 @@ def pe(text):
     return parse_expression(text, frozenset({"fac", "append", "sum", "map", "rev"}))
 
 
-def test_to_uniform_variable_atom():
-    assert to_uniform(Var("x")) == UniformTerm(VAR_ATOM, ())
-    assert to_uniform(Var("y")) == to_uniform(Var("x"))
+def test_embeds_erases_names_values_binders_and_patterns():
+    assert embeds(Var("x"), Var("y"))
+    assert embeds(IntLit(0), IntLit(7))
+    assert embeds(pe("fac (y - 1)"), pe("fac (x * 2)"))
+    assert embeds(pe("\\x -> x"), pe("\\y -> y"))
+    assert embeds(pe("let x = 1 in x"), pe("let y = 2 in y"))
+    assert embeds(pe("case x of { 0 -> 1 }"), pe("case y of { Nil -> 2 }"))
 
 
-def test_to_uniform_application():
-    u = to_uniform(pe("fac (y - 1)"))
-    assert u.symbol == ("apply",)
-    assert u.children[0].symbol == ("global", "fac")
-    assert u.children[1].symbol == ("primop",)
-    assert u.children[1].children == (
-        UniformTerm(VAR_ATOM, ()),
-        UniformTerm(INT_ATOM, ()),
-    )
+def test_embeds_case_couples_only_equal_alternative_counts():
+    one = pe("case x of { 0 -> 1 }")
+    two = pe("case x of { 0 -> 1; _ -> 1 }")
+    assert not embeds(one, two)
+    assert not embeds(two, one)
 
 
-def test_to_uniform_case_erases_patterns():
-    u = to_uniform(pe("case x of { 0 -> 1 }"))
-    assert u.symbol == ("caseof", 1)
-    assert u.children == (UniformTerm(VAR_ATOM, ()), UniformTerm(INT_ATOM, ()))
+def test_embeds_ctor_couples_only_equal_arities():
+    k1 = CtorApp("K", (Var("x"),))
+    k2 = CtorApp("K", (Var("x"), Var("y")))
+    assert not embeds(k1, k2)
+    assert not embeds(k2, k1)
+    assert embeds(k1, CtorApp("K", (k2,)))
 
 
 def test_embeds_dive():
@@ -81,16 +82,16 @@ def _oracle_closure(terms):
             if (a, b) in rel:
                 continue
             ok = False
-            if a.symbol == VAR_ATOM and b.symbol == VAR_ATOM:
+            if isinstance(a, Var) and isinstance(b, Var):
                 ok = True
-            elif a.symbol == INT_ATOM and b.symbol == INT_ATOM:
-                ok = True
-            elif any((a, c) in rel for c in b.children):
+            elif any((a, c) in rel for c in children(b)):
                 ok = True
             elif (
-                a.symbol == b.symbol
-                and len(a.children) == len(b.children)
-                and all((x, y) in rel for x, y in zip(a.children, b.children))
+                isinstance(a, CtorApp)
+                and isinstance(b, CtorApp)
+                and a.ctor == b.ctor
+                and len(a.args) == len(b.args)
+                and all((x, y) in rel for x, y in zip(a.args, b.args))
             ):
                 ok = True
             if ok:
@@ -99,24 +100,23 @@ def _oracle_closure(terms):
     return rel
 
 
-def all_uniform_terms(max_size):
-    by_size = {1: [UniformTerm(VAR_ATOM, ()),]}
-    sym1, sym2 = ("global", "s1"), ("ctor", "S2", 2)
+def all_terms(max_size):
+    by_size = {1: [Var("x")]}
     for size in range(2, max_size + 1):
-        terms = [UniformTerm(sym1, (t,)) for t in by_size[size - 1]]
+        terms = [CtorApp("S1", (t,)) for t in by_size[size - 1]]
         for ls in range(1, size - 1):
             for l in by_size[ls]:
                 for r in by_size[size - 1 - ls]:
-                    terms.append(UniformTerm(sym2, (l, r)))
+                    terms.append(CtorApp("S2", (l, r)))
         by_size[size] = terms
     return [t for ts in by_size.values() for t in ts]
 
 
 def test_embedding_agrees_with_bottom_up_oracle_small():
-    terms = all_uniform_terms(5)
+    terms = all_terms(5)
     rel = _oracle_closure(terms)
     for a, b in itertools.product(terms, terms):
-        assert embeds_uniform(a, b) == ((a, b) in rel), (a, b)
+        assert embeds(a, b) == ((a, b) in rel), (a, b)
 
 
 @given(expressions(10))

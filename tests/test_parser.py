@@ -73,6 +73,12 @@ def test_parse_error_has_position():
     assert exc.value.col > 0
 
 
+def test_non_ascii_digit_is_a_parse_error():
+    # "²" is a Unicode digit that int() rejects
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_expression("f ²")
+
+
 def test_duplicate_definition_rejected():
     with pytest.raises(ParseError, match="duplicate"):
         parse_program("f x = x; f y = y;")

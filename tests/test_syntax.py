@@ -7,8 +7,10 @@ from deforest import (
     Case,
     CtorApp,
     CtorPat,
+    DefaultPat,
     Global,
     IntLit,
+    IntPat,
     Lambda,
     Letrec,
     PrimOp,
@@ -22,7 +24,7 @@ from deforest import (
     substitute,
     weight,
 )
-from deforest.syntax import SyntaxError_, fold_lambdas, free_vars_ordered
+from deforest.syntax import SyntaxError_, fold_lambdas, free_vars_ordered, select_alt
 
 from conftest import expressions
 
@@ -272,3 +274,35 @@ def test_weight_monotone_under_replacement(inner, heavier):
 def test_free_vars_ordered_first_occurrence():
     e = PrimOp("+", App(V("b"), V("a")), V("b"))
     assert free_vars_ordered(e) == ["b", "a"]
+
+
+_ALTS = (
+    Alt(CtorPat("K", ("a", "b")), V("a")),
+    Alt(IntPat(3), IntLit(30)),
+    Alt(DefaultPat("d"), V("d")),
+)
+
+
+@pytest.mark.parametrize(
+    "value, alts, expected",
+    [
+        (CtorApp("K", (IntLit(1), IntLit(2))), _ALTS, 0),
+        (CtorApp("K", (IntLit(1),)), _ALTS, 2),
+        (IntLit(3), _ALTS, 1),
+        (IntLit(4), _ALTS, 2),
+        (IntLit(4), _ALTS[:2], None),
+        (CtorApp("J", ()), _ALTS[:2], None),
+        (Lambda("x", V("x")), _ALTS, None),
+    ],
+    ids=[
+        "constructor",
+        "wrong-arity-default",
+        "integer",
+        "named-default",
+        "no-integer-match",
+        "no-constructor-match",
+        "not-data",
+    ],
+)
+def test_select_alt(value, alts, expected):
+    assert select_alt(value, alts) is (None if expected is None else alts[expected])
