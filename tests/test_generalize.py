@@ -26,13 +26,31 @@ def pe(text):
     return parse_expression(text, frozenset({"fac", "append", "sum", "map", "rev"}))
 
 
-def test_embeds_erases_names_values_binders_and_patterns():
+def test_to_uniform_variable_atom():
+    # all variables share one symbol, distinct from the integers' symbol
     assert embeds(Var("x"), Var("y"))
+    assert embeds(Var("y"), Var("x"))
+    assert not embeds(Var("x"), IntLit(0))
+    assert not embeds(IntLit(0), Var("x"))
+
+
+def test_to_uniform_application():
+    # integer values and operators are erased; the children keep their order
     assert embeds(IntLit(0), IntLit(7))
     assert embeds(pe("fac (y - 1)"), pe("fac (x * 2)"))
+    assert embeds(pe("fac (x * 2)"), pe("fac (y - 1)"))
+    assert not embeds(pe("fac (y - 1)"), pe("fac (1 - y)"))
+
+
+def test_to_uniform_case_erases_patterns():
+    assert embeds(pe("case x of { 0 -> 1 }"), pe("case y of { Nil -> 2 }"))
+    assert embeds(pe("case y of { Nil -> 2 }"), pe("case x of { 0 -> 1 }"))
+    assert not embeds(pe("case x of { 0 -> 1 }"), pe("case 1 of { 0 -> x }"))
+
+
+def test_embeds_erases_binders():
     assert embeds(pe("\\x -> x"), pe("\\y -> y"))
     assert embeds(pe("let x = 1 in x"), pe("let y = 2 in y"))
-    assert embeds(pe("case x of { 0 -> 1 }"), pe("case y of { Nil -> 2 }"))
 
 
 def test_embeds_case_couples_only_equal_alternative_counts():
