@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 from pathlib import Path
 
 from .driver import DriverError, program_alpha_eq, supercompile
@@ -16,6 +17,7 @@ from .pretty import pretty_expr, pretty_program
 from .semantics import EvalOutcome, eval_program
 from .syntax import (
     Expression,
+    Lambda,
     Program,
     SyntaxError_,
     alpha_eq,
@@ -116,6 +118,28 @@ def _read_manifest(path: Path) -> dict:
     return {"entries": entries, "golden": golden, "fuel": fuel}
 
 
+PASSING = ("both-value-equal", "both-function", "both-stuck", "both-out-of-fuel")
+
+
+def _verdict(before: EvalOutcome, after: EvalOutcome) -> str:
+    """Compare the original's outcome with the residual's.  Two functions
+    are not compared (alpha equivalence cannot decide extensional equality);
+    only their calls are.
+    """
+    if before.kind == after.kind == "value":
+        functions = isinstance(before.value, Lambda) and isinstance(after.value, Lambda)
+        if not functions and not alpha_eq(before.value, after.value):
+            return "MISMATCH"
+        if after.calls > before.calls:
+            return "IMPROVEMENT-VIOLATION"
+        return "both-function" if functions else "both-value-equal"
+    if before.kind == after.kind == "stuck":
+        return "both-stuck"
+    if before.kind == after.kind == "out_of_fuel":
+        return "both-out-of-fuel"
+    return "MISMATCH"
+
+
 def cmd_check(args) -> int:
     program = _load_program(args.file)
     manifest_path = Path(args.manifest) if args.manifest else Path(args.file).with_suffix(".manifest")
@@ -142,18 +166,10 @@ def cmd_check(args) -> int:
     for entry, call in zip(manifest["entries"], calls):
         before = eval_program(program, call, fuel)
         after = eval_program(residual, call, fuel)
-        if before.kind == "value" and after.kind == "value":
-            if not alpha_eq(before.value, after.value):
-                verdict = "MISMATCH"
-            elif after.calls > before.calls:
-                verdict = "IMPROVEMENT-VIOLATION"
-            else:
-                verdict = "both-value-equal"
-        elif before.kind == "out_of_fuel" and after.kind == "out_of_fuel":
-            verdict = "both-out-of-fuel"
-        else:
-            verdict = "MISMATCH"
-        failed |= verdict not in ("both-value-equal", "both-out-of-fuel")
+        verdict = _verdict(before, after)
+        failed |= verdict not in PASSING
+        if verdict == "both-stuck":
+            verdict += f" ({before.reason} | {after.reason})"
         print(
             f"{entry}: {verdict} calls={before.calls}->{after.calls} "
             f"allocs={before.allocs}->{after.allocs}"
@@ -234,8 +250,17 @@ def make_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    sys.setrecursionlimit(100_000)
+# The parser, the driver and the printer recurse on the nesting depth of the
+# input.  A command runs in a thread whose stack holds the whole recursion
+# limit (deep compares, hashes and substitutions reach it within 32 MB), so a
+# too deeply nested input raises RecursionError and exits 2 instead of
+# overflowing the C stack.
+RECURSION_LIMIT = 100_000
+STACK_BYTES = 256 * 2**20
+
+
+def _run(argv) -> int:
+    sys.setrecursionlimit(RECURSION_LIMIT)
     ap = make_arg_parser()
     args = ap.parse_args(argv)
     try:
@@ -243,9 +268,33 @@ def main(argv=None) -> int:
     except (ParseError, SyntaxError_) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
+        return 2
     except DriverError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    result: list = []
+
+    def target() -> None:
+        try:
+            result.append(_run(argv))
+        except BaseException as exc:  # re-raised in the calling thread
+            result.append(exc)
+
+    previous = threading.stack_size(STACK_BYTES)
+    try:
+        worker = threading.Thread(target=target, daemon=True)
+        worker.start()
+    finally:
+        threading.stack_size(previous)
+    worker.join()
+    if isinstance(result[0], BaseException):
+        raise result[0]
+    return result[0]
 
 
 if __name__ == "__main__":

@@ -52,23 +52,25 @@ def embeds(e: Expression, f: Expression) -> bool:
     values, binders, operators and patterns, so a variable embeds in any
     variable and an integer in any integer.
     """
-    memo: dict[tuple[int, int], bool] = {}
+    return _embeds(e, f, {})
 
-    def go(a: Expression, b: Expression) -> bool:
-        key = (id(a), id(b))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        kids = children(b)
-        out = any(go(a, c) for c in kids) or (
-            type(a) is type(b)
-            and _symbol(a) == _symbol(b)
-            and all(go(x, y) for x, y in zip(children(a), kids))
-        )
-        memo[key] = out
-        return out
 
-    return go(e, f)
+def _embeds(a: Expression, b: Expression, memo: dict[tuple[int, int], bool]) -> bool:
+    # a module-level function, not a closure: a recursive closure is a
+    # reference cycle, and it would keep the memo alive until the cyclic
+    # garbage collector runs
+    key = (id(a), id(b))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    kids = children(b)
+    out = any(_embeds(a, c, memo) for c in kids) or (
+        type(a) is type(b)
+        and _symbol(a) == _symbol(b)
+        and all(_embeds(x, y, memo) for x, y in zip(children(a), kids))
+    )
+    memo[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,24 @@
 """Small-step call-by-value reference interpreter.
 
-`decompose`/`step` are the literal one-reduction-at-a-time functions;
-`eval_expr` performs the same reductions with an explicit frame stack so that
-large fuel budgets stay affordable.  Counters: `calls` counts (Global) and
-(App) reductions, `allocs` counts constructor values built from not-yet-value
-arguments, `steps` counts every reduction.
+`decompose`/`step` are the literal one-reduction-at-a-time functions, and
+`eval_via_step` iterates them; they are the oracle.  `eval_expr` performs the
+same reductions on an environment machine: the state is a focus term and an
+environment (name -> runtime value), frames carry their environment, a lambda
+evaluates to a closure, and constructor values are built once and shared,
+never copied or re-substituted.  A result is read back into a term by
+substituting each closure's read-back environment into its lambda, which
+gives the term the substitution semantics computes.
+
+Counters: `calls` counts (Global) and (App) reductions, `allocs` counts
+constructor values built from not-yet-value arguments, `steps` counts every
+reduction.  A constructor application whose arguments are integers, lambdas,
+bound variables or such constructor applications is already a value: it costs
+no step and no alloc.
+
+`eval_program` runs an entry call against a program whose definitions may use
+unknown external functions (their free variables): a variable bound nowhere
+evaluates to the identity `\\z -> z`.  `eval_expr` on an open term gets
+stuck at its free variable instead.
 """
 
 from __future__ import annotations
@@ -29,10 +43,10 @@ from .syntax import (
     PrimOp,
     Program,
     Var,
+    _substitute_closed,
     desugar_letrec,
     fix_definition,
     free_vars,
-    program_externals,
     select_alt,
     substitute,
 )
@@ -83,8 +97,8 @@ def apply_prim(op: str, a: int, b: int) -> int:
     raise StuckError(f"unknown operator {op!r}")
 
 
-def _select_alt(v: Expression, alts: tuple[Alt, ...]) -> Expression:
-    """(KCase)/(NCase): pick the branch for a scrutinee value and substitute."""
+def _match_alt(v, alts: tuple[Alt, ...]) -> Alt:
+    """(KCase)/(NCase): the branch a scrutinee value selects."""
     alt = select_alt(v, alts)
     if alt is None:
         match v:
@@ -93,19 +107,27 @@ def _select_alt(v: Expression, alts: tuple[Alt, ...]) -> Expression:
             case IntLit(n):
                 raise StuckError(f"no alternative matches {n}")
         raise StuckError("case scrutinee is not a data value")
+    return alt
+
+
+def _alt_bindings(alt: Alt, v) -> dict:
+    """What the selected branch's pattern binds."""
     match alt.pattern:
         case CtorPat(_, binders):
-            return substitute(dict(zip(binders, v.args)), alt.body)
+            return dict(zip(binders, v.args))
         case DefaultPat(b) if b is not None:
-            return substitute({b: v}, alt.body)
-    return alt.body
+            return {b: v}
+    return {}
+
+
+_FIX = fix_definition()
 
 
 def _lookup_global(name: str, G: Globals) -> Expression:
     v = G.get(name)
     if v is None:
         if name == FIX_NAME:
-            return fix_definition()
+            return _FIX
         raise StuckError(f"undefined function {name}")
     return v
 
@@ -244,7 +266,8 @@ def _reduce(redex: Expression, G: Globals) -> Expression:
         case Let(x, v, body):
             return substitute({x: v}, body)
         case Case(v, alts):
-            return _select_alt(v, alts)
+            alt = _match_alt(v, alts)
+            return substitute(_alt_bindings(alt, v), alt.body)
         case PrimOp(op, IntLit(a), IntLit(b)):
             return IntLit(apply_prim(op, a, b))
         case Letrec(_, _, _):
@@ -265,171 +288,308 @@ def step(e: Expression, G: Globals) -> Optional[Expression]:
 
 
 def eval_via_step(e: Expression, G: Globals, fuel: int) -> EvalOutcome:
-    """Literal step iteration; counts calls and steps (allocation counting is
-    a property of the frame machine).  Used as an oracle for eval_expr.
+    """Literal step iteration, the oracle for eval_expr.  An alloc is counted
+    whenever a reduct that is a value completes a constructor frame (its
+    pending arguments all values), and again for each enclosing constructor
+    frame that this completes in turn.
     """
-    calls = steps = 0
+    calls = allocs = steps = 0
     while True:
         out = _decompose_ex(e)
         if out[0] == "value":
-            return EvalOutcome("value", e, None, calls, 0, steps)
+            return EvalOutcome("value", e, None, calls, allocs, steps)
         if out[0] == "stuck":
-            return EvalOutcome("stuck", None, out[2], calls, 0, steps)
+            return EvalOutcome("stuck", None, out[2], calls, allocs, steps)
         if steps >= fuel:
-            return EvalOutcome("out_of_fuel", None, None, calls, 0, steps)
+            return EvalOutcome("out_of_fuel", None, None, calls, allocs, steps)
         _, frames, redex = out
+        try:
+            reduct = _reduce(redex, G)
+        except StuckError as s:
+            return EvalOutcome("stuck", None, s.reason, calls, allocs, steps)
         match redex:
             case Global(_) | App(_, _):
                 calls += 1
         steps += 1
-        e = plug(frames, _reduce(redex, G))
+        if is_value(reduct):
+            for fr in reversed(frames):
+                if fr[0] != "ctor" or not all(is_value(a) for a in fr[3]):
+                    break
+                allocs += 1
+        e = plug(frames, reduct)
 
 
 # ---------------------------------------------------------------------------
-# frame machine
+# environment machine
+#
+# Runtime values: IntLit, Closure, and CtorApp whose arguments are runtime
+# values.  Environments are never mutated, so closures and frames share them.
 
 
-def eval_expr(e: Expression, G: Globals, fuel: int = 1_000_000) -> EvalOutcome:
+class Closure:
+    """A term with the environment of its free variables; as a runtime
+    value, the term is a lambda.
+    """
+
+    __slots__ = ("term", "env")
+
+    def __init__(self, term: Expression, env: dict):
+        self.term = term
+        self.env = env
+
+
+_EMPTY: dict = {}
+_IDENTITY = Lambda("z", Var("z"))  # what an external function stands for
+_EXTERNAL = Closure(_IDENTITY, _EMPTY)
+
+# frame tags; the frames, innermost last:
+#   (_APP_FUN, arg, env)          E e
+#   (_APP_ARG, closure)           v E
+#   (_CTOR, term, done, env)      k v.. E e..
+#   (_PRIM_L, op, rhs, env)       E (+) e
+#   (_PRIM_R, op, n)              n (+) E
+#   (_CASE, alts, env)            case E of
+#   (_LET, x, body, env)          let x = E in e
+_APP_FUN, _APP_ARG, _CTOR, _PRIM_L, _PRIM_R, _CASE, _LET = range(7)
+
+
+def _ctor_value(e: CtorApp, env: dict, externals: bool):
+    """The value of a constructor application whose leaves are integers,
+    lambdas and bound variables (externals too, in a program), or None when
+    some argument still needs evaluating.  Without variables or lambdas the
+    term is its own value.
+    """
+    nodes = []  # the constructor applications, preorder
+    stack = [e]
+    plain = True
+    while stack:
+        t = stack.pop()
+        nodes.append(t)
+        for a in t.args:
+            ta = type(a)
+            if ta is CtorApp:
+                stack.append(a)
+            elif ta is Var and (externals or a.name in env) or ta is Lambda:
+                plain = False
+            elif ta is not IntLit:
+                return None
+    if plain:
+        return e
+    built: dict[int, CtorApp] = {}
+    for t in reversed(nodes):
+        args = []
+        for a in t.args:
+            ta = type(a)
+            if ta is CtorApp:
+                a = built[id(a)]
+            elif ta is Var:
+                a = env.get(a.name, _EXTERNAL)
+            elif ta is Lambda:
+                a = Closure(a, env)
+            args.append(a)
+        built[id(t)] = CtorApp(t.ctor, tuple(args))
+    return built[id(e)]
+
+
+def _close(term: Expression, env: dict, externals: bool, done: dict) -> tuple:
+    """(term with its free variables replaced by their read-back values,
+    whether the result is closed); the values must already be in `done`.
+    """
+    mapping: dict[str, Expression] = {}
+    values_closed = closed = True
+    for x in free_vars(term):
+        v = env.get(x)
+        if v is not None:
+            mapping[x], c = done[id(v)]
+            values_closed &= c
+        elif externals:
+            mapping[x] = _IDENTITY
+        else:
+            closed = False
+    if not mapping:
+        return term, closed
+    if values_closed:
+        return _substitute_closed(mapping, term), closed
+    return substitute(mapping, term), False
+
+
+def _read_back(root, externals: bool) -> tuple:
+    """(the term a runtime value stands for, whether it is closed).
+
+    Iterative, so that long data values cannot exhaust the stack; `done`
+    memoizes by identity, so shared values are read back once.
+    """
+    done: dict[int, tuple] = {}
+    stack = [root]
+    while stack:
+        v = stack[-1]
+        if id(v) in done:
+            stack.pop()
+            continue
+        tv = type(v)
+        if tv is Closure:
+            parts = [v.env[x] for x in free_vars(v.term) if x in v.env]
+        elif tv is CtorApp:
+            parts = v.args
+        else:
+            parts = ()
+        todo = [p for p in parts if id(p) not in done]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if tv is Closure:
+            done[id(v)] = _close(v.term, v.env, externals, done)
+        elif tv is CtorApp:
+            args = [done[id(a)] for a in v.args]
+            same = all(r is a for (r, _), a in zip(args, v.args))
+            term = v if same else CtorApp(v.ctor, tuple(r for r, _ in args))
+            done[id(v)] = (term, all(c for _, c in args))
+        else:
+            done[id(v)] = (v, True)
+    return done[id(root)]
+
+
+def _run(e: Expression, G: Globals, fuel: int, externals: bool) -> EvalOutcome:
     calls = allocs = steps = 0
-    frames: list[Frame] = []
-    focus = e
-    # ctor terms already verified (or built) as values, keyed by id and pinned
-    known_values: dict[int, Expression] = {}
-
-    def value_of(t: Expression) -> bool:
-        match t:
-            case IntLit() | Lambda():
-                return True
-            case CtorApp(_, args):
-                if id(t) in known_values:
-                    return True
-                if all(value_of(a) for a in args):
-                    known_values[id(t)] = t
-                    return True
-                return False
-            case _:
-                return False
+    frames: list[tuple] = []
+    focus, env = e, _EMPTY
 
     def out(kind: str, value=None, reason=None) -> EvalOutcome:
         return EvalOutcome(kind, value, reason, calls, allocs, steps)
 
     while True:
-        # find the next redex, pushing frames per the context grammar
-        if not value_of(focus):
-            match focus:
-                case Var(x):
-                    return out("stuck", reason=f"free variable {x}")
-                case Global(g):
-                    if steps >= fuel:
-                        return out("out_of_fuel")
-                    try:
-                        focus = _lookup_global(g, G)
-                    except StuckError as s:
-                        return out("stuck", reason=s.reason)
-                    calls += 1
-                    steps += 1
-                    continue
-                case Letrec(_, _, _):
-                    if steps >= fuel:
-                        return out("out_of_fuel")
-                    try:
-                        focus = _encode_letrec(focus)
-                    except StuckError as s:
-                        return out("stuck", reason=s.reason)
-                    steps += 1
-                    continue
-                case App(f, a):
-                    frames.append(("app_fun", a))
-                    focus = f
-                    continue
-                case Let(x, bound, body):
-                    frames.append(("let", x, body))
-                    focus = bound
-                    continue
-                case Case(scrut, alts):
-                    frames.append(("case", alts))
-                    focus = scrut
-                    continue
-                case PrimOp(op, l, r):
-                    frames.append(("prim_l", op, r))
-                    focus = l
-                    continue
-                case CtorApp(k, args):
-                    pending = list(args)
-                    first = pending.pop(0)
-                    frames.append(("ctor", k, [], pending))
-                    focus = first
-                    continue
-                case _:
-                    return out("stuck", reason=f"cannot evaluate {type(focus).__name__}")
+        # evaluate focus in env: push frames per the context grammar until
+        # a value v is reached
+        t = type(focus)
+        if t is Var:
+            v = env.get(focus.name)
+            if v is None:
+                if not externals:
+                    return out("stuck", reason=f"free variable {focus.name}")
+                v = _EXTERNAL
+        elif t is App:
+            frames.append((_APP_FUN, focus.arg, env))
+            focus = focus.fun
+            continue
+        elif t is CtorApp:
+            v = _ctor_value(focus, env, externals)
+            if v is None:
+                frames.append((_CTOR, focus, [], env))
+                focus = focus.args[0]
+                continue
+        elif t is IntLit:
+            v = focus
+        elif t is Lambda:
+            v = Closure(focus, env)
+        elif t is Global:
+            if steps >= fuel:
+                return out("out_of_fuel")
+            try:
+                focus = _lookup_global(focus.name, G)
+            except StuckError as s:
+                return out("stuck", reason=s.reason)
+            env = _EMPTY
+            calls += 1
+            steps += 1
+            continue
+        elif t is Case:
+            frames.append((_CASE, focus.alts, env))
+            focus = focus.scrutinee
+            continue
+        elif t is Let:
+            frames.append((_LET, focus.binder, focus.body, env))
+            focus = focus.bound
+            continue
+        elif t is PrimOp:
+            frames.append((_PRIM_L, focus.op, focus.rhs, env))
+            focus = focus.lhs
+            continue
+        elif t is Letrec:
+            if steps >= fuel:
+                return out("out_of_fuel")
+            # close it over env, then run its fix encoding on its own
+            closed, _ = _read_back(Closure(focus, env), externals)
+            try:
+                focus = _encode_letrec(closed)
+            except StuckError as s:
+                return out("stuck", reason=s.reason)
+            env = _EMPTY
+            steps += 1
+            continue
+        else:
+            return out("stuck", reason=f"cannot evaluate {t.__name__}")
 
-        # focus is a value: complete the innermost frame
-        if not frames:
-            return out("value", value=focus)
-        fr = frames.pop()
-        match fr:
-            case ("app_fun", arg):
-                if not isinstance(focus, Lambda):
+        # hand v to the innermost frames until one yields a new focus
+        while True:
+            if not frames:
+                return out("value", value=_read_back(v, externals)[0])
+            fr = frames.pop()
+            tag = fr[0]
+            if tag == _APP_FUN:
+                if type(v) is not Closure:
                     return out("stuck", reason="application of a non-function value")
-                frames.append(("app_arg", focus))
-                focus = arg
-            case ("app_arg", lam):
+                frames.append((_APP_ARG, v))
+                focus, env = fr[1], fr[2]
+                break
+            if tag == _APP_ARG:
                 if steps >= fuel:
                     return out("out_of_fuel")
-                focus = substitute({lam.param: focus}, lam.body)
+                lam = fr[1].term
+                focus, env = lam.body, {**fr[1].env, lam.param: v}
                 calls += 1
                 steps += 1
-            case ("ctor", k, done, pending):
-                done.append(focus)
-                if pending:
-                    focus = pending.pop(0)
-                    frames.append(("ctor", k, done, pending))
-                else:
-                    focus = CtorApp(k, tuple(done))
-                    known_values[id(focus)] = focus
-                    allocs += 1
-            case ("prim_l", op, rhs):
-                if not isinstance(focus, IntLit):
+                break
+            if tag == _CTOR:
+                _, term, done_args, cenv = fr
+                done_args.append(v)
+                if len(done_args) < len(term.args):
+                    frames.append(fr)
+                    focus, env = term.args[len(done_args)], cenv
+                    break
+                v = CtorApp(term.ctor, tuple(done_args))
+                allocs += 1
+                continue
+            if tag == _PRIM_L:
+                if type(v) is not IntLit:
                     return out("stuck", reason="arithmetic on a non-integer")
-                frames.append(("prim_r", op, focus.value))
-                focus = rhs
-            case ("prim_r", op, n):
-                if not isinstance(focus, IntLit):
+                frames.append((_PRIM_R, fr[1], v.value))
+                focus, env = fr[2], fr[3]
+                break
+            if tag == _PRIM_R:
+                if type(v) is not IntLit:
                     return out("stuck", reason="arithmetic on a non-integer")
                 if steps >= fuel:
                     return out("out_of_fuel")
-                focus = IntLit(apply_prim(op, n, focus.value))
+                v = IntLit(apply_prim(fr[1], fr[2], v.value))
                 steps += 1
-            case ("case", alts):
+                continue
+            if tag == _CASE:
                 if steps >= fuel:
                     return out("out_of_fuel")
                 try:
-                    focus = _select_alt(focus, alts)
+                    alt = _match_alt(v, fr[1])
                 except StuckError as s:
                     return out("stuck", reason=s.reason)
+                bound = _alt_bindings(alt, v)
+                focus, env = alt.body, {**fr[2], **bound} if bound else fr[2]
                 steps += 1
-            case ("let", x, body):
-                if steps >= fuel:
-                    return out("out_of_fuel")
-                focus = substitute({x: focus}, body)
-                steps += 1
+                break
+            # _LET
+            if steps >= fuel:
+                return out("out_of_fuel")
+            focus, env = fr[2], {**fr[3], fr[1]: v}
+            steps += 1
+            break
+
+
+def eval_expr(e: Expression, G: Globals, fuel: int = 1_000_000) -> EvalOutcome:
+    """Evaluate e against the definitions G; a free variable is stuck."""
+    return _run(e, G, fuel, externals=False)
 
 
 # ---------------------------------------------------------------------------
 # program-level helpers
-
-
-def bind_externals(program: Program) -> Program:
-    """Replace unknown external functions (free variables of definition
-    bodies) by the identity function, so closed entry calls can be evaluated.
-    """
-    externals = program_externals(program)
-    if not externals:
-        return program
-    identity = Lambda("z", Var("z"))
-    mapping = {x: identity for x in externals}
-    defs = {name: substitute(mapping, body) for name, body in program.defs.items()}
-    return Program(defs=defs, entry=program.entry)
 
 
 def eval_program(
@@ -438,8 +598,7 @@ def eval_program(
     """Evaluate a closed entry call against a program, externals bound to
     the identity function.
     """
-    bound = bind_externals(program)
     missing = free_vars(call)
     if missing:
         raise StuckError(f"entry call has free variables {sorted(missing)}")
-    return eval_expr(call, bound.defs, fuel)
+    return _run(call, program.defs, fuel, externals=True)

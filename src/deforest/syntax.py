@@ -322,42 +322,44 @@ def free_vars(e: Expression) -> set[str]:
 def free_vars_ordered(e: Expression) -> list[str]:
     """Free variables in order of first occurrence (left to right)."""
     out: dict[str, None] = {}
-
-    def go(e: Expression, bound: frozenset[str]) -> None:
-        match e:
-            case Var(name):
-                if name not in bound:
-                    out.setdefault(name)
-            case IntLit() | Global():
-                pass
-            case App(f, a):
-                go(f, bound)
-                go(a, bound)
-            case Lambda(p, b):
-                go(b, bound | {p})
-            case CtorApp(_, args):
-                for a in args:
-                    go(a, bound)
-            case PrimOp(_, l, r):
-                go(l, bound)
-                go(r, bound)
-            case Case(scrut, alts):
-                go(scrut, bound)
-                for alt in alts:
-                    go(alt.body, bound | set(pattern_binders(alt.pattern)))
-            case Let(x, bnd, body):
-                go(bnd, bound)
-                go(body, bound | {x})
-            case Letrec(_, rhs, body):
-                go(rhs, bound)
-                go(body, bound)
-            case GenRequest(_, t):
-                go(t, bound)
-            case _:
-                raise SyntaxError_(f"unknown expression {e!r}")
-
-    go(e, frozenset())
+    _free_vars_into(e, frozenset(), out)
     return list(out)
+
+
+def _free_vars_into(e: Expression, bound: frozenset[str], out: dict[str, None]) -> None:
+    # a module-level function, not a recursive closure, which would be a
+    # reference cycle left for the cyclic garbage collector on every call
+    match e:
+        case Var(name):
+            if name not in bound:
+                out.setdefault(name)
+        case IntLit() | Global():
+            pass
+        case App(f, a):
+            _free_vars_into(f, bound, out)
+            _free_vars_into(a, bound, out)
+        case Lambda(p, b):
+            _free_vars_into(b, bound | {p}, out)
+        case CtorApp(_, args):
+            for a in args:
+                _free_vars_into(a, bound, out)
+        case PrimOp(_, l, r):
+            _free_vars_into(l, bound, out)
+            _free_vars_into(r, bound, out)
+        case Case(scrut, alts):
+            _free_vars_into(scrut, bound, out)
+            for alt in alts:
+                _free_vars_into(alt.body, bound | set(pattern_binders(alt.pattern)), out)
+        case Let(x, bnd, body):
+            _free_vars_into(bnd, bound, out)
+            _free_vars_into(body, bound | {x}, out)
+        case Letrec(_, rhs, body):
+            _free_vars_into(rhs, bound, out)
+            _free_vars_into(body, bound, out)
+        case GenRequest(_, t):
+            _free_vars_into(t, bound, out)
+        case _:
+            raise SyntaxError_(f"unknown expression {e!r}")
 
 
 def fun_names(e: Expression) -> set[str]:
@@ -760,14 +762,6 @@ def all_identifiers(e: Expression) -> set[str]:
 
 # ---------------------------------------------------------------------------
 # programs
-
-
-def program_externals(program: Program) -> set[str]:
-    """Free variables of definition bodies: unknown external functions."""
-    out: set[str] = set()
-    for body in program.defs.values():
-        out |= free_vars(body)
-    return out
 
 
 def validate_program(program: Program) -> None:

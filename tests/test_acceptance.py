@@ -19,7 +19,6 @@ from deforest import (
     embeds,
     eval_expr,
     eval_program,
-    free_vars,
     msg,
     parse_expression,
     split,
@@ -321,14 +320,15 @@ def test_criterion_8_strictness_soundness():
         program = fixture_program(name)
         for body in program.defs.values():
             _, inner = unfold_lambdas(body)
-            fv = free_vars(inner)
             for x in strict_vars(inner):
-                filled = substitute({v: DIVERGE for v in fv}, inner)
+                # only x diverges; the other free variables stay free, so a
+                # value would show that x was not needed
+                filled = substitute({x: DIVERGE}, inner)
                 out = eval_expr(filled, program.defs, 30_000)
-                assert out.kind == "out_of_fuel", (name, x, out.kind)
+                assert out.kind in ("out_of_fuel", "stuck"), (name, x, out.kind)
                 checked += 1
     report(
         8,
         True,
-        f"{checked} strict-variable substitutions all diverge as predicted",
+        f"{checked} strict-variable substitutions never reach a value",
     )

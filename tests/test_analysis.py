@@ -83,15 +83,15 @@ def _fixture_expressions():
 
 
 def test_strictness_soundness_on_fixture_corpus():
-    # every strict variable, replaced by a divergent closed term (all other
-    # free variables divergent too), forces evaluation to run out of fuel
+    # a strict variable, replaced by a divergent closed term while every other
+    # free variable stays free, never lets evaluation reach a value: it runs
+    # out of fuel, or gets stuck on another free variable first
     checked = 0
     for program, e in _fixture_expressions():
-        fv = free_vars(e)
         for x in strict_vars(e):
-            filled = substitute({v: DIVERGE for v in fv}, e)
+            filled = substitute({x: DIVERGE}, e)
             out = eval_expr(filled, program.defs, 30_000)
-            assert out.kind == "out_of_fuel", (x, out.kind, out.reason)
+            assert out.kind in ("out_of_fuel", "stuck"), (x, out.kind, out.value)
             checked += 1
     assert checked > 0
 

@@ -156,6 +156,63 @@ def test_check_bad_manifest_exits_2(tmp_path, capsys, manifest):
     assert err.startswith("error: ")
 
 
+APPEND_SELF = (
+    "append xs ys = case xs of { [] -> ys; (x:xs') -> x : append xs' ys };\n"
+    "main xs = append xs xs;\n"
+)
+
+
+@pytest.mark.parametrize(
+    "entry, verdict",
+    [
+        # both get stuck on the same case: a pass, with both reasons shown
+        ("main 1", "main 1: both-stuck (no alternative matches 1 | "
+                   "no alternative matches 1) calls="),
+        # both values are lambdas: not compared, but calls still are
+        ("main", "main: both-function calls=1->1 "),
+    ],
+)
+def test_check_agreeing_outcomes_pass(tmp_path, capsys, entry, verdict):
+    prog = tmp_path / "p.core"
+    prog.write_text(APPEND_SELF)
+    (tmp_path / "p.manifest").write_text(f"entry: {entry}\nentry: main [1]\n")
+    code, out, _ = run_cli("check", str(prog), capsys=capsys)
+    assert code == 0
+    assert out.splitlines()[0].startswith(verdict)
+    assert "main [1]: both-value-equal" in out
+
+
+LONG_LIST = "[" + ",".join(str(i % 7) for i in range(30_000)) + "]"
+
+
+@pytest.mark.parametrize(
+    "program, entry",
+    [
+        # a 30,000-element list literal, evaluated and printed back
+        (APPEND_SELF, f"main {LONG_LIST}"),
+        # the same literal, supercompiled
+        (f"main = {LONG_LIST};\n", None),
+        # 30,000 nested parentheses
+        ("main = " + "(" * 30_000 + "1" + ")" * 30_000 + ";\n", None),
+    ],
+    ids=["eval-long-list", "build-long-list", "build-deep-parens"],
+)
+def test_deep_input_exits_cleanly(tmp_path, program, entry):
+    prog = tmp_path / "p.core"
+    prog.write_text(program)
+    args = ["eval", str(prog), "-e", entry] if entry else ["build", str(prog)]
+    out = subprocess.run(
+        [sys.executable, "-m", "deforest.cli", *args],
+        capture_output=True,
+        text=True,
+        cwd=FIXTURES.parents[1],
+    )
+    assert out.returncode in (0, 2), out.stderr[-2000:]
+    assert "Traceback" not in out.stderr
+    if out.returncode == 2:
+        assert out.stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize("fuel", ["0", "-1"])
 @pytest.mark.parametrize("command", ["eval", "check"])
 def test_fuel_flag_below_one_exits_2(tmp_path, capsys, command, fuel):

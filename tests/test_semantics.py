@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from deforest import (
     App,
     CtorApp,
+    EvalOutcome,
     Global,
     IntLit,
     Lambda,
@@ -13,16 +14,17 @@ from deforest import (
     StuckError,
     Var,
     alpha_eq,
-    bind_externals,
     decompose,
     desugar_letrec,
     eval_expr,
     eval_program,
     eval_via_step,
+    free_vars,
     is_value,
     parse_expression,
     parse_program,
     step,
+    substitute,
     supercompile,
 )
 from deforest.syntax import Letrec
@@ -153,9 +155,34 @@ def test_eval_agrees_with_step_iteration():
             stepped = eval_via_step(call, program.defs, 4000)
             assert machine.kind == stepped.kind
             assert machine.calls == stepped.calls
+            assert machine.allocs == stepped.allocs
             assert machine.steps == stepped.steps
-            if machine.kind == "value":
-                assert machine.value == stepped.value
+            assert machine.value == stepped.value
+
+
+def _externals_as_identity(program):
+    """The definitions with every free variable (an external function)
+    substituted by the identity, as the step oracle needs them.
+    """
+    identity = Lambda("z", Var("z"))
+    return {
+        name: substitute({x: identity for x in free_vars(body)}, body)
+        for name, body in program.defs.items()
+    }
+
+
+def test_eval_agrees_with_step_iteration_on_fixtures(fixture_name):
+    # letrec (the residual is not lifted), higher-order functions and, from
+    # each definition on its own, lambda results; externals are bound lazily
+    # by eval_program and substituted up front for the oracle
+    original = fixture_program(fixture_name)
+    manifest = fixture_manifest(fixture_name)
+    fuel = manifest["fuel"] or 100_000
+    for program in (original, supercompile(original, lift=False)):
+        defs = _externals_as_identity(program)
+        calls = [parse_expression(e, frozenset(program.defs)) for e in manifest["entries"]]
+        for call in calls + [Global(name) for name in program.defs]:
+            assert eval_program(program, call, fuel) == eval_via_step(call, defs, fuel)
 
 
 def test_generated_programs_never_get_stuck():
@@ -213,10 +240,19 @@ def test_letrec_costs_its_encoding():
 
 
 def test_bind_externals_substitutes_identity():
+    # an external (a variable no binder binds) is the identity \z -> z;
+    # applying it costs the one beta its substitution would
     program = parse_program("main = show 42;")
-    bound = bind_externals(program)
-    out = eval_expr(Global("main"), bound.defs, 100)
-    assert out.kind == "value" and out.value == IntLit(42)
+    out = eval_program(program, Global("main"), 100)
+    assert out == EvalOutcome("value", IntLit(42), None, 2, 0, 2)
+    # it reads back as that lambda inside data and under binders
+    program = parse_program("main = Just show; f = \\x -> show x;")
+    out = eval_program(program, Global("main"), 100)
+    assert out.value == parse_expression("Just (\\z -> z)")
+    out = eval_program(program, Global("f"), 100)
+    assert out.value == parse_expression("\\x -> (\\z -> z) x")
+    # outside a program a free variable is stuck, as before
+    assert eval_expr(Global("main"), program.defs, 100).reason == "free variable show"
 
 
 @given(expressions(10))
