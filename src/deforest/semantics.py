@@ -369,7 +369,7 @@ def _ctor_value(e: CtorApp, env: dict, externals: bool):
             ta = type(a)
             if ta is CtorApp:
                 stack.append(a)
-            elif ta is Var and (externals or a.name in env) or ta is Lambda:
+            elif ta is Lambda or (ta is Var and (externals or a.name in env)):
                 plain = False
             elif ta is not IntLit:
                 return None
