@@ -13,11 +13,9 @@ from .syntax import (
     Expression,
     IntLit,
     Lambda,
-    Let,
     PrimOp,
     Var,
-    children,
-    pattern_binders,
+    scopes,
     unfold_apps,
 )
 
@@ -26,26 +24,16 @@ def strict_vars(e: Expression) -> set[str]:
     """The free variables e is sure to evaluate: everything except variables
     under a lambda or missing from some case branch.
     """
-    match e:
-        case Var(x):
-            return {x}
-        case Lambda(_, _):
-            return set()
-        case Let(x, bound, body):
-            return strict_vars(bound) | (strict_vars(body) - {x})
-        case Case(scrut, alts):
-            branches = [
-                strict_vars(alt.body) - set(pattern_binders(alt.pattern))
-                for alt in alts
-            ]
-            common = branches[0] if branches else set()
-            for b in branches[1:]:
-                common &= b
-            return strict_vars(scrut) | common
-    out: set[str] = set()
-    for c in children(e):
-        out |= strict_vars(c)
-    return out
+    t = type(e)
+    if t is Var:
+        return {e.name}
+    if t is Lambda:
+        return set()
+    parts = [strict_vars(c).difference(bs) for c, bs in scopes(e)]
+    if t is Case:
+        scrut, *branches = parts
+        return scrut | (set.intersection(*branches) if branches else set())
+    return set().union(*parts)
 
 
 def is_annoying(e: Expression) -> bool:

@@ -12,6 +12,7 @@ by ordinary substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .syntax import (
     App,
@@ -20,14 +21,13 @@ from .syntax import (
     Expression,
     FreshSupply,
     Global,
-    IntLit,
     Let,
     PrimOp,
     Var,
     children,
     free_vars,
-    pattern_binders,
     rebuild,
+    scopes,
 )
 
 
@@ -86,50 +86,51 @@ class Generalization:
 
 
 # pair-tree nodes used while anti-unifying
-_PVAR = "pvar"  # (a, b) variable pair
-_PKEEP = "keep"  # identical or binder-carrying region kept from t1
-_PHOLE = "hole"  # mismatch
-_PNODE = "node"  # recursable pair with children
+_PVAR = "pvar"  # (a, b): a variable pair
+_PKEEP = "keep"  # (t, t, free variables of t): an identical pair kept from t1
+_PHOLE = "hole"  # (t1, t2): a mismatch
+_PNODE = "node"  # (t1, t2, paired children, free variables of the carried ones)
+
+
+def _paired(t1: Expression, t2: Expression) -> Optional[int]:
+    """How many leading children anti-unification pairs when t1 and t2 agree
+    at the head, else None.  The children after them (case alternatives, a
+    let body) are equal in both and carried over from t1.
+    """
+    match t1, t2:
+        case App(), App():
+            return 2
+        case CtorApp(k1, a1), CtorApp(k2, a2) if k1 == k2 and len(a1) == len(a2):
+            return len(a1)
+        case PrimOp(o1, _, _), PrimOp(o2, _, _) if o1 == o2:
+            return 2
+        case Case(_, alts1), Case(_, alts2) if alts1 == alts2:
+            return 1
+        case Let(x1, _, b1), Let(x2, _, b2) if x1 == x2 and b1 == b2:
+            return 1
+    return None
 
 
 def _pair(t1: Expression, t2: Expression, varmap: dict[str, set[str]]):
-    def constrain(a: str, b: str) -> None:
-        varmap.setdefault(a, set()).add(b)
-
-    def keep(region1: Expression) -> tuple:
-        for v in free_vars(region1):
-            constrain(v, v)
-        return (_PKEEP, region1)
-
-    match t1, t2:
-        case Var(a), Var(b):
-            constrain(a, b)
-            return (_PVAR, t1, t2)
-        case IntLit(a), IntLit(b) if a == b:
-            return (_PKEEP, t1)
-        case Global(a), Global(b) if a == b:
-            return (_PKEEP, t1)
-        case App(f1, a1), App(f2, a2):
-            return (_PNODE, t1, t2, [_pair(f1, f2, varmap), _pair(a1, a2, varmap)])
-        case CtorApp(k1, args1), CtorApp(k2, args2) if k1 == k2 and len(args1) == len(args2):
-            kids = [_pair(x, y, varmap) for x, y in zip(args1, args2)]
-            return (_PNODE, t1, t2, kids)
-        case PrimOp(o1, l1, r1), PrimOp(o2, l2, r2) if o1 == o2:
-            return (_PNODE, t1, t2, [_pair(l1, l2, varmap), _pair(r1, r2, varmap)])
-        case Case(s1, alts1), Case(s2, alts2) if alts1 == alts2:
-            for alt in alts1:
-                binders = set(pattern_binders(alt.pattern))
-                for v in free_vars(alt.body) - binders:
-                    constrain(v, v)
-            return (_PNODE, t1, t2, [_pair(s1, s2, varmap)], alts1)
-        case Let(x1, b1, body1), Let(x2, b2, body2) if x1 == x2 and body1 == body2:
-            for v in free_vars(body1) - {x1}:
-                constrain(v, v)
-            return (_PNODE, t1, t2, [_pair(b1, b2, varmap)], (x1, body1))
-        case _ if t1 == t2:
-            return keep(t1)
-        case _:
-            return (_PHOLE, t1, t2)
+    if type(t1) is Var and type(t2) is Var:
+        varmap.setdefault(t1.name, set()).add(t2.name)
+        return (_PVAR, t1, t2)
+    n = _paired(t1, t2)
+    if n is not None:
+        kids = [_pair(a, b, varmap) for a, b in zip(children(t1)[:n], children(t2))]
+        kept: set[str] = set()
+        for c, bs in scopes(t1)[n:]:
+            kept |= free_vars(c).difference(bs)
+        node = (_PNODE, t1, t2, kids, kept)
+    elif t1 == t2:
+        kept = free_vars(t1)
+        node = (_PKEEP, t1, t1, kept)
+    else:
+        return (_PHOLE, t1, t2)
+    # a variable in a region kept verbatim is paired with itself
+    for v in kept:
+        varmap.setdefault(v, set()).add(v)
+    return node
 
 
 def msg(t1: Expression, t2: Expression, supply=None) -> Generalization:
@@ -140,95 +141,67 @@ def msg(t1: Expression, t2: Expression, supply=None) -> Generalization:
     """
     if supply is None:
         supply = FreshSupply(free_vars(t1) | free_vars(t2))
-
     varmap: dict[str, set[str]] = {}
-    tree = _pair(t1, t2, varmap)
-    conflicted = {a for a, images in varmap.items() if len(images) > 1}
+    return _render_pairs(_pair(t1, t2, varmap), varmap, supply)
 
-    holes: dict[tuple[Expression, Expression], Var] = {}
-    theta1: dict[str, Expression] = {}
-    theta2: dict[str, Expression] = {}
-    renames1: dict[str, Expression] = {}
-    renames2: dict[str, Expression] = {}
 
-    def hole(a: Expression, b: Expression) -> Expression:
-        v = holes.get((a, b))
-        if v is None:
-            v = supply.fresh_var()
-            holes[(a, b)] = v
-            theta1[v.name] = a
-            theta2[v.name] = b
-        return v
+class _Msg:
+    """The state of rendering one pair tree into a generalization."""
 
-    def render(node) -> Expression:
-        match node:
-            case (_PVAR, Var(a) as va, Var(_) as vb):
-                if a in conflicted:
-                    return hole(va, vb)
-                b = next(iter(varmap[a]))
-                if a != b:
-                    renames1[a] = va
-                    renames2[a] = Var(b)
-                return va
-            case (_PKEEP, region):
-                if any(v in conflicted for v in free_vars(region)):
-                    return hole(region, region)
-                return region
-            case (_PHOLE, a, b):
-                return hole(a, b)
-            case (_PNODE, t1n, t2n, kids, *extra):
-                if _carried_conflict(node, conflicted):
-                    return hole(t1n, t2n)
-                # the children after the paired ones (case alternatives, a
-                # let body) are carried over from t1
-                rendered = [render(k) for k in kids]
-                return rebuild(t1n, rendered + list(children(t1n)[len(kids):]))
-            case _:
-                raise AssertionError(node)
+    def __init__(self, varmap: dict[str, set[str]], supply: FreshSupply):
+        self.varmap = varmap
+        self.conflicted = {a for a, images in varmap.items() if len(images) > 1}
+        self.supply = supply
+        self.holes: dict[tuple[Expression, Expression], Var] = {}
+        self.theta1: dict[str, Expression] = {}
+        self.theta2: dict[str, Expression] = {}
+        self.renames1: dict[str, Expression] = {}
+        self.renames2: dict[str, Expression] = {}
 
-    common = render(tree)
-    theta1.update(renames1)
-    theta2.update(renames2)
+
+def _render_pairs(tree, varmap: dict[str, set[str]], supply: FreshSupply) -> Generalization:
+    st = _Msg(varmap, supply)
+    common = _render(tree, st)
+    st.theta1.update(st.renames1)
+    st.theta2.update(st.renames2)
     return Generalization(
-        common, theta1, theta2, tuple(v.name for v in holes.values())
+        common, st.theta1, st.theta2, tuple(v.name for v in st.holes.values())
     )
 
 
-def _carried_conflict(node, conflicted: set[str]) -> bool:
-    """A case/let pair carries its binder-scoped region verbatim; if a
-    conflicted variable occurs there the whole pair must be generalized.
-    """
-    match node:
-        case (_PNODE, t1n, _, _, alts) if isinstance(t1n, Case):
-            for alt in alts:
-                binders = set(pattern_binders(alt.pattern))
-                if any(v in conflicted for v in free_vars(alt.body) - binders):
-                    return True
-            return False
-        case (_PNODE, t1n, _, _, (x1, body1)):
-            return any(v in conflicted for v in free_vars(body1) - {x1})
-        case _:
-            return False
+def _hole(a: Expression, b: Expression, st: _Msg) -> Var:
+    v = st.holes.get((a, b))
+    if v is None:
+        v = st.supply.fresh_var()
+        st.holes[(a, b)] = v
+        st.theta1[v.name] = a
+        st.theta2[v.name] = b
+    return v
+
+
+def _render(node, st: _Msg) -> Expression:
+    tag, t1, t2 = node[0], node[1], node[2]
+    if tag == _PVAR:
+        a = t1.name
+        if a not in st.conflicted:
+            b = next(iter(st.varmap[a]))
+            if a != b:
+                st.renames1[a] = t1
+                st.renames2[a] = Var(b)
+            return t1
+    elif tag != _PHOLE:
+        # a conflicted variable in a region kept verbatim (a kept pair, the
+        # carried children of a node) generalizes the whole pair
+        if st.conflicted.isdisjoint(node[-1]):
+            if tag == _PKEEP:
+                return t1
+            kids = [_render(k, st) for k in node[3]]
+            return rebuild(t1, kids + list(children(t1)[len(kids):]))
+    return _hole(t1, t2, st)
 
 
 # ---------------------------------------------------------------------------
 # split
-
-
-def _heads_agree(t1: Expression, t2: Expression) -> bool:
-    match t1, t2:
-        case App(_, _), App(_, _):
-            return True
-        case CtorApp(k1, a1), CtorApp(k2, a2):
-            return k1 == k2 and len(a1) == len(a2)
-        case PrimOp(o1, _, _), PrimOp(o2, _, _):
-            return o1 == o2
-        case Case(_, alts1), Case(_, alts2):
-            return alts1 == alts2
-        case Let(x1, _, b1), Let(x2, _, b2):
-            return x1 == x2 and b1 == b2
-        case _:
-            return False
 
 
 def split(
@@ -236,33 +209,19 @@ def split(
 ) -> tuple[Expression, list[Expression], list[str]]:
     """(common, parts, holes): substituting parts for holes in the common
     term rebuilds t1 exactly.  With agreeing head symbols this is the msg;
-    otherwise every binder-free immediate subterm of t1 becomes a hole.
+    otherwise every child of t1 that the msg would pair becomes a hole.
     """
     if supply is None:
         supply = FreshSupply(free_vars(t1) | free_vars(t2))
-    if _heads_agree(t1, t2):
-        g = msg(t1, t2, supply)
+    varmap: dict[str, set[str]] = {}
+    tree = _pair(t1, t2, varmap)
+    if tree[0] == _PNODE:
+        g = _render_pairs(tree, varmap, supply)
         return g.common, [g.theta1[h] for h in g.holes], list(g.holes)
-
-    def fresh() -> Var:
-        return supply.fresh_var()
-
-    match t1:
-        case App(f, a):
-            hs = [fresh(), fresh()]
-            return App(hs[0], hs[1]), [f, a], [h.name for h in hs]
-        case CtorApp(k, args):
-            hs = [fresh() for _ in args]
-            return CtorApp(k, tuple(hs)), list(args), [h.name for h in hs]
-        case PrimOp(op, l, r):
-            hs = [fresh(), fresh()]
-            return PrimOp(op, hs[0], hs[1]), [l, r], [h.name for h in hs]
-        case Case(scrut, alts):
-            h = fresh()
-            return Case(h, alts), [scrut], [h.name]
-        case Let(x, bound, body):
-            h = fresh()
-            return Let(x, h, body), [bound], [h.name]
-        case _:
-            # atoms and binder-headed terms have no splittable children
-            return t1, [], []
+    kids = children(t1)
+    parts = list(kids[: _paired(t1, t1) or 0])
+    if not parts:
+        # atoms and binder-headed terms have no splittable children
+        return t1, [], []
+    hs = [supply.fresh_var() for _ in parts]
+    return rebuild(t1, hs + list(kids[len(parts):])), parts, [h.name for h in hs]

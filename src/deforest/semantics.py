@@ -43,7 +43,6 @@ from .syntax import (
     PrimOp,
     Program,
     Var,
-    _substitute_closed,
     desugar_letrec,
     fix_definition,
     free_vars,
@@ -391,35 +390,27 @@ def _ctor_value(e: CtorApp, env: dict, externals: bool):
     return built[id(e)]
 
 
-def _close(term: Expression, env: dict, externals: bool, done: dict) -> tuple:
-    """(term with its free variables replaced by their read-back values,
-    whether the result is closed); the values must already be in `done`.
+def _close(term: Expression, env: dict, externals: bool, done: dict) -> Expression:
+    """term with its free variables replaced by their read-back values, which
+    must already be in `done`.
     """
     mapping: dict[str, Expression] = {}
-    values_closed = closed = True
     for x in free_vars(term):
         v = env.get(x)
         if v is not None:
-            mapping[x], c = done[id(v)]
-            values_closed &= c
+            mapping[x] = done[id(v)]
         elif externals:
             mapping[x] = _IDENTITY
-        else:
-            closed = False
-    if not mapping:
-        return term, closed
-    if values_closed:
-        return _substitute_closed(mapping, term), closed
-    return substitute(mapping, term), False
+    return substitute(mapping, term)
 
 
-def _read_back(root, externals: bool) -> tuple:
-    """(the term a runtime value stands for, whether it is closed).
+def _read_back(root, externals: bool) -> Expression:
+    """The term a runtime value stands for.
 
     Iterative, so that long data values cannot exhaust the stack; `done`
     memoizes by identity, so shared values are read back once.
     """
-    done: dict[int, tuple] = {}
+    done: dict[int, Expression] = {}
     stack = [root]
     while stack:
         v = stack[-1]
@@ -442,11 +433,10 @@ def _read_back(root, externals: bool) -> tuple:
             done[id(v)] = _close(v.term, v.env, externals, done)
         elif tv is CtorApp:
             args = [done[id(a)] for a in v.args]
-            same = all(r is a for (r, _), a in zip(args, v.args))
-            term = v if same else CtorApp(v.ctor, tuple(r for r, _ in args))
-            done[id(v)] = (term, all(c for _, c in args))
+            same = all(r is a for r, a in zip(args, v.args))
+            done[id(v)] = v if same else CtorApp(v.ctor, tuple(args))
         else:
-            done[id(v)] = (v, True)
+            done[id(v)] = v
     return done[id(root)]
 
 
@@ -509,7 +499,7 @@ def _run(e: Expression, G: Globals, fuel: int, externals: bool) -> EvalOutcome:
             if steps >= fuel:
                 return out("out_of_fuel")
             # close it over env, then run its fix encoding on its own
-            closed, _ = _read_back(Closure(focus, env), externals)
+            closed = _read_back(Closure(focus, env), externals)
             try:
                 focus = _encode_letrec(closed)
             except StuckError as s:
@@ -523,7 +513,7 @@ def _run(e: Expression, G: Globals, fuel: int, externals: bool) -> EvalOutcome:
         # hand v to the innermost frames until one yields a new focus
         while True:
             if not frames:
-                return out("value", value=_read_back(v, externals)[0])
+                return out("value", value=_read_back(v, externals))
             fr = frames.pop()
             tag = fr[0]
             if tag == _APP_FUN:

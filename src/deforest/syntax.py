@@ -3,6 +3,13 @@
 Expressions are immutable; all functions here return fresh terms and never
 mutate their arguments.
 
+Two traversal kernels carry the syntax: `children`/`rebuild` give a node's
+immediate subterms and put new ones in their place, and `scopes` pairs each
+subterm with the variables the node binds over it (`rebind` renames them).
+Free variables, substitution, linearity, the canonical key, strictness and
+generalization are written once over these kernels; only the letrec symbol,
+which binds a function name rather than a variable, is handled apart.
+
 "Modulo renaming" (`canonical`, and so `alpha_eq`, `match_renaming` and the
 golden comparison) allows a consistent renaming of bound variables, pattern
 binders and letrec symbols.  Every default alternative is one binder slot,
@@ -12,6 +19,7 @@ so `x -> e` with x unused equals `_ -> e`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 FIX_NAME = "fix"
@@ -141,13 +149,11 @@ class SyntaxError_(Exception):
 
 
 def pattern_binders(p: Pattern) -> tuple[str, ...]:
-    match p:
-        case CtorPat(_, binders):
-            return binders
-        case DefaultPat(b):
-            return (b,) if b is not None else ()
-        case _:
-            return ()
+    if type(p) is CtorPat:
+        return p.binders
+    if type(p) is DefaultPat and p.binder is not None:
+        return (p.binder,)
+    return ()
 
 
 def select_alt(v: Expression, alts: tuple[Alt, ...]) -> Optional[Alt]:
@@ -215,26 +221,52 @@ def subterms(e: Expression) -> Iterator[Expression]:
         stack.extend(reversed(children(t)))
 
 
+# The two traversal kernels dispatch on type(e) through tables: a `match` on
+# classes tries each case in turn, and `children` is the driver's hottest
+# function.
+
+_CHILDREN = {
+    App: attrgetter("fun", "arg"),
+    Lambda: lambda e: (e.body,),
+    CtorApp: attrgetter("args"),
+    PrimOp: attrgetter("lhs", "rhs"),
+    Case: lambda e: (e.scrutinee, *[a.body for a in e.alts]),
+    Let: attrgetter("bound", "body"),
+    Letrec: attrgetter("rhs", "body"),
+    GenRequest: lambda e: (e.term,),
+}
+
+_SCOPES = {
+    App: lambda e: ((e.fun, ()), (e.arg, ())),
+    Lambda: lambda e: ((e.body, (e.param,)),),
+    CtorApp: lambda e: tuple([(a, ()) for a in e.args]),
+    PrimOp: lambda e: ((e.lhs, ()), (e.rhs, ())),
+    Case: lambda e: (
+        (e.scrutinee, ()),
+        *[(a.body, pattern_binders(a.pattern)) for a in e.alts],
+    ),
+    Let: lambda e: ((e.bound, ()), (e.body, (e.binder,))),
+    # a letrec symbol is a function name, not a variable
+    Letrec: lambda e: ((e.rhs, ()), (e.body, ())),
+    GenRequest: lambda e: ((e.term, ()),),
+}
+
+
+def _no_children(e: Expression) -> tuple:
+    return ()
+
+
 def children(e: Expression) -> tuple[Expression, ...]:
-    match e:
-        case App(f, a):
-            return (f, a)
-        case Lambda(_, b):
-            return (b,)
-        case CtorApp(_, args):
-            return args
-        case PrimOp(_, l, r):
-            return (l, r)
-        case Case(scrut, alts):
-            return (scrut,) + tuple(a.body for a in alts)
-        case Let(_, bound, body):
-            return (bound, body)
-        case Letrec(_, rhs, body):
-            return (rhs, body)
-        case GenRequest(_, t):
-            return (t,)
-        case _:
-            return ()
+    """The immediate subterms of e, left to right."""
+    return _CHILDREN.get(type(e), _no_children)(e)
+
+
+def scopes(e: Expression) -> tuple[tuple[Expression, tuple[str, ...]], ...]:
+    """`children(e)`, each paired with the variables e binds over it: a
+    lambda its parameter over the body, a let its binder over the body only,
+    a case alternative its pattern binders.
+    """
+    return _SCOPES.get(type(e), _no_children)(e)
 
 
 def rebuild(e: Expression, kids: Sequence[Expression]) -> Expression:
@@ -258,6 +290,22 @@ def rebuild(e: Expression, kids: Sequence[Expression]) -> Expression:
             return Letrec(g, kids[0], kids[1])
         case GenRequest(owner, _):
             return GenRequest(owner, kids[0])
+
+
+def rebind(e: Expression, i: int, binders: Sequence[str]) -> Expression:
+    """The inverse of `scopes` for binders: e with the variables bound over
+    its i-th child renamed to binders, one for one.
+    """
+    match e:
+        case Lambda(_, body):
+            return Lambda(binders[0], body)
+        case Let(_, bound, body):
+            return Let(binders[0], bound, body)
+        case Case(scrut, alts):
+            p = alts[i - 1].pattern
+            p = CtorPat(p.ctor, tuple(binders)) if type(p) is CtorPat else DefaultPat(binders[0])
+            alt = Alt(p, alts[i - 1].body)
+            return Case(scrut, alts[: i - 1] + (alt,) + alts[i:])
 
 
 def replace_global(e: Expression, name: str, new: Expression) -> Expression:
@@ -327,204 +375,88 @@ def free_vars_ordered(e: Expression) -> list[str]:
 
 
 def _free_vars_into(e: Expression, bound: frozenset[str], out: dict[str, None]) -> None:
-    # a module-level function, not a recursive closure, which would be a
-    # reference cycle left for the cyclic garbage collector on every call
-    match e:
-        case Var(name):
-            if name not in bound:
-                out.setdefault(name)
-        case IntLit() | Global():
-            pass
-        case App(f, a):
-            _free_vars_into(f, bound, out)
-            _free_vars_into(a, bound, out)
-        case Lambda(p, b):
-            _free_vars_into(b, bound | {p}, out)
-        case CtorApp(_, args):
-            for a in args:
-                _free_vars_into(a, bound, out)
-        case PrimOp(_, l, r):
-            _free_vars_into(l, bound, out)
-            _free_vars_into(r, bound, out)
-        case Case(scrut, alts):
-            _free_vars_into(scrut, bound, out)
-            for alt in alts:
-                _free_vars_into(alt.body, bound | set(pattern_binders(alt.pattern)), out)
-        case Let(x, bnd, body):
-            _free_vars_into(bnd, bound, out)
-            _free_vars_into(body, bound | {x}, out)
-        case Letrec(_, rhs, body):
-            _free_vars_into(rhs, bound, out)
-            _free_vars_into(body, bound, out)
-        case GenRequest(_, t):
-            _free_vars_into(t, bound, out)
-        case _:
-            raise SyntaxError_(f"unknown expression {e!r}")
+    # module-level functions, not recursive closures: a closure that calls
+    # itself is a reference cycle, left for the cyclic garbage collector on
+    # every call
+    if type(e) is Var:
+        if e.name not in bound:
+            out.setdefault(e.name)
+        return
+    for c, bs in scopes(e):
+        _free_vars_into(c, bound.union(bs) if bs else bound, out)
 
 
 def fun_names(e: Expression) -> set[str]:
     out: set[str] = set()
-
-    def go(e: Expression, hidden: frozenset[str]) -> None:
-        match e:
-            case Global(name):
-                if name not in hidden:
-                    out.add(name)
-            case Letrec(g, rhs, body):
-                go(rhs, hidden | {g})
-                go(body, hidden | {g})
-            case _:
-                for c in children(e):
-                    go(c, hidden)
-
-    go(e, frozenset())
+    _fun_names_into(e, frozenset(), out)
     return out
+
+
+def _fun_names_into(e: Expression, hidden: frozenset[str], out: set[str]) -> None:
+    t = type(e)
+    if t is Global:
+        if e.name not in hidden:
+            out.add(e.name)
+        return
+    if t is Letrec:
+        hidden = hidden | {e.fun}
+    for c in children(e):
+        _fun_names_into(c, hidden, out)
 
 
 # ---------------------------------------------------------------------------
 # substitution
 
 
-def _fresh_variant(base: str, avoid: set[str]) -> str:
-    candidate = base + "'"
-    n = 1
-    while candidate in avoid:
-        candidate = f"{base}'{n}"
-        n += 1
-    return candidate
-
-
 def substitute(mapping: dict[str, Expression], e: Expression) -> Expression:
     """Simultaneous capture-avoiding substitution of expressions for free
-    variables.  Binders are renamed (deterministically, with primes) only when
-    they would capture a free variable of a substituted expression.
+    variables.  A binder is renamed (deterministically, with primes) only
+    when it would capture a free variable of a value substituted below it.
     """
     if not mapping:
         return e
-    if all(not free_vars(v) for v in mapping.values()):
-        return _substitute_closed(mapping, e)
-
-    def adjust(
-        binders: tuple[str, ...], body_parts: list[Expression], m: dict[str, Expression]
-    ) -> tuple[list[str], list[Expression], dict[str, Expression]]:
-        """Drop shadowed entries, rename binders that would capture."""
-        live = {
-            x: v
-            for x, v in m.items()
-            if x not in binders and any(x in free_vars(b) for b in body_parts)
-        }
-        if not live:
-            return list(binders), body_parts, {}
-        value_fvs: set[str] = set()
-        for v in live.values():
-            value_fvs.update(free_vars(v))
-        if not any(b in value_fvs for b in binders):
-            return list(binders), body_parts, live
-        avoid = set(value_fvs) | set(live)
-        for b in body_parts:
-            avoid |= free_vars(b)
-        avoid.update(binders)
-        ren: dict[str, Expression] = {}
-        new_binders = []
-        for b in binders:
-            if b in value_fvs:
-                b2 = _fresh_variant(b, avoid)
-                avoid.add(b2)
-                ren[b] = Var(b2)
-                new_binders.append(b2)
-            else:
-                new_binders.append(b)
-        if ren:
-            body_parts = [go(p, ren) for p in body_parts]
-        return new_binders, body_parts, live
-
-    def go(e: Expression, m: dict[str, Expression]) -> Expression:
-        if not m:
-            return e
-        match e:
-            case Var(name):
-                return m.get(name, e)
-            case IntLit() | Global():
-                return e
-            case App(f, a):
-                return App(go(f, m), go(a, m))
-            case CtorApp(k, args):
-                return CtorApp(k, tuple(go(a, m) for a in args))
-            case PrimOp(op, l, r):
-                return PrimOp(op, go(l, m), go(r, m))
-            case Lambda(p, b):
-                (p2,), (b2,), m2 = adjust((p,), [b], m)
-                return Lambda(p2, go(b2, m2))
-            case Case(scrut, alts):
-                new_alts = []
-                for alt in alts:
-                    binders = pattern_binders(alt.pattern)
-                    bs, (body,), m2 = adjust(binders, [alt.body], m)
-                    pat = _rebind_pattern(alt.pattern, bs) if binders else alt.pattern
-                    new_alts.append(Alt(pat, go(body, m2)))
-                return Case(go(scrut, m), tuple(new_alts))
-            case Let(x, bound, body):
-                (x2,), (body2,), m2 = adjust((x,), [body], m)
-                return Let(x2, go(bound, m), go(body2, m2))
-            case Letrec(g, rhs, body):
-                return Letrec(g, go(rhs, m), go(body, m))
-            case GenRequest(owner, t):
-                return GenRequest(owner, go(t, m))
-            case _:
-                raise SyntaxError_(f"unknown expression {e!r}")
-
-    return go(e, dict(mapping))
+    return _substitute(e, mapping, {x: free_vars(v) for x, v in mapping.items()})
 
 
-def _substitute_closed(m: dict[str, Expression], e: Expression) -> Expression:
-    """Substitution of closed expressions: capture is impossible, only
-    shadowing matters.
+def _substitute(e: Expression, m: dict[str, Expression], fvs: dict[str, set[str]]) -> Expression:
+    """substitute(m, e), given fvs[x] = free_vars(m[x])."""
+    if type(e) is Var:
+        return m.get(e.name, e)
+    kids = []
+    for i, (c, bs) in enumerate(scopes(e)):
+        m2 = m
+        if bs:
+            m2 = {x: v for x, v in m.items() if x not in bs}
+            if m2 and any(b in fvs[x] for x in m2 for b in bs):
+                c, new, m2 = _avoid_capture(c, bs, m2, fvs)
+                if new != bs:
+                    e = rebind(e, i, new)
+        kids.append(_substitute(c, m2, fvs) if m2 else c)
+    return rebuild(e, kids)
+
+
+def _avoid_capture(c: Expression, bs: tuple[str, ...], m: dict, fvs: dict) -> tuple:
+    """(c', bs', m'): the entries of m free in c, with each binder in bs that
+    would capture a free variable of their values renamed in c.
     """
-    match e:
-        case Var(name):
-            return m.get(name, e)
-        case IntLit() | Global():
-            return e
-        case App(f, a):
-            return App(_substitute_closed(m, f), _substitute_closed(m, a))
-        case CtorApp(k, args):
-            return CtorApp(k, tuple(_substitute_closed(m, a) for a in args))
-        case PrimOp(op, l, r):
-            return PrimOp(op, _substitute_closed(m, l), _substitute_closed(m, r))
-        case Lambda(p, b):
-            m2 = {x: v for x, v in m.items() if x != p}
-            return Lambda(p, _substitute_closed(m2, b)) if m2 else e
-        case Case(scrut, alts):
-            new_alts = []
-            for alt in alts:
-                binders = pattern_binders(alt.pattern)
-                m2 = {x: v for x, v in m.items() if x not in binders}
-                body = _substitute_closed(m2, alt.body) if m2 else alt.body
-                new_alts.append(Alt(alt.pattern, body))
-            return Case(_substitute_closed(m, scrut), tuple(new_alts))
-        case Let(x, bound, body):
-            m2 = {y: v for y, v in m.items() if y != x}
-            return Let(
-                x,
-                _substitute_closed(m, bound),
-                _substitute_closed(m2, body) if m2 else body,
-            )
-        case Letrec(g, rhs, body):
-            return Letrec(g, _substitute_closed(m, rhs), _substitute_closed(m, body))
-        case GenRequest(owner, t):
-            return GenRequest(owner, _substitute_closed(m, t))
-        case _:
-            raise SyntaxError_(f"unknown expression {e!r}")
-
-
-def _rebind_pattern(p: Pattern, binders: list[str]) -> Pattern:
-    match p:
-        case CtorPat(k, _):
-            return CtorPat(k, tuple(binders))
-        case DefaultPat(b):
-            return DefaultPat(binders[0] if b is not None else None)
-        case _:
-            return p
+    fc = free_vars(c)
+    live = {x: v for x, v in m.items() if x in fc}
+    value_fvs: set[str] = set()
+    for x in live:
+        value_fvs |= fvs[x]
+    if not any(b in value_fvs for b in bs):
+        return c, bs, live
+    avoid = value_fvs | set(live) | fc | set(bs)
+    ren: dict[str, Expression] = {}
+    for b in bs:
+        if b in value_fvs:
+            b2, n = b + "'", 1
+            while b2 in avoid:
+                b2, n = f"{b}'{n}", n + 1
+            avoid.add(b2)
+            ren[b] = Var(b2)
+    new = tuple(ren[b].name if b in ren else b for b in bs)
+    return substitute(ren, c), new, live
 
 
 # ---------------------------------------------------------------------------
@@ -548,71 +480,67 @@ def canonical(e: Expression) -> Key:
     symbols become the markers "fv" and "fg" and are listed, in order, in
     `free` and `globals`.
     """
-    shape: list = []
-    free: list[str] = []
-    globals_: list[str] = []
+    out: tuple[list, list[str], list[str]] = ([], [], [])
+    _canonical_into(e, {}, {}, 0, out)
+    return Key(*map(tuple, out))
 
-    def go(e: Expression, vs: dict, fs: dict, depth: int) -> None:
-        match e:
-            case Var(x) if x in vs:
-                shape.extend(("v", vs[x]))
-            case Var(x):
-                shape.append("fv")
-                free.append(x)
-            case Global(g) if g in fs:
-                shape.extend(("g", fs[g]))
-            case Global(g):
-                shape.append("fg")
-                globals_.append(g)
-            case IntLit(n):
-                shape.extend(("i", n))
-            case App(f, a):
-                shape.append("@")
-                go(f, vs, fs, depth)
-                go(a, vs, fs, depth)
-            case Lambda(p, b):
-                shape.append("\\")
-                go(b, {**vs, p: depth}, fs, depth + 1)
-            case CtorApp(k, args):
-                shape.extend(("K", k, len(args)))
-                for a in args:
-                    go(a, vs, fs, depth)
-            case PrimOp(op, l, r):
-                shape.extend(("p", op))
-                go(l, vs, fs, depth)
-                go(r, vs, fs, depth)
-            case Case(scrut, alts):
-                shape.extend(("case", len(alts)))
-                go(scrut, vs, fs, depth)
-                for alt in alts:
-                    match alt.pattern:
-                        case IntPat(n):
-                            shape.extend(("ip", n))
-                            binders: tuple = ()
-                        case CtorPat(k, binders):
-                            shape.extend(("cp", k, len(binders)))
-                        case DefaultPat(b):
-                            # one slot whether named or "_"
-                            shape.append("dp")
-                            binders = (b,)
-                    vs2 = {**vs, **{b: depth + i for i, b in enumerate(binders)}}
-                    go(alt.body, vs2, fs, depth + len(binders))
-            case Let(x, bound, body):
-                shape.append("let")
-                go(bound, vs, fs, depth)
-                go(body, {**vs, x: depth}, fs, depth + 1)
-            case Letrec(g, rhs, body):
-                shape.append("letrec")
-                for c in (rhs, body):
-                    go(c, vs, {**fs, g: depth}, depth + 1)
-            case GenRequest(owner, t):
-                shape.extend(("gen", owner))
-                go(t, vs, fs, depth)
-            case _:
-                raise SyntaxError_(f"unknown expression {e!r}")
 
-    go(e, {}, {}, 0)
-    return Key(tuple(shape), tuple(free), tuple(globals_))
+# the tokens a node puts before its subterms
+_TOKENS = {
+    App: lambda e: ("@",),
+    Lambda: lambda e: ("\\",),
+    CtorApp: lambda e: ("K", e.ctor, len(e.args)),
+    PrimOp: lambda e: ("p", e.op),
+    Case: lambda e: ("case", len(e.alts)),
+    Let: lambda e: ("let",),
+    Letrec: lambda e: ("letrec",),
+    GenRequest: lambda e: ("gen", e.owner),
+}
+
+
+def _pattern_tokens(p: Pattern) -> tuple:
+    if type(p) is IntPat:
+        return ("ip", p.value)
+    if type(p) is CtorPat:
+        return ("cp", p.ctor, len(p.binders))
+    return ("dp",)
+
+
+def _canonical_into(e: Expression, vs: dict, fs: dict, depth: int, out: tuple) -> None:
+    shape, free, globals_ = out
+    t = type(e)
+    if t is Var:
+        if e.name in vs:
+            shape += ("v", vs[e.name])
+        else:
+            shape.append("fv")
+            free.append(e.name)
+        return
+    if t is Global:
+        if e.name in fs:
+            shape += ("g", fs[e.name])
+        else:
+            shape.append("fg")
+            globals_.append(e.name)
+        return
+    if t is IntLit:
+        shape += ("i", e.value)
+        return
+    shape += _TOKENS[t](e)
+    if t is Letrec:  # the symbol is bound in both subterms
+        fs = {**fs, e.fun: depth}
+        depth += 1
+    for i, (c, bs) in enumerate(scopes(e)):
+        if t is Case and i:
+            p = e.alts[i - 1].pattern
+            shape += _pattern_tokens(p)
+            if type(p) is DefaultPat:
+                bs = (p.binder,)  # one slot whether named or "_"
+        if bs:
+            vs2 = {**vs, **{b: depth + j for j, b in enumerate(bs)}}
+            _canonical_into(c, vs2, fs, depth + len(bs), out)
+        else:
+            _canonical_into(c, vs, fs, depth, out)
 
 
 def alpha_eq(e1: Expression, e2: Expression) -> bool:
@@ -649,33 +577,20 @@ def _occurrences(e: Expression, x: str) -> int:
     """Occurrence count of x in e with the case rule: a case contributes its
     head count plus the maximum over its branches.  Capped at 2.
     """
-    match e:
-        case Var(name):
-            return 1 if name == x else 0
-        case IntLit() | Global():
-            return 0
-        case Lambda(p, b):
-            return 0 if p == x else _occurrences(b, x)
-        case Case(scrut, alts):
-            n = _occurrences(scrut, x)
-            branch = 0
-            for alt in alts:
-                if x in pattern_binders(alt.pattern):
-                    continue
-                branch = max(branch, _occurrences(alt.body, x))
-            return min(2, n + branch)
-        case Let(b, bound, body):
-            n = _occurrences(bound, x)
-            if b != x:
-                n += _occurrences(body, x)
-            return min(2, n)
-        case _:
-            n = 0
-            for c in children(e):
-                n += _occurrences(c, x)
-                if n >= 2:
-                    return 2
-            return n
+    t = type(e)
+    if t is Var:
+        return 1 if e.name == x else 0
+    sc = scopes(e)
+    if t is Case:
+        branch = max((_occurrences(c, x) for c, bs in sc[1:] if x not in bs), default=0)
+        return min(2, _occurrences(sc[0][0], x) + branch)
+    n = 0
+    for c, bs in sc:
+        if x not in bs:
+            n += _occurrences(c, x)
+            if n >= 2:
+                return 2
+    return n
 
 
 def is_linear(e: Expression, x: str) -> bool:
@@ -745,18 +660,16 @@ def weight(e: Expression, initial_vars: set[str] | frozenset[str]) -> int:
 def all_identifiers(e: Expression) -> set[str]:
     """Every variable name (free or bound) and function symbol occurring in e."""
     out: set[str] = set()
-
-    def go(e: Expression) -> None:
-        match e:
-            case Var(name) | Global(name) | Lambda(name) | Let(name) | Letrec(name):
-                out.add(name)
-            case Case(_, alts):
-                for alt in alts:
-                    out.update(pattern_binders(alt.pattern))
-        for c in children(e):
-            go(c)
-
-    go(e)
+    stack = [e]
+    while stack:
+        t = stack.pop()
+        if type(t) is Var or type(t) is Global:
+            out.add(t.name)
+        elif type(t) is Letrec:
+            out.add(t.fun)
+        for c, bs in scopes(t):
+            out.update(bs)
+            stack.append(c)
     return out
 
 

@@ -13,6 +13,7 @@ from deforest import (
     Case,
     CtorApp,
     CtorPat,
+    DefaultPat,
     Global,
     IntLit,
     Lambda,
@@ -87,32 +88,62 @@ def _case(pair):
     )
 
 
-def expressions(max_leaves=12):
-    leaf = st.one_of(
-        st.integers(0, 4).map(IntLit),
-        st.sampled_from(VAR_NAMES).map(Var),
-        st.sampled_from(GLOBAL_NAMES).map(Global),
-        st.just(CtorApp("Nil", ())),
+def _scoped_case(t):
+    scrut, binders, b1, b2, default = t
+    alts = [Alt(CtorPat("Nil", ()), b1), Alt(CtorPat("Cons", tuple(binders)), b2)]
+    if default is not None:
+        alts.append(Alt(DefaultPat(default[0]), default[1]))
+    return Case(scrut, tuple(alts))
+
+
+_LEAF = st.one_of(
+    st.integers(0, 4).map(IntLit),
+    st.sampled_from(VAR_NAMES).map(Var),
+    st.sampled_from(GLOBAL_NAMES).map(Global),
+    st.just(CtorApp("Nil", ())),
+)
+
+
+def _extend(child, case):
+    return st.one_of(
+        st.tuples(child, child).map(lambda t: App(t[0], t[1])),
+        st.tuples(st.sampled_from(VAR_NAMES), child).map(
+            lambda t: Lambda(t[0], t[1])
+        ),
+        st.tuples(st.sampled_from(["+", "-", "*"]), child, child).map(
+            lambda t: PrimOp(t[0], t[1], t[2])
+        ),
+        st.tuples(child, child).map(lambda t: CtorApp("Cons", (t[0], t[1]))),
+        st.tuples(child).map(lambda t: CtorApp("Leaf", (t[0],))),
+        case,
+        st.tuples(st.sampled_from(VAR_NAMES), child, child).map(
+            lambda t: Let(t[0], t[1], t[2])
+        ),
     )
 
-    def extend(child):
-        return st.one_of(
-            st.tuples(child, child).map(lambda t: App(t[0], t[1])),
-            st.tuples(st.sampled_from(VAR_NAMES), child).map(
-                lambda t: Lambda(t[0], t[1])
-            ),
-            st.tuples(st.sampled_from(["+", "-", "*"]), child, child).map(
-                lambda t: PrimOp(t[0], t[1], t[2])
-            ),
-            st.tuples(child, child).map(lambda t: CtorApp("Cons", (t[0], t[1]))),
-            st.tuples(child).map(lambda t: CtorApp("Leaf", (t[0],))),
-            st.tuples(child, st.tuples(child, child)).map(_case),
-            st.tuples(st.sampled_from(VAR_NAMES), child, child).map(
-                lambda t: Let(t[0], t[1], t[2])
-            ),
-        )
 
-    return st.recursive(leaf, extend, max_leaves=max_leaves)
+def expressions(max_leaves=12):
+    return st.recursive(
+        _LEAF,
+        lambda child: _extend(child, st.tuples(child, st.tuples(child, child)).map(_case)),
+        max_leaves=max_leaves,
+    )
+
+
+def scoped_expressions(max_leaves=12):
+    """Like `expressions`, but the Cons pattern binds names from VAR_NAMES,
+    so a substituted value can be captured under a pattern, and a case may
+    end in a named or wildcard default alternative.
+    """
+    binders = st.lists(st.sampled_from(VAR_NAMES), min_size=2, max_size=2, unique=True)
+
+    def case(child):
+        default = st.none() | st.tuples(st.sampled_from(VAR_NAMES + [None]), child)
+        return st.tuples(child, binders, child, child, default).map(_scoped_case)
+
+    return st.recursive(
+        _LEAF, lambda child: _extend(child, case(child)), max_leaves=max_leaves
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from deforest.driver import DriverError, FreshSupply, program_alpha_eq
 from deforest.syntax import GenRequest, pattern_binders, subterms, unfold_lambdas
 
 from conftest import (
+    FIXTURE_NAMES,
     entry_calls_for,
     fixture_golden,
     fixture_manifest,
@@ -152,6 +154,20 @@ def test_no_markers_or_undefined_functions_in_residuals(fixture_name):
     for body in residual.defs.values():
         for t in subterms(body):
             assert not isinstance(t, GenRequest)
+
+
+def test_supercompile_leaves_no_cyclic_garbage():
+    # a recursive closure or a self-referencing memo on the build path is a
+    # reference cycle that only the cyclic collector frees
+    programs = [fixture_program(name) for name in FIXTURE_NAMES]
+    gc.collect()
+    gc.disable()
+    try:
+        for program in programs:
+            pretty_program(supercompile(program))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_measure_and_memo_assertions_hold_on_fixtures(fixture_name):

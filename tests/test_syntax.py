@@ -12,6 +12,7 @@ from deforest import (
     IntLit,
     IntPat,
     Lambda,
+    Let,
     Letrec,
     PrimOp,
     Var,
@@ -24,9 +25,17 @@ from deforest import (
     substitute,
     weight,
 )
-from deforest.syntax import SyntaxError_, fold_lambdas, free_vars_ordered, select_alt
+from deforest.syntax import (
+    GenRequest,
+    SyntaxError_,
+    children,
+    fold_lambdas,
+    free_vars_ordered,
+    scopes,
+    select_alt,
+)
 
-from conftest import expressions
+from conftest import VAR_NAMES, expressions, scoped_expressions
 
 import pytest
 
@@ -75,6 +84,51 @@ def test_substitute_capture_avoidance():
     assert out.param != "y"
     assert out.body == V("y")
     assert alpha_eq(out, Lambda("q", V("y")))
+
+
+# capture renames: y' first, then y'1, y'2, ... past every name in sight
+@pytest.mark.parametrize(
+    "mapping, term, expected",
+    [
+        ({"x": V("y")}, Lambda("y", App(V("x"), V("y"))), Lambda("y'", App(V("y"), V("y'")))),
+        (
+            {"x": V("y")},
+            Lambda("y", App(V("x"), V("y'"))),
+            Lambda("y'1", App(V("y"), V("y'"))),
+        ),
+        ({"x": App(V("y"), V("y'"))}, Lambda("y", V("x")), Lambda("y'1", App(V("y"), V("y'")))),
+        (
+            {"x": V("y")},
+            Let("y", V("x"), App(V("x"), V("y"))),
+            Let("y'", V("y"), App(V("y"), V("y'"))),
+        ),
+        (
+            {"x": V("y")},
+            Case(V("s"), (Alt(CtorPat("Cons", ("y", "t")), App(V("x"), V("y"))),)),
+            Case(V("s"), (Alt(CtorPat("Cons", ("y'", "t")), App(V("y"), V("y'"))),)),
+        ),
+        (
+            {"x": V("y")},
+            Case(V("s"), (Alt(DefaultPat("y"), App(V("x"), V("y"))),)),
+            Case(V("s"), (Alt(DefaultPat("y'"), App(V("y"), V("y'"))),)),
+        ),
+        # no capture: the binder shadows x, or x does not occur below it
+        ({"x": V("y")}, Lambda("x", V("x")), Lambda("x", V("x"))),
+        ({"x": V("y")}, Lambda("y", V("y")), Lambda("y", V("y"))),
+    ],
+    ids=[
+        "lambda",
+        "lambda-prime-taken-in-body",
+        "lambda-prime-taken-in-value",
+        "let",
+        "constructor-pattern",
+        "default-pattern",
+        "shadowed",
+        "not-live",
+    ],
+)
+def test_substitute_capture_renames(mapping, term, expected):
+    assert repr(substitute(mapping, term)) == repr(expected)
 
 
 def test_substitute_literal():
@@ -271,6 +325,20 @@ def test_weight_monotone_under_replacement(inner, heavier):
         assert w2 > w1
 
 
+@given(
+    scoped_expressions(),
+    st.dictionaries(st.sampled_from(VAR_NAMES), scoped_expressions(6), max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_substitution_free_vars_law(e, m):
+    # fv(e[m]) = (fv(e) - dom m) | U{fv(m x) | x in fv(e) & dom m}
+    fv = free_vars(e)
+    expected = fv - set(m)
+    for x in fv & set(m):
+        expected |= free_vars(m[x])
+    assert free_vars(substitute(m, e)) == expected
+
+
 def test_free_vars_ordered_first_occurrence():
     e = PrimOp("+", App(V("b"), V("a")), V("b"))
     assert free_vars_ordered(e) == ["b", "a"]
@@ -306,3 +374,55 @@ _ALTS = (
 )
 def test_select_alt(value, alts, expected):
     assert select_alt(value, alts) is (None if expected is None else alts[expected])
+
+
+_K = CtorApp("K", ())
+
+
+@pytest.mark.parametrize(
+    "term, expected",
+    [
+        (IntLit(1), ()),
+        (V("x"), ()),
+        (Global("f"), ()),
+        (App(V("f"), V("a")), ((V("f"), ()), (V("a"), ()))),
+        (Lambda("x", V("b")), ((V("b"), ("x",)),)),
+        (CtorApp("K", (V("a"), V("b"))), ((V("a"), ()), (V("b"), ()))),
+        (PrimOp("+", V("l"), V("r")), ((V("l"), ()), (V("r"), ()))),
+        (
+            Case(
+                V("s"),
+                (
+                    Alt(CtorPat("Cons", ("h", "t")), V("c")),
+                    Alt(IntPat(3), V("i")),
+                    Alt(DefaultPat("d"), V("n")),
+                ),
+            ),
+            ((V("s"), ()), (V("c"), ("h", "t")), (V("i"), ()), (V("n"), ("d",))),
+        ),
+        (
+            Case(V("s"), (Alt(CtorPat("Nil", ()), V("c")), Alt(DefaultPat(None), V("w")))),
+            ((V("s"), ()), (V("c"), ()), (V("w"), ())),
+        ),
+        (Let("x", V("a"), V("b")), ((V("a"), ()), (V("b"), ("x",)))),
+        (Letrec("g", Lambda("y", _K), Global("g")), ((Lambda("y", _K), ()), (Global("g"), ()))),
+        (GenRequest("h", V("t")), ((V("t"), ()),)),
+    ],
+    ids=[
+        "int",
+        "var",
+        "global",
+        "app",
+        "lambda",
+        "ctor",
+        "primop",
+        "case-ctor-int-named-default",
+        "case-wildcard",
+        "let",
+        "letrec-binds-no-variable",
+        "gen-request",
+    ],
+)
+def test_scopes(term, expected):
+    assert scopes(term) == expected
+    assert tuple(c for c, _ in scopes(term)) == children(term)
