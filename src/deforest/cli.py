@@ -250,17 +250,19 @@ def make_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# The parser, the driver and the printer recurse on the nesting depth of the
-# input.  A command runs in a thread whose stack holds the whole recursion
-# limit (deep compares, hashes and substitutions reach it within 32 MB), so a
-# too deeply nested input raises RecursionError and exits 2 instead of
-# overflowing the C stack.
+# Driving's stack depth follows how deeply the input nests, not how long
+# driving runs, but R4 on a long list literal, the parser, the printer and the
+# other traversals still recurse once per level.  A command runs in a thread
+# whose stack holds the whole recursion limit (deep compares, hashes and
+# substitutions reach it within 32 MB), so a too deeply nested input exits 2
+# with RecursionError instead of overflowing the C stack.  The caller's limit
+# comes back afterwards: kept raised, a deep recursion on the main thread's
+# smaller stack would crash the process.
 RECURSION_LIMIT = 100_000
 STACK_BYTES = 256 * 2**20
 
 
 def _run(argv) -> int:
-    sys.setrecursionlimit(RECURSION_LIMIT)
     ap = make_arg_parser()
     args = ap.parse_args(argv)
     try:
@@ -285,13 +287,16 @@ def main(argv=None) -> int:
         except BaseException as exc:  # re-raised in the calling thread
             result.append(exc)
 
+    limit = sys.getrecursionlimit()
     previous = threading.stack_size(STACK_BYTES)
     try:
+        sys.setrecursionlimit(RECURSION_LIMIT)
         worker = threading.Thread(target=target, daemon=True)
         worker.start()
+        worker.join()
     finally:
         threading.stack_size(previous)
-    worker.join()
+        sys.setrecursionlimit(limit)
     if isinstance(result[0], BaseException):
         raise result[0]
     return result[0]

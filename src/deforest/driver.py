@@ -5,7 +5,7 @@ memoization, folding and generalization, followed by a letrec-lifting pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .analysis import is_annoying, strict_vars
 from .generalize import embeds, split
@@ -153,187 +153,167 @@ class DriveSession:
         rho: Rho,
         parent: Optional[Measure] = None,
     ) -> Expression:
-        me: Optional[Measure] = None
-        if self.assert_measure:
-            me = self._measure(e, context, rho)
-            self._check_measure(parent, me, "drive")
-
-        def rec(
-            e2: Expression, ctx2: list[RFrame], G2: Globals = None, rho2: Rho = None
-        ) -> Expression:
-            return self.drive(
-                e2,
-                ctx2,
-                G if G2 is None else G2,
-                rho if rho2 is None else rho2,
-                me,
-            )
-
-        match e:
-            case IntLit(_):  # R1
-                self._emit("R1", e, context, rho)
-                return plug_r(context, e)
-            case Var(_):  # R2
-                self._emit("R2", e, context, rho)
-                return plug_r(context, e)
-            case Global(_):  # R3
-                self._emit("R3", e, context, rho)
-                return self.drive_app(e.name, context, G, rho, me)
-            case CtorApp(k, args):
-                if not context:  # R4
+        """Drive e in context.  The tail rules (R7, R9-R12, a substituting
+        R13, R16, R17, R19 and the frame pushes of R8 and R10) rewrite the
+        focus and context and go round the loop, so they add no Python frame;
+        R3 hands over to `drive_app`.  Only the rules that build around their
+        results recurse: R4-R6, an annoying R8, a kept R13 let, R14, R15, R18,
+        and Dapp4 and `_generalize` in `drive_app`.  Under assert_measure each
+        pass of the loop must decrease the measure of the one before.
+        """
+        me = parent
+        while True:
+            if self.assert_measure:
+                m = self._measure(e, context, rho)
+                self._check_measure(me, m, "drive")
+                me = m
+            match e:
+                case IntLit(_) | Var(_):  # R1, R2
+                    self._emit("R1" if type(e) is IntLit else "R2", e, context, rho)
+                    return plug_r(context, e)
+                case Global(_):  # R3
+                    self._emit("R3", e, context, rho)
+                    return self.drive_app(e.name, context, G, rho, me)
+                case CtorApp(k, args) if not context:  # R4
                     self._emit("R4", e, context, rho)
-                    return CtorApp(k, tuple(rec(a, []) for a in args))
-                self._emit("R20", e, context, rho)
-                return plug_r(context, e)
-            case App(_, _):
-                head, args = unfold_apps(e)
-                if isinstance(head, Var):  # R5
-                    self._emit("R5", e, context, rho)
-                    return plug_r(
-                        context, fold_apps(head, [rec(a, []) for a in args])
-                    )
-                if isinstance(head, Lambda):  # R9
-                    self._emit("R9", e, context, rho)
-                    return rec(self._beta_lets(head, args), context)
-                self._emit("R10", e, context, rho)  # R10
-                return rec(e.fun, context + [("arg", e.arg)])
-            case Lambda(_, _):
-                if not context:  # R6
+                    return CtorApp(k, tuple([self.drive(a, [], G, rho, me) for a in args]))
+                case App(_, _):
+                    head, args = unfold_apps(e)
+                    if isinstance(head, Var):  # R5
+                        self._emit("R5", e, context, rho)
+                        args = [self.drive(a, [], G, rho, me) for a in args]
+                        return plug_r(context, fold_apps(head, args))
+                    if isinstance(head, Lambda):  # R9
+                        self._emit("R9", e, context, rho)
+                        params, body = unfold_lambdas(head)
+                        n = min(len(params), len(args))
+                        body = fold_lambdas(params[n:], body)
+                        rest = [("arg", a) for a in reversed(args[n:])]
+                        e = self._fresh_lets(params[:n], args[:n], body, rest)
+                        continue
+                    self._emit("R10", e, context, rho)  # R10
+                    e, context = e.fun, context + [("arg", e.arg)]
+                case Lambda(_, _) if not context:  # R6
                     self._emit("R6", e, context, rho)
                     params, body = unfold_lambdas(e)
-                    return fold_lambdas(params, rec(body, []))
-                self._emit("R20", e, context, rho)
-                return plug_r(context, e)
-            case PrimOp(op, IntLit(a), IntLit(b)):  # R7
-                self._emit("R7", e, context, rho)
-                return rec(plug_r(context, IntLit(apply_prim(op, a, b))), [])
-            case PrimOp(op, lhs, rhs):  # R8
-                self._emit("R8", e, context, rho)
-                if is_annoying(e):
-                    return plug_r(context, PrimOp(op, rec(lhs, []), rec(rhs, [])))
-                if isinstance(lhs, IntLit) or is_annoying(lhs):
-                    return rec(rhs, context + [("prim_r", op, lhs)])
-                return rec(lhs, context + [("prim_l", op, rhs)])
-            case Let(x, IntLit(_) as n, body):  # R11
-                self._emit("R11", e, context, rho)
-                return rec(plug_r(context, substitute({x: n}, body)), [])
-            case Let(x, Var(_, fresh=False) | Global(_) as y, body):  # R12
-                self._emit("R12", e, context, rho)
-                return rec(plug_r(context, substitute({x: y}, body)), [])
-            case Let(x, bound, body):  # R13
-                self._emit("R13", e, context, rho)
-                strict = strict_vars(body)
-                if self.explain_strict is not None:
-                    self.explain_strict(
-                        f"let {x}: strict={{{', '.join(sorted(strict))}}} "
-                        f"linear={is_linear(body, x)}"
-                    )
-                if x in strict and is_linear(body, x):
-                    return rec(plug_r(context, substitute({x: bound}, body)), [])
-                if any(x in free_vars(plug_r([fr], Var("_"))) for fr in context):
-                    x2 = self.supply.var(x)
-                    body = substitute({x: Var(x2)}, body)
-                    x = x2
-                return Let(x, rec(bound, []), rec(plug_r(context, body), []))
-            case Letrec(g, rhs, body):  # R14
-                self._emit("R14", e, context, rho)
-                if g in G:
-                    g2 = self.supply.fun()
-                    rhs = replace_global(rhs, g, Global(g2))
-                    body = replace_global(body, g, Global(g2))
-                    g = g2
-                result = rec(plug_r(context, body), [], {**G, g: rhs})
-                if g in fun_names(result):
-                    return Letrec(g, rhs, result)
-                return result
-            case Case(Var(_) as x, alts):  # R15
-                self._emit("R15", e, context, rho)
-                new_alts = []
-                for alt in alts:
-                    pat, info = self._freshen_pattern(alt.pattern)
-                    body = substitute(info["rename"], alt.body)
-                    branch = plug_r(context, body)
-                    if info["value"] is not None:
-                        branch = substitute({x.name: info["value"]}, branch)
-                    new_alts.append(Alt(pat, rec(branch, [])))
-                return Case(x, tuple(new_alts))
-            case Case(CtorApp(_, args) as scrut, alts) if (
-                alt := select_alt(scrut, alts)
-            ) is not None:  # R16
-                self._emit("R16", e, context, rho)
-                match alt.pattern:
-                    case CtorPat(_, binders):
-                        fresh = [self.supply.var(b) for b in binders]
-                        body = substitute(
-                            {b: Var(f) for b, f in zip(binders, fresh)}, alt.body
+                    return fold_lambdas(params, self.drive(body, [], G, rho, me))
+                case PrimOp(op, IntLit(a), IntLit(b)):  # R7
+                    self._emit("R7", e, context, rho)
+                    e, context = plug_r(context, IntLit(apply_prim(op, a, b))), []
+                case PrimOp(op, lhs, rhs):  # R8
+                    self._emit("R8", e, context, rho)
+                    if is_annoying(e):
+                        lhs = self.drive(lhs, [], G, rho, me)
+                        return plug_r(context, PrimOp(op, lhs, self.drive(rhs, [], G, rho, me)))
+                    if isinstance(lhs, IntLit) or is_annoying(lhs):
+                        e, context = rhs, context + [("prim_r", op, lhs)]
+                    else:
+                        e, context = lhs, context + [("prim_l", op, rhs)]
+                case Let(x, IntLit(_) | Var(_, fresh=False) | Global(_) as v, body):  # R11, R12
+                    self._emit("R11" if type(v) is IntLit else "R12", e, context, rho)
+                    e, context = plug_r(context, substitute({x: v}, body)), []
+                case Let(x, bound, body):  # R13
+                    self._emit("R13", e, context, rho)
+                    strict = strict_vars(body)
+                    if self.explain_strict is not None:
+                        self.explain_strict(
+                            f"let {x}: strict={{{', '.join(sorted(strict))}}} "
+                            f"linear={is_linear(body, x)}"
                         )
-                        term = plug_r(context, body)
-                        for b, a in reversed(list(zip(fresh, args))):
-                            term = Let(b, a, term)
-                        return rec(term, [])
-                    case DefaultPat(b):
-                        binder = self.supply.var(b if b is not None else "u")
-                        body = alt.body
-                        if b is not None:
-                            body = substitute({b: Var(binder)}, body)
-                        return rec(Let(binder, scrut, plug_r(context, body)), [])
-            case Case(IntLit() as scrut, alts) if (
-                alt := select_alt(scrut, alts)
-            ) is not None:  # R17
-                self._emit("R17", e, context, rho)
-                body = alt.body
-                match alt.pattern:
-                    case DefaultPat(b) if b is not None:
-                        body = substitute({b: scrut}, body)
-                return rec(plug_r(context, body), [])
-            case Case(scrut, alts) if is_annoying(scrut):  # R18
-                self._emit("R18", e, context, rho)
-                new_alts = []
-                for alt in alts:
-                    pat, info = self._freshen_pattern(alt.pattern)
-                    body = substitute(info["rename"], alt.body)
-                    new_alts.append(Alt(pat, rec(plug_r(context, body), [])))
-                return Case(rec(scrut, []), tuple(new_alts))
-            case Case(scrut, alts):  # R19
-                self._emit("R19", e, context, rho)
-                return rec(scrut, context + [("case", alts)])
-            case _:  # R20
-                self._emit("R20", e, context, rho)
-                return plug_r(context, e)
+                    if x in strict and is_linear(body, x):
+                        e, context = plug_r(context, substitute({x: bound}, body)), []
+                        continue
+                    if any(x in free_vars(plug_r([fr], Var("_"))) for fr in context):
+                        x2 = self.supply.var(x)
+                        body = substitute({x: Var(x2)}, body)
+                        x = x2
+                    bound = self.drive(bound, [], G, rho, me)
+                    return Let(x, bound, self.drive(plug_r(context, body), [], G, rho, me))
+                case Letrec(g, rhs, body):  # R14
+                    self._emit("R14", e, context, rho)
+                    if g in G:
+                        g2 = self.supply.fun()
+                        rhs = replace_global(rhs, g, Global(g2))
+                        body = replace_global(body, g, Global(g2))
+                        g = g2
+                    result = self.drive(plug_r(context, body), [], {**G, g: rhs}, rho, me)
+                    if g in fun_names(result):
+                        return Letrec(g, rhs, result)
+                    return result
+                case Case(Var(_) as x, alts):  # R15
+                    self._emit("R15", e, context, rho)
+                    new_alts = []
+                    for alt in alts:
+                        pat, rename, value = self._freshen_pattern(alt.pattern)
+                        branch = plug_r(context, substitute(rename, alt.body))
+                        if value is not None:
+                            branch = substitute({x.name: value}, branch)
+                        new_alts.append(Alt(pat, self.drive(branch, [], G, rho, me)))
+                    return Case(x, tuple(new_alts))
+                case Case(CtorApp(_, args) as scrut, alts) if (
+                    alt := select_alt(scrut, alts)
+                ) is not None:  # R16
+                    self._emit("R16", e, context, rho)
+                    if type(alt.pattern) is CtorPat:
+                        e = self._fresh_lets(alt.pattern.binders, args, alt.body, context)
+                    else:  # a default binds the whole value
+                        b = alt.pattern.binder
+                        e = self._fresh_lets((b,), (scrut,), alt.body, context)
+                    context = []
+                case Case(IntLit() as scrut, alts) if (
+                    alt := select_alt(scrut, alts)
+                ) is not None:  # R17
+                    self._emit("R17", e, context, rho)
+                    body = alt.body
+                    if type(alt.pattern) is DefaultPat and alt.pattern.binder is not None:
+                        body = substitute({alt.pattern.binder: scrut}, body)
+                    e, context = plug_r(context, body), []
+                case Case(scrut, alts) if is_annoying(scrut):  # R18
+                    self._emit("R18", e, context, rho)
+                    new_alts = []
+                    for alt in alts:
+                        pat, rename, _ = self._freshen_pattern(alt.pattern)
+                        branch = plug_r(context, substitute(rename, alt.body))
+                        new_alts.append(Alt(pat, self.drive(branch, [], G, rho, me)))
+                    return Case(self.drive(scrut, [], G, rho, me), tuple(new_alts))
+                case Case(scrut, alts):  # R19
+                    self._emit("R19", e, context, rho)
+                    e, context = scrut, context + [("case", alts)]
+                case _:  # R20, and R4 or R6 in a context
+                    self._emit("R20", e, context, rho)
+                    return plug_r(context, e)
 
     # ------------------------------------------------------------------
 
-    def _beta_lets(self, head: Lambda, args: list[Expression]) -> Expression:
-        """(\\x..: f) e..  ->  let x1 = e1 in ... f, binders freshened."""
-        params, body = unfold_lambdas(head)
-        m = min(len(params), len(args))
-        fresh = [self.supply.var(p) for p in params[:m]]
-        inner = fold_lambdas(params[m:], body)
-        inner = substitute(
-            {p: Var(f) for p, f in zip(params[:m], fresh)}, inner
-        )
-        term = fold_apps(inner, args[m:])
-        for b, a in reversed(list(zip(fresh, args[:m]))):
-            term = Let(b, a, term)
+    def _fresh_lets(
+        self, binders: Sequence, values: Sequence, body: Expression, context: list[RFrame]
+    ) -> Expression:
+        """let b1' = v1 in ... let bn' = vn in context[body], each binder
+        renamed in body to a fresh name (a wildcard None binds a fresh "u").
+        """
+        fresh = [self.supply.var(b if b is not None else "u") for b in binders]
+        rename = {b: Var(f) for b, f in zip(binders, fresh) if b is not None}
+        term = plug_r(context, substitute(rename, body))
+        for b, v in reversed(list(zip(fresh, values))):
+            term = Let(b, v, term)
         return term
 
     def _freshen_pattern(self, pat) -> tuple:
-        """Rename pattern binders to fresh names; returns the new pattern,
-        the renaming, and the positive-information expression (for R15).
+        """Rename pattern binders to fresh names: (new pattern, renaming,
+        positive-information value or None), the value for R15.
         """
         match pat:
             case CtorPat(k, binders):
                 fresh = [self.supply.var(b) for b in binders]
                 rename = {b: Var(f) for b, f in zip(binders, fresh)}
-                value = CtorApp(k, tuple(Var(f) for f in fresh))
-                return CtorPat(k, tuple(fresh)), {"rename": rename, "value": value}
+                return CtorPat(k, tuple(fresh)), rename, CtorApp(k, tuple(map(Var, fresh)))
             case IntPat(n):
-                return pat, {"rename": {}, "value": IntLit(n)}
+                return pat, {}, IntLit(n)
             case DefaultPat(None):
-                return pat, {"rename": {}, "value": None}
+                return pat, {}, None
             case DefaultPat(b):
                 f = self.supply.var(b)
-                return DefaultPat(f), {"rename": {b: Var(f)}, "value": Var(f)}
+                return DefaultPat(f), {b: Var(f)}, Var(f)
             case _:
                 raise DriverError(f"unknown pattern {pat!r}")
 

@@ -221,7 +221,7 @@ def subterms(e: Expression) -> Iterator[Expression]:
         stack.extend(reversed(children(t)))
 
 
-# The two traversal kernels dispatch on type(e) through tables: a `match` on
+# The traversal kernels dispatch on type(e) through tables: a `match` on
 # classes tries each case in turn, and `children` is the driver's hottest
 # function.
 
@@ -269,27 +269,21 @@ def scopes(e: Expression) -> tuple[tuple[Expression, tuple[str, ...]], ...]:
     return _SCOPES.get(type(e), _no_children)(e)
 
 
+_REBUILD = {
+    App: lambda e, k: App(k[0], k[1]),
+    Lambda: lambda e, k: Lambda(e.param, k[0]),
+    CtorApp: lambda e, k: CtorApp(e.ctor, tuple(k)),
+    PrimOp: lambda e, k: PrimOp(e.op, k[0], k[1]),
+    Case: lambda e, k: Case(k[0], tuple([Alt(a.pattern, b) for a, b in zip(e.alts, k[1:])])),
+    Let: lambda e, k: Let(e.binder, k[0], k[1]),
+    Letrec: lambda e, k: Letrec(e.fun, k[0], k[1]),
+    GenRequest: lambda e, k: GenRequest(e.owner, k[0]),
+}
+
+
 def rebuild(e: Expression, kids: Sequence[Expression]) -> Expression:
     """The inverse of `children`: e with its children replaced by kids."""
-    if not kids:
-        return e
-    match e:
-        case App():
-            return App(kids[0], kids[1])
-        case Lambda(p, _):
-            return Lambda(p, kids[0])
-        case CtorApp(k, _):
-            return CtorApp(k, tuple(kids))
-        case PrimOp(op, _, _):
-            return PrimOp(op, kids[0], kids[1])
-        case Case(_, alts):
-            return Case(kids[0], tuple(Alt(a.pattern, b) for a, b in zip(alts, kids[1:])))
-        case Let(x, _, _):
-            return Let(x, kids[0], kids[1])
-        case Letrec(g, _, _):
-            return Letrec(g, kids[0], kids[1])
-        case GenRequest(owner, _):
-            return GenRequest(owner, kids[0])
+    return _REBUILD[type(e)](e, kids) if kids else e
 
 
 def rebind(e: Expression, i: int, binders: Sequence[str]) -> Expression:
@@ -375,15 +369,35 @@ def free_vars_ordered(e: Expression) -> list[str]:
 
 
 def _free_vars_into(e: Expression, bound: frozenset[str], out: dict[str, None]) -> None:
-    # module-level functions, not recursive closures: a closure that calls
-    # itself is a reference cycle, left for the cyclic garbage collector on
-    # every call
-    if type(e) is Var:
-        if e.name not in bound:
-            out.setdefault(e.name)
-        return
-    for c, bs in scopes(e):
-        _free_vars_into(c, bound.union(bs) if bs else bound, out)
+    # Loops on the last scope (a list's tail, a let body, an application's
+    # argument) and recurses on the others, so a long list literal costs no
+    # stack; the inline test for a variable child keeps it as fast as plain
+    # recursion.  Module-level, not a recursive closure: a closure that calls
+    # itself is a reference cycle, left for the cyclic collector on every call.
+    while True:
+        if type(e) is Var:
+            if e.name not in bound:
+                out[e.name] = None
+            return
+        scopes_of = _SCOPES.get(type(e))
+        if scopes_of is None:
+            return
+        sc = scopes_of(e)
+        if not sc:
+            return
+        last = sc[-1]
+        for pair in sc:
+            if pair is last:  # every pair is a new tuple
+                break
+            c, bs = pair
+            if type(c) is Var:
+                if c.name not in bound and c.name not in bs:
+                    out[c.name] = None
+            else:
+                _free_vars_into(c, bound.union(bs) if bs else bound, out)
+        e, bs = last
+        if bs:
+            bound = bound.union(bs)
 
 
 def fun_names(e: Expression) -> set[str]:

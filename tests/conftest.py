@@ -1,11 +1,8 @@
 import random
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
-
-sys.setrecursionlimit(100_000)
 
 from deforest import (
     Alt,

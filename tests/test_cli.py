@@ -248,6 +248,13 @@ def test_embed_command(capsys):
     assert code == 0 and out.strip() == "not-embedded"
 
 
+def test_main_restores_the_recursion_limit(capsys):
+    limit = sys.getrecursionlimit()
+    code, out, _ = run_cli("embed", "x", "x", capsys=capsys)
+    assert code == 0 and out.strip() == "embedded"
+    assert sys.getrecursionlimit() == limit
+
+
 def test_msg_command(capsys):
     code, out, _ = run_cli("msg", "fac y", "fac (y - 1)", capsys=capsys)
     assert code == 0

@@ -1,5 +1,7 @@
 import gc
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +28,7 @@ from deforest.syntax import GenRequest, pattern_binders, subterms, unfold_lambda
 
 from conftest import (
     FIXTURE_NAMES,
+    FIXTURES,
     entry_calls_for,
     fixture_golden,
     fixture_manifest,
@@ -234,6 +237,77 @@ def test_trace_emits_rule_lines():
     assert any(line.startswith("R3 ") for line in lines)
     assert any(line.startswith("Dapp4 ") for line in lines)
     assert all(" w=" in line and " rho=" in line and " depth=" in line for line in lines)
+
+
+def test_flags_do_not_change_the_residual():
+    # tracing, strictness explanations and measure checks only observe
+    programs = [fixture_program(name) for name in FIXTURE_NAMES] + generate_programs(40)
+    for program in programs:
+        lines = []
+        flagged = supercompile(
+            program, trace=lines.append, explain_strict=lines.append, assert_measure=True
+        )
+        assert lines
+        assert pretty_program(flagged) == pretty_program(supercompile(program))
+
+
+APPEND = "append xs ys = case xs of { [] -> ys; (x:xs') -> x : append xs' ys };\n"
+MAP = (
+    "map f xs = case xs of { [] -> []; (x:xs') -> f x : map f xs' };\n"
+    "inc x = x + 1;\ndbl x = x * 2;\n"
+)
+
+# Run in a fresh process at Python's default recursion limit, with three
+# program texts as arguments.  Each check prints its label, followed by the
+# error when it raises RecursionError.
+DEFAULT_LIMIT_SCRIPT = """
+import sys
+from deforest import App, CtorApp, Global, IntLit, eval_program, parse_program, supercompile
+
+def attempt(label, run):
+    try:
+        run()
+    except RecursionError:
+        label += " RecursionError"
+    print(label)
+
+def literal_list(n):
+    out = CtorApp("Nil", ())
+    for _ in range(n):
+        out = CtorApp("Cons", (IntLit(1), out))
+    return out
+
+append_chain, map_chain, double_append = map(parse_program, sys.argv[1:])
+attempt("append k=8", lambda: supercompile(append_chain))
+attempt("map k=12", lambda: supercompile(map_chain))
+call = App(App(App(Global("main"), literal_list(1000)), literal_list(1000)), literal_list(1000))
+attempt("eval 3 x 1000", lambda: eval_program(double_append, call, 10_000_000))
+"""
+
+
+def test_driving_and_eval_fit_the_default_recursion_limit():
+    # Tail rules drive in a loop and the closed-call check loops down a list
+    # literal's tail, so stack depth follows how deeply the input nests.
+    append = "x0"
+    for i in range(1, 9):
+        append = f"append ({append}) x{i}"
+    mapped = "xs"
+    for f in ["inc", "dbl"] * 6:
+        mapped = f"map {f} ({mapped})"
+    texts = [
+        APPEND + f"main {' '.join(f'x{i}' for i in range(9))} = {append};",
+        MAP + f"main xs = {mapped};",
+        (FIXTURES / "double_append.core").read_text(),
+    ]
+    out = subprocess.run(
+        [sys.executable, "-c", DEFAULT_LIMIT_SCRIPT, *texts],
+        capture_output=True,
+        text=True,
+        cwd=FIXTURES.parents[1],  # src/, so that the package imports uninstalled
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.splitlines() == ["append k=8", "map k=12", "eval 3 x 1000"]
 
 
 def test_letrec_in_source_is_driven():

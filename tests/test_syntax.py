@@ -31,6 +31,7 @@ from deforest.syntax import (
     children,
     fold_lambdas,
     free_vars_ordered,
+    rebuild,
     scopes,
     select_alt,
 )
@@ -426,3 +427,7 @@ _K = CtorApp("K", ())
 def test_scopes(term, expected):
     assert scopes(term) == expected
     assert tuple(c for c, _ in scopes(term)) == children(term)
+    # rebuild puts new children in place and keeps each scope's binders
+    assert rebuild(term, children(term)) == term
+    kids = tuple(IntLit(10 + i) for i in range(len(expected)))
+    assert scopes(rebuild(term, kids)) == tuple(zip(kids, (bs for _, bs in expected)))
