@@ -19,7 +19,6 @@ from .syntax import (
     DefaultPat,
     Expression,
     FreshSupply,
-    GenRequest,
     Global,
     IntLit,
     IntPat,
@@ -29,6 +28,7 @@ from .syntax import (
     Letrec,
     PrimOp,
     Program,
+    SyntaxError_,
     Var,
     all_identifiers,
     canonical,
@@ -43,7 +43,6 @@ from .syntax import (
     replace_global,
     select_alt,
     substitute,
-    subterms,
     unfold_apps,
     unfold_lambdas,
     validate_program,
@@ -55,6 +54,17 @@ Globals = dict[str, Expression]
 
 class DriverError(Exception):
     """Internal invariant violation; corresponds to CLI exit code 3."""
+
+
+class _Rollback(DriverError):
+    """Dapp2: unwind the drive to the activation memoized as `owner`, which
+    generalizes against `term`; escaping every activation is an internal error.
+    """
+
+    def __init__(self, owner: str, term: Expression):
+        super().__init__(f"generalization request for {owner} escaped its activation")
+        self.owner = owner
+        self.term = term
 
 
 class _NonHoleVars:
@@ -99,10 +109,6 @@ def plug_r(context: list[RFrame], e: Expression) -> Expression:
             case ("prim_r", op, lhs):
                 e = PrimOp(op, lhs, e)
     return e
-
-
-def _markers(e: Expression) -> list[GenRequest]:
-    return [t for t in subterms(e) if isinstance(t, GenRequest)]
 
 
 Measure = tuple[int, int, int]
@@ -158,8 +164,9 @@ class DriveSession:
         focus and context and go round the loop, so they add no Python frame;
         R3 hands over to `drive_app`.  Only the rules that build around their
         results recurse: R4-R6, an annoying R8, a kept R13 let, R14, R15, R18,
-        and Dapp4 and `_generalize` in `drive_app`.  Under assert_measure each
-        pass of the loop must decrease the measure of the one before.
+        and Dapp4 and `_generalize` in `drive_app`; Dapp2 unwinds by raising
+        `_Rollback`.  Under assert_measure each pass of the loop must decrease
+        the measure of the one before.
         """
         me = parent
         while True:
@@ -209,7 +216,9 @@ class DriveSession:
                         e, context = rhs, context + [("prim_r", op, lhs)]
                     else:
                         e, context = lhs, context + [("prim_l", op, rhs)]
-                case Let(x, IntLit(_) | Var(_, fresh=False) | Global(_) as v, body):  # R11, R12
+                case Let(x, IntLit(_) | Var(_) | Global(_) as v, body) if not (
+                    type(v) is Var and v.name in self.supply.hole_names
+                ):  # R11, R12; a generalization hole is not copied
                     self._emit("R11" if type(v) is IntLit else "R12", e, context, rho)
                     e, context = plug_r(context, substitute({x: v}, body)), []
                 case Let(x, bound, body):  # R13
@@ -327,6 +336,10 @@ class DriveSession:
         rho: Rho,
         me: Optional[Measure],
     ) -> Expression:
+        """Rules Dapp1-Dapp4 for a call of g in context.  Dapp2 raises
+        `_Rollback`, which abandons every activation up to the one it names;
+        that one generalizes instead of returning its result (Dapp4a).
+        """
         term = plug_r(context, Global(g))
         key = canonical(term)
 
@@ -344,7 +357,7 @@ class DriveSession:
         for entry in below:
             if embeds(term, entry.term):
                 self._emit("Dapp2", term, context, rho)
-                return GenRequest(entry.name, term)
+                raise _Rollback(entry.name, term)
         if below:
             self._emit("Dapp3", term, context, rho)
             return self._generalize(term, below[0].term, G, rho, me)
@@ -356,15 +369,13 @@ class DriveSession:
         h = self.supply.fun()
         entry = MemoEntry(h, term, key)
         self._emit("Dapp4", term, context, rho)
-        e = self.drive(plug_r(context, v), [], G, rho + (entry,), me)
-
-        marks = _markers(e)
-        mine = [m for m in marks if m.owner == h]
-        if mine:  # (4a) upwards generalization
+        try:
+            e = self.drive(plug_r(context, v), [], G, rho + (entry,), me)
+        except _Rollback as r:  # (4a) upwards generalization
+            if r.owner != h:
+                raise
             self._emit("Dapp4a", term, context, rho)
-            return self._generalize(term, mine[0].term, G, rho, me)
-        if marks:  # a pending request for an enclosing activation
-            return e
+            return self._generalize(term, r.term, G, rho, me)
         if h in fun_names(e):  # (4b)
             self._emit("Dapp4b", term, context, rho)
             lam_params = list(entry.params) or [self.supply.var("u")]
@@ -383,9 +394,13 @@ class DriveSession:
         me: Optional[Measure],
     ) -> Expression:
         common, parts, holes = split(term, against, self.supply)
-        driven_parts = [self.drive(p, [], G, rho, me) for p in parts]
-        driven_common = self.drive(common, [], G, rho, me)
-        return substitute(dict(zip(holes, driven_parts)), driven_common)
+        fill = dict(zip(holes, [self.drive(p, [], G, rho, me) for p in parts]))
+        try:
+            driven_common = self.drive(common, [], G, rho, me)
+        except _Rollback as r:  # a request from the common term may name holes
+            r.term = substitute(fill, r.term)
+            raise
+        return substitute(fill, driven_common)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +428,7 @@ def supercompile(
     """
     validate_program(program)
     if program.entry not in program.defs:
-        raise DriverError(f"no entry definition {program.entry!r}")
+        raise SyntaxError_(f"no entry definition {program.entry!r}")
     reserved: set[str] = set(program.defs)
     for body in program.defs.values():
         reserved |= all_identifiers(body)
@@ -427,8 +442,6 @@ def supercompile(
     )
     params, body = unfold_lambdas(program.defs[program.entry])
     residual = session.drive(body, [], dict(program.defs), ())
-    if _markers(residual):
-        raise DriverError("generalization request escaped its activation")
 
     lifted: list[tuple[str, Expression]] = []
     if lift:

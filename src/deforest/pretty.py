@@ -13,7 +13,6 @@ from .syntax import (
     CtorPat,
     DefaultPat,
     Expression,
-    GenRequest,
     Global,
     IntLit,
     IntPat,
@@ -91,8 +90,6 @@ def _show(e: Expression, ctx: int) -> str:
             branches = "; ".join(_show_alt(a) for a in alts)
             s = f"case {_show(scrut, _EXPR)} of {{ {branches} }}"
             return _wrap(s, ctx < _EXPR)
-        case GenRequest(owner, term):
-            return f"<generalize {owner}: {_show(term, _EXPR)}>"
         case _:
             raise ValueError(f"cannot print {e!r}")
 

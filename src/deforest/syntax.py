@@ -1,7 +1,9 @@
 """Core language AST and the syntactic operations everything else builds on.
 
 Expressions are immutable; all functions here return fresh terms and never
-mutate their arguments.
+mutate their arguments.  The nodes are those of the source language, which
+residual programs share; the driver keeps its bookkeeping out of them (the
+generalization holes are names in `FreshSupply.hole_names`).
 
 Two traversal kernels carry the syntax: `children`/`rebuild` give a node's
 immediate subterms and put new ones in their place, and `scopes` pairs each
@@ -18,7 +20,7 @@ so `x -> e` with x unused equals `_ -> e`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -37,9 +39,6 @@ class IntLit(Expression):
 @dataclass(frozen=True, slots=True)
 class Var(Expression):
     name: str
-    # True only for variables minted by the generalization machinery; such
-    # variables must not be copy-propagated by the driver (rule R12's guard).
-    fresh: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,16 +115,6 @@ class Letrec(Expression):
     fun: str
     rhs: Expression
     body: Expression
-
-
-@dataclass(frozen=True, slots=True)
-class GenRequest(Expression):
-    """Driver-internal: a residual position requesting generalization at the
-    activation that owns `owner`.  Never appears in parsed or final programs.
-    """
-
-    owner: str
-    term: Expression
 
 
 @dataclass(frozen=True)
@@ -233,7 +222,6 @@ _CHILDREN = {
     Case: lambda e: (e.scrutinee, *[a.body for a in e.alts]),
     Let: attrgetter("bound", "body"),
     Letrec: attrgetter("rhs", "body"),
-    GenRequest: lambda e: (e.term,),
 }
 
 _SCOPES = {
@@ -248,7 +236,6 @@ _SCOPES = {
     Let: lambda e: ((e.bound, ()), (e.body, (e.binder,))),
     # a letrec symbol is a function name, not a variable
     Letrec: lambda e: ((e.rhs, ()), (e.body, ())),
-    GenRequest: lambda e: ((e.term, ()),),
 }
 
 
@@ -277,7 +264,6 @@ _REBUILD = {
     Case: lambda e, k: Case(k[0], tuple([Alt(a.pattern, b) for a, b in zip(e.alts, k[1:])])),
     Let: lambda e, k: Let(e.binder, k[0], k[1]),
     Letrec: lambda e, k: Letrec(e.fun, k[0], k[1]),
-    GenRequest: lambda e, k: GenRequest(e.owner, k[0]),
 }
 
 
@@ -342,12 +328,12 @@ class FreshSupply:
         return self._mint(base)
 
     def fresh_var(self, base: str = "z") -> Var:
-        """A generalization hole; the driver's rule R12 refuses to propagate
-        these.
+        """A generalization hole, recorded in `hole_names`: the driver's rule
+        R12 does not copy it, and the termination measure weighs it 1.
         """
         name = self._mint(base)
         self.hole_names.add(name)
-        return Var(name, fresh=True)
+        return Var(name)
 
     def fun(self) -> str:
         return self._mint("h")
@@ -508,7 +494,6 @@ _TOKENS = {
     Case: lambda e: ("case", len(e.alts)),
     Let: lambda e: ("let",),
     Letrec: lambda e: ("letrec",),
-    GenRequest: lambda e: ("gen", e.owner),
 }
 
 
@@ -733,5 +718,3 @@ def _validate_expr(e: Expression, where: str) -> None:
                     raise SyntaxError_(
                         f"{where}: letrec {g} captures variables {sorted(extra)}"
                     )
-            case GenRequest(_, _):
-                raise SyntaxError_(f"{where}: internal node in source program")

@@ -27,7 +27,7 @@ from deforest import (
     supercompile,
 )
 from deforest.driver import program_alpha_eq
-from deforest.syntax import children, unfold_lambdas
+from deforest.syntax import FreshSupply, children, unfold_lambdas
 
 from conftest import (
     FIXTURE_NAMES,
@@ -282,10 +282,10 @@ def test_criterion_7_machinery_oracles():
     assert embeds(pe("e"), pe("Just e"))
     assert embeds(pe("Right e"), pe("Right (P e e')"))
     assert embeds(pe("fac y"), pe("fac (y - 1)"))
-    g = msg(pe("Right e"), pe("Right (P e e')"))
-    assert len(g.holes) == 1 and g.common == CtorApp(
-        "Right", (Var(g.holes[0], fresh=True),)
-    )
+    supply = FreshSupply({"e", "e'"})
+    g = msg(pe("Right e"), pe("Right (P e e')"), supply)
+    assert len(g.holes) == 1 and g.common == CtorApp("Right", (Var(g.holes[0]),))
+    assert supply.hole_names == set(g.holes)
     g = msg(pe("fac y"), pe("fac (y - 1)"))
     assert len(g.holes) == 1
     assert g.theta1[g.holes[0]] == Var("y")

@@ -56,6 +56,16 @@ def test_build_empty_file_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["build", "check"])
+def test_missing_entry_exits_2(tmp_path, capsys, command):
+    prog = tmp_path / "p.core"
+    prog.write_text("f x = x;")
+    (tmp_path / "p.manifest").write_text("entry: f 1\n")
+    code, _, err = run_cli(command, str(prog), capsys=capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "'main'" in err
+
+
 def test_build_trace_and_measure_flags(capsys):
     code, out, err = run_cli(
         "build", fixture("append_self"), "--trace", "--assert-measure", capsys=capsys

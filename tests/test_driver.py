@@ -23,8 +23,14 @@ from deforest import (
     pretty_program,
     supercompile,
 )
-from deforest.driver import DriverError, FreshSupply, program_alpha_eq
-from deforest.syntax import GenRequest, pattern_binders, subterms, unfold_lambdas
+from deforest.driver import DriveSession, FreshSupply, program_alpha_eq
+from deforest.syntax import (
+    SyntaxError_,
+    pattern_binders,
+    subterms,
+    unfold_lambdas,
+    validate_program,
+)
 
 from conftest import (
     FIXTURE_NAMES,
@@ -132,7 +138,17 @@ def test_fresh_supply_distinct_and_reserved():
     assert a not in ("v1", "h1") and b not in ("v1", "h1")
     assert supply.fun() != "h1"
     hole = supply.fresh_var()
-    assert hole.fresh
+    assert supply.hole_names == {hole.name}
+
+
+def test_generalization_hole_is_not_copied():
+    # R12 would make both uses of x a copy of the hole, and so duplicate the
+    # driven part that fills it
+    supply = FreshSupply({"x"})
+    hole = supply.fresh_var()
+    term = Let("x", Var(hole.name), PrimOp("+", Var("x"), Var("x")))
+    out = DriveSession({}, supply).drive(term, [], {}, ())
+    assert out == term
 
 
 def test_fresh_supply_deterministic():
@@ -153,10 +169,7 @@ def test_fixture_goldens(fixture_name):
 
 
 def test_no_markers_or_undefined_functions_in_residuals(fixture_name):
-    residual = supercompile(fixture_program(fixture_name))
-    for body in residual.defs.values():
-        for t in subterms(body):
-            assert not isinstance(t, GenRequest)
+    validate_program(supercompile(fixture_program(fixture_name)))
 
 
 def test_supercompile_leaves_no_cyclic_garbage():
@@ -344,8 +357,36 @@ def test_golden_comparison_unused_default_binder_is_a_wildcard():
 
 def test_missing_entry_rejected():
     p = parse_program("f x = x;")
-    with pytest.raises(DriverError):
+    with pytest.raises(SyntaxError_):
         supercompile(p)
+
+
+def test_upward_generalization_request_names_the_filled_holes():
+    # Dapp2 fires while driving the common term of a generalization, so its
+    # request names that term's holes; the activation it unwinds to must see
+    # them filled with the driven parts, or the residual function takes one
+    # more parameter and one more step per call
+    p = parse_program(
+        "f0 xs n = case xs of { [] -> 3 - n * (n + n) + (n + (1 - n));"
+        " (h : t) -> f0 t (h * (case t of { [] -> n; (h2 : t2) -> h })) };"
+        "main inp = case inp of {"
+        " [] -> f0 (case inp of { [] -> inp; (h2 : t2) -> [] })"
+        " (case inp of { [] -> 0; (h2 : t2) -> h2 });"
+        " (h2 : t2) -> f0 t2 h2 + (case inp of { [] -> 1; (h2 : t2) -> 0 }) };"
+    )
+    expected = parse_program(
+        "h5 t21 z3 h21 z4 = let n3 = z3 in case t21 of {"
+        " [] -> let t24 = z4 in 3 - n3 * (n3 + n3) + (n3 + (1 - n3)) + 0;"
+        " (h6 : t3) -> h5 t3 (case t3 of { [] -> h6 * n3; (h25 : t25) -> h6 * h6 })"
+        " h21 z4 };"
+        "main inp = case inp of {"
+        " [] -> let n1 = 0 in 3 - n1 * (n1 + n1) + (n1 + (1 - n1));"
+        " (h21 : t21) -> h5 t21 h21 h21 t21 };"
+    )
+    residual = supercompile(p)
+    assert program_alpha_eq(residual, expected), pretty_program(residual)
+    call = parse_expression("main [1, 2]", frozenset({"main"}))
+    assert eval_program(residual, call).steps == 27
 
 
 STRESS_PROGRAMS = [

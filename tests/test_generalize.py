@@ -17,7 +17,7 @@ from deforest import (
     split,
     substitute,
 )
-from deforest.syntax import children
+from deforest.syntax import FreshSupply, children
 
 from conftest import expressions
 
@@ -163,10 +163,12 @@ def test_msg_figure_row_just():
 
 
 def test_msg_figure_row_right_pair():
-    g = msg(pe("Right e"), pe("Right (P e e')"))
+    supply = FreshSupply({"e", "e'"})
+    g = msg(pe("Right e"), pe("Right (P e e')"), supply)
     assert len(g.holes) == 1
     h = g.holes[0]
-    assert g.common == CtorApp("Right", (Var(h, fresh=True),))
+    assert g.common == CtorApp("Right", (Var(h),))
+    assert supply.hole_names == {h}
     assert g.theta1[h] == Var("e")
     assert g.theta2[h] == CtorApp("P", (Var("e"), Var("e'")))
 
@@ -249,9 +251,10 @@ def test_split_different_roots_splits_the_spine():
 
 
 def test_split_holes_are_flagged_fresh():
-    common, parts, holes = split(pe("K a b"), pe("g c"))
-    for sub in [common.args[0], common.args[1]]:
-        assert isinstance(sub, Var) and sub.fresh
+    supply = FreshSupply({"a", "b", "c"})
+    common, parts, holes = split(pe("K a b"), pe("g c"), supply)
+    assert common.args == (Var(holes[0]), Var(holes[1]))
+    assert set(holes) == supply.hole_names
 
 
 def test_split_reassembly_on_spec_examples():

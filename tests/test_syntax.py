@@ -26,7 +26,6 @@ from deforest import (
     weight,
 )
 from deforest.syntax import (
-    GenRequest,
     SyntaxError_,
     children,
     fold_lambdas,
@@ -407,7 +406,6 @@ _K = CtorApp("K", ())
         ),
         (Let("x", V("a"), V("b")), ((V("a"), ()), (V("b"), ("x",)))),
         (Letrec("g", Lambda("y", _K), Global("g")), ((Lambda("y", _K), ()), (Global("g"), ()))),
-        (GenRequest("h", V("t")), ((V("t"), ()),)),
     ],
     ids=[
         "int",
@@ -421,7 +419,6 @@ _K = CtorApp("K", ())
         "case-wildcard",
         "let",
         "letrec-binds-no-variable",
-        "gen-request",
     ],
 )
 def test_scopes(term, expected):
