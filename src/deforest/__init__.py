@@ -1,22 +1,15 @@
 """A positive supercompiler for a strict, pure, higher-order core language,
 together with an instrumented reference interpreter.
+
+The package exports the abstract syntax, parsing and printing, the
+supercompiler and its golden comparison, and the evaluator; the analyses,
+the whistle and the traversals live in their submodules.
 """
 
-from .analysis import is_annoying, strict_vars
-from .driver import DriverError, MemoEntry, program_alpha_eq, supercompile
-from .generalize import Generalization, embeds, msg, split
+from .driver import DriverError, program_alpha_eq, supercompile
 from .parser import ParseError, parse_expression, parse_program
 from .pretty import pretty_expr, pretty_program
-from .semantics import (
-    EvalOutcome,
-    StuckError,
-    decompose,
-    eval_expr,
-    eval_program,
-    eval_via_step,
-    is_value,
-    step,
-)
+from .semantics import EvalOutcome, eval_program
 from .syntax import (
     Alt,
     App,
@@ -25,7 +18,6 @@ from .syntax import (
     CtorPat,
     DefaultPat,
     Expression,
-    FreshSupply,
     Global,
     IntLit,
     IntPat,
@@ -36,15 +28,6 @@ from .syntax import (
     PrimOp,
     Program,
     Var,
-    alpha_eq,
-    desugar_letrec,
-    free_vars,
-    fun_names,
-    is_linear,
-    match_renaming,
-    substitute,
-    validate_program,
-    weight,
 )
 
 __all__ = [
@@ -57,45 +40,22 @@ __all__ = [
     "DriverError",
     "EvalOutcome",
     "Expression",
-    "FreshSupply",
-    "Generalization",
     "Global",
     "IntLit",
     "IntPat",
     "Lambda",
     "Let",
     "Letrec",
-    "MemoEntry",
     "ParseError",
     "Pattern",
     "PrimOp",
     "Program",
-    "StuckError",
     "Var",
-    "alpha_eq",
-    "decompose",
-    "desugar_letrec",
-    "embeds",
-    "eval_expr",
     "eval_program",
-    "eval_via_step",
-    "free_vars",
-    "fun_names",
-    "is_annoying",
-    "is_linear",
-    "is_value",
-    "match_renaming",
-    "msg",
     "parse_expression",
     "parse_program",
     "pretty_expr",
     "pretty_program",
     "program_alpha_eq",
-    "split",
-    "step",
-    "strict_vars",
-    "substitute",
     "supercompile",
-    "validate_program",
-    "weight",
 ]

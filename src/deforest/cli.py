@@ -70,7 +70,6 @@ def cmd_build(args) -> int:
     )
     residual = supercompile(
         program,
-        lift=not args.no_lift,
         trace=trace,
         assert_measure=args.assert_measure,
         explain_strict=explain,
@@ -215,7 +214,6 @@ def make_arg_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="supercompile a program")
     b.add_argument("file")
     b.add_argument("-o", "--output")
-    b.add_argument("--no-lift", action="store_true")
     b.add_argument("--trace", action="store_true")
     b.add_argument("--assert-measure", action="store_true")
     b.add_argument("--explain-strict", action="store_true")

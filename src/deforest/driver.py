@@ -1,5 +1,8 @@
 """The driving algorithm: symbolic call-by-value evaluation with
-memoization, folding and generalization, followed by a letrec-lifting pass.
+memoization, folding and generalization.  A recursive activation, and a source
+letrec whose symbol the residual still calls, becomes a top-level definition
+in the session's table when it completes; `supercompile` assembles the
+residual program from the definitions that its entry reaches.
 """
 
 from __future__ import annotations
@@ -32,14 +35,12 @@ from .syntax import (
     Var,
     all_identifiers,
     canonical,
-    children,
     fold_apps,
     fold_lambdas,
     free_vars,
     fun_names,
     is_linear,
     match_keys,
-    rebuild,
     replace_global,
     select_alt,
     substitute,
@@ -115,9 +116,12 @@ Measure = tuple[int, int, int]
 
 
 class DriveSession:
+    """One drive of an entry definition.  `defs` is the table of residual
+    definitions written so far, in the order their activations completed.
+    """
+
     def __init__(
         self,
-        globals_: Globals,
         supply: FreshSupply,
         trace: Optional[Callable[[str], None]] = None,
         assert_measure: bool = False,
@@ -127,7 +131,7 @@ class DriveSession:
         self.trace = trace
         self.assert_measure = assert_measure
         self.explain_strict = explain_strict
-        self.base_globals = globals_
+        self.defs: Globals = {}
 
     # ------------------------------------------------------------------
 
@@ -240,14 +244,15 @@ class DriveSession:
                     return Let(x, bound, self.drive(plug_r(context, body), [], G, rho, me))
                 case Letrec(g, rhs, body):  # R14
                     self._emit("R14", e, context, rho)
-                    if g in G:
+                    # rename a symbol bound in G, or in the table to another rhs
+                    if g in G or self.defs.get(g, rhs) != rhs:
                         g2 = self.supply.fun()
                         rhs = replace_global(rhs, g, Global(g2))
                         body = replace_global(body, g, Global(g2))
                         g = g2
                     result = self.drive(plug_r(context, body), [], {**G, g: rhs}, rho, me)
-                    if g in fun_names(result):
-                        return Letrec(g, rhs, result)
+                    if g in reached(result, self.defs):  # validation closed the rhs
+                        self.defs[g] = rhs
                     return result
                 case Case(Var(_) as x, alts):  # R15
                     self._emit("R15", e, context, rho)
@@ -376,13 +381,11 @@ class DriveSession:
                 raise
             self._emit("Dapp4a", term, context, rho)
             return self._generalize(term, r.term, G, rho, me)
-        if h in fun_names(e):  # (4b)
+        if h in reached(e, self.defs):  # (4b)
             self._emit("Dapp4b", term, context, rho)
             lam_params = list(entry.params) or [self.supply.var("u")]
-            call_args = [Var(p) for p in entry.params] or [IntLit(0)]
-            return Letrec(
-                h, fold_lambdas(lam_params, e), fold_apps(Global(h), call_args)
-            )
+            self.defs[h] = fold_lambdas(lam_params, e)
+            return fold_apps(Global(h), [Var(p) for p in entry.params] or [IntLit(0)])
         return e  # (4c)
 
     def _generalize(
@@ -403,28 +406,29 @@ class DriveSession:
         return substitute(fill, driven_common)
 
 
-# ---------------------------------------------------------------------------
-# residual post-processing
-
-
-def lift_letrecs(e: Expression, lifted: list[tuple[str, Expression]]) -> Expression:
-    """Hoist closed letrec definitions, innermost first."""
-    e = rebuild(e, [lift_letrecs(c, lifted) for c in children(e)])
-    if isinstance(e, Letrec) and not free_vars(e.rhs):
-        lifted.append((e.fun, e.rhs))
-        return e.body
-    return e
+def reached(e: Expression, defs: Globals) -> set[str]:
+    """The function symbols that e calls, directly or through the
+    definitions in defs that it reaches.
+    """
+    out: set[str] = set()
+    stack = [e]
+    while stack:
+        for n in fun_names(stack.pop()) - out:
+            out.add(n)
+            if n in defs:
+                stack.append(defs[n])
+    return out
 
 
 def supercompile(
     program: Program,
-    lift: bool = True,
     trace: Optional[Callable[[str], None]] = None,
     assert_measure: bool = False,
     explain_strict: Optional[Callable[[str], None]] = None,
 ) -> Program:
-    """Drive the entry definition and rebuild a whole program, by default
-    hoisting residual letrec definitions to the top level.
+    """Drive the entry definition and assemble a whole program: the original
+    definitions, then the session's table, then the new entry, keeping those
+    that the entry reaches.
     """
     validate_program(program)
     if program.entry not in program.defs:
@@ -432,10 +436,8 @@ def supercompile(
     reserved: set[str] = set(program.defs)
     for body in program.defs.values():
         reserved |= all_identifiers(body)
-    supply = FreshSupply(reserved)
     session = DriveSession(
-        dict(program.defs),
-        supply,
+        FreshSupply(reserved),
         trace=trace,
         assert_measure=assert_measure,
         explain_strict=explain_strict,
@@ -443,41 +445,13 @@ def supercompile(
     params, body = unfold_lambdas(program.defs[program.entry])
     residual = session.drive(body, [], dict(program.defs), ())
 
-    lifted: list[tuple[str, Expression]] = []
-    if lift:
-        residual = lift_letrecs(residual, lifted)
-
-    entry_def = fold_lambdas(params, residual)
-    defs: dict[str, Expression] = {}
-    for name, rhs in lifted:
-        defs[name] = rhs
-
-    # keep any original definitions the residual still references
-    needed = fun_names(entry_def)
-    for _, rhs in lifted:
-        needed |= fun_names(rhs)
-    needed -= set(defs)
-    worklist = [n for n in needed if n != program.entry]
-    kept: dict[str, Expression] = {}
-    while worklist:
-        n = worklist.pop()
-        if n in kept or n in defs:
-            continue
-        if n not in program.defs:
-            raise DriverError(f"residual references unknown function {n}")
-        kept[n] = program.defs[n]
-        worklist.extend(
-            m for m in fun_names(kept[n]) if m not in kept and m not in defs
-        )
-
-    out: dict[str, Expression] = {}
-    for name in program.defs:  # original order for retained definitions
-        if name in kept:
-            out[name] = kept[name]
-    for name, rhs in lifted:
-        out[name] = rhs
-    out[program.entry] = entry_def
-    return Program(defs=out, entry=program.entry)
+    defs = {**program.defs, **session.defs}
+    del defs[program.entry]
+    defs[program.entry] = fold_lambdas(params, residual)
+    keep = reached(defs[program.entry], defs) | {program.entry}
+    if unknown := keep - set(defs):
+        raise DriverError(f"residual references unknown functions {sorted(unknown)}")
+    return Program({n: e for n, e in defs.items() if n in keep}, program.entry)
 
 
 # ---------------------------------------------------------------------------

@@ -616,7 +616,8 @@ def fix_definition() -> Expression:
 
 def desugar_letrec(fun: str, rhs: Expression, body: Expression) -> Expression:
     """(\\h.body) (\\y. fix (\\h.rhs) y); rhs must be a lambda closed except
-    for recursive references to fun.
+    for recursive references to fun.  h is primed until it differs from every
+    name in rhs and body, which may hold the encodings of other letrecs.
     """
     if not isinstance(rhs, Lambda):
         raise SyntaxError_(f"letrec {fun}: right-hand side must be a lambda")
@@ -625,14 +626,15 @@ def desugar_letrec(fun: str, rhs: Expression, body: Expression) -> Expression:
         raise SyntaxError_(
             f"letrec {fun}: right-hand side has free variables {sorted(extra)}"
         )
+    taken = all_identifiers(rhs) | all_identifiers(body)
+    h = "_h"
+    while h in taken:
+        h += "'"
     recursive = Lambda(
         "y",
-        App(
-            App(Global(FIX_NAME), Lambda("_h", replace_global(rhs, fun, Var("_h")))),
-            Var("y"),
-        ),
+        App(App(Global(FIX_NAME), Lambda(h, replace_global(rhs, fun, Var(h)))), Var("y")),
     )
-    return App(Lambda("_h", replace_global(body, fun, Var("_h"))), recursive)
+    return App(Lambda(h, replace_global(body, fun, Var(h))), recursive)
 
 
 # ---------------------------------------------------------------------------

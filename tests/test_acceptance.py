@@ -15,19 +15,15 @@ from deforest import (
     IntLit,
     PrimOp,
     Var,
-    alpha_eq,
-    embeds,
-    eval_expr,
     eval_program,
-    msg,
     parse_expression,
-    split,
-    strict_vars,
-    substitute,
+    program_alpha_eq,
     supercompile,
 )
-from deforest.driver import program_alpha_eq
-from deforest.syntax import FreshSupply, children, unfold_lambdas
+from deforest.analysis import strict_vars
+from deforest.generalize import embeds, msg, split
+from deforest.semantics import eval_expr
+from deforest.syntax import FreshSupply, alpha_eq, children, substitute, unfold_lambdas
 
 from conftest import (
     FIXTURE_NAMES,

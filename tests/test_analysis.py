@@ -1,18 +1,9 @@
 from hypothesis import given, settings
 
-from deforest import (
-    App,
-    Global,
-    Var,
-    eval_expr,
-    free_vars,
-    is_annoying,
-    parse_expression,
-    strict_vars,
-    substitute,
-)
-from deforest.semantics import _decompose_ex
-from deforest.syntax import unfold_lambdas
+from deforest import App, Global, Var, parse_expression
+from deforest.analysis import is_annoying, strict_vars
+from deforest.semantics import _decompose_ex, eval_expr
+from deforest.syntax import free_vars, substitute, unfold_lambdas
 
 from conftest import FIXTURE_NAMES, expressions, fixture_program
 

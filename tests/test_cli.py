@@ -1,3 +1,4 @@
+import argparse
 import io
 import subprocess
 import sys
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deforest.cli import main
+from deforest.cli import main, make_arg_parser
 
 from conftest import FIXTURE_NAMES, FIXTURES
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args, capsys=None):
@@ -288,6 +291,25 @@ def test_every_fixture_checks_within_ten_seconds(capsys):
         took = time.perf_counter() - t0
         assert code == 0, (name, out)
         assert took < 10.0, (name, took)
+
+
+def test_readme_synopsis_matches_the_parser():
+    # each `deforest <cmd> ...` line of the README's synopsis names exactly
+    # the options that the command's parser defines, by short or long flag
+    synopsis = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        words = line.split("#")[0].split()
+        if len(words) > 1 and words[0] == "deforest":
+            flags = [w.strip("[]") for w in words[2:]]
+            synopsis[words[1]] = [w for w in flags if w.startswith("-")]
+    commands = next(
+        a for a in make_arg_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    assert set(synopsis) == set(commands)
+    for name, parser in commands.items():
+        dest = {s: a.dest for a in parser._actions if a.dest != "help" for s in a.option_strings}
+        assert set(synopsis[name]) <= set(dest), name
+        assert {dest[flag] for flag in synopsis[name]} == set(dest.values()), name
 
 
 def test_console_script_entry_point():

@@ -15,17 +15,20 @@ from deforest import (
     Letrec,
     PrimOp,
     Var,
-    alpha_eq,
     eval_program,
-    free_vars,
     parse_expression,
     parse_program,
     pretty_program,
+    program_alpha_eq,
     supercompile,
 )
-from deforest.driver import DriveSession, FreshSupply, program_alpha_eq
+from deforest.driver import DriveSession
 from deforest.syntax import (
+    FreshSupply,
     SyntaxError_,
+    alpha_eq,
+    free_vars,
+    fun_names,
     pattern_binders,
     subterms,
     unfold_lambdas,
@@ -147,7 +150,7 @@ def test_generalization_hole_is_not_copied():
     supply = FreshSupply({"x"})
     hole = supply.fresh_var()
     term = Let("x", Var(hole.name), PrimOp("+", Var("x"), Var("x")))
-    out = DriveSession({}, supply).drive(term, [], {}, ())
+    out = DriveSession(supply).drive(term, [], {}, ())
     assert out == term
 
 
@@ -333,11 +336,65 @@ def test_letrec_in_source_is_driven():
     assert eval_program(p, call).value == IntLit(6)
 
 
-def test_no_lift_keeps_letrec_in_place():
-    residual = supercompile(fixture_program("append_self"), lift=False)
-    assert list(residual.defs) == ["main"]
-    _, body = unfold_lambdas(residual.defs["main"])
-    assert isinstance(body, Letrec)
+def test_residual_definitions_are_letrec_free_reachable_and_closed():
+    # a recursive activation becomes a top-level definition when it
+    # completes, and the program keeps only what its entry reaches
+    append = "append (" * 6 + "x0" + "".join(f") x{i}" for i in range(1, 7))
+    programs = [fixture_program(name) for name in FIXTURE_NAMES]
+    programs += generate_programs(200)
+    programs.append(parse_program(APPEND + f"main x0 x1 x2 x3 x4 x5 x6 = {append};"))
+    for program in programs:
+        externals = set().union(*map(free_vars, program.defs.values()))
+        residual = supercompile(program)
+        reached, worklist = {residual.entry}, [residual.entry]
+        while worklist:
+            for name in fun_names(residual.defs[worklist.pop()]) - reached:
+                reached.add(name)
+                worklist.append(name)
+        assert reached == set(residual.defs)
+        for body in residual.defs.values():
+            assert not any(isinstance(t, Letrec) for t in subterms(body))
+            assert free_vars(body) <= externals
+
+
+def test_sibling_source_letrecs_keep_their_own_definitions():
+    # each branch binds its own go, which the residual still calls under a
+    # stuck case; the second one to complete is renamed, not overwritten,
+    # unless it binds the same right-hand side
+    def source(rhs0, rhs1):
+        return parse_program(
+            "main x = case x of {"
+            f" 0 -> letrec go = \\n -> {rhs0} in case (\\y -> go y) of {{ _ -> 1 }};"
+            f" _ -> letrec go = \\n -> {rhs1} in case (\\y -> go y) of {{ _ -> 2 }} }};"
+        )
+
+    def calling(f0, f1):
+        return (
+            "main x = case x of {"
+            f" 0 -> case (\\y -> {f0} y) of {{ _ -> 1 }};"
+            f" _ -> case (\\y -> {f1} y) of {{ _ -> 2 }} }};"
+        )
+
+    two = parse_program("inc n = n + 1;\ndbl n = n * 2;\n" + calling("inc", "dbl"))
+    assert program_alpha_eq(supercompile(source("n + 1", "n * 2")), two)
+    one = parse_program("inc n = n + 1;\n" + calling("inc", "inc"))
+    assert program_alpha_eq(supercompile(source("n + 1", "n + 1")), one)
+
+
+def test_activation_called_back_only_from_a_nested_definition_stays_a_function():
+    # h1 (for f xs) calls h2 (for g t), and only h2's definition calls h1;
+    # Dapp4b must see that call through the table, or h1 is inlined and lost
+    p = parse_program(
+        "f xs = case xs of { [] -> 0; (a:t) -> g t };\n"
+        "g ys = case ys of { [] -> 1; (b:u) -> g u + f u };\n"
+        "main xs = f xs;"
+    )
+    expected = parse_program(
+        "h2 t = case t of { [] -> 1; (b:u) -> h2 u + h1 u };\n"
+        "h1 xs = case xs of { [] -> 0; (a:t) -> h2 t };\n"
+        "main xs = h1 xs;"
+    )
+    assert program_alpha_eq(supercompile(p), expected)
 
 
 def test_golden_comparison_respects_shadowing():

@@ -10,14 +10,10 @@ from deforest import (
     IntLit,
     PrimOp,
     Var,
-    alpha_eq,
-    embeds,
-    msg,
     parse_expression,
-    split,
-    substitute,
 )
-from deforest.syntax import FreshSupply, children
+from deforest.generalize import embeds, msg, split
+from deforest.syntax import FreshSupply, alpha_eq, children, substitute
 
 from conftest import expressions
 

@@ -7,14 +7,14 @@ from deforest import (
     IntLit,
     ParseError,
     Var,
-    alpha_eq,
     parse_expression,
     parse_program,
     pretty_expr,
     pretty_program,
+    program_alpha_eq,
     supercompile,
 )
-from deforest.driver import program_alpha_eq
+from deforest.syntax import alpha_eq
 
 from conftest import generate_programs
 

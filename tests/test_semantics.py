@@ -10,24 +10,24 @@ from deforest import (
     IntLit,
     Lambda,
     Let,
+    Letrec,
     PrimOp,
-    StuckError,
+    Program,
     Var,
-    alpha_eq,
-    decompose,
-    desugar_letrec,
-    eval_expr,
     eval_program,
-    eval_via_step,
-    free_vars,
-    is_value,
     parse_expression,
     parse_program,
-    step,
-    substitute,
     supercompile,
 )
-from deforest.syntax import Letrec
+from deforest.semantics import (
+    StuckError,
+    decompose,
+    eval_expr,
+    eval_via_step,
+    is_value,
+    step,
+)
+from deforest.syntax import alpha_eq, desugar_letrec, free_vars, substitute
 
 from conftest import (
     entry_calls_for,
@@ -171,14 +171,43 @@ def _externals_as_identity(program):
     }
 
 
+# Source-letrec forms of fixtures: each top-level function the entry uses is
+# bound by a letrec inside it instead.  The loop form diverges.
+LETREC_FORMS = {
+    "append_self": (
+        "main xs = letrec append = \\xs ys -> case xs of"
+        " { [] -> ys; (x:xs') -> x : append xs' ys } in append xs xs;"
+    ),
+    "rev_accum": (
+        "main xs = letrec rev = \\xs acc -> case xs of"
+        " { [] -> acc; (x:xs') -> rev xs' (x : acc) } in rev xs [];"
+    ),
+    "double_append": (
+        "main xs ys zs = letrec append = \\xs ys -> case xs of"
+        " { [] -> ys; (x:xs') -> x : append xs' ys } in append (append xs ys) zs;"
+    ),
+    "vecdot": (
+        "main xs ys = letrec mul = \\a b -> a * b in"
+        " letrec zipWith = \\f xs ys -> case xs of { (x:xs') -> case ys of"
+        " { (y:ys') -> f x y : zipWith f xs' ys'; _ -> [] }; _ -> [] } in"
+        " letrec sum = \\xs -> case xs of { [] -> 0; (x:xs') -> x + sum xs' } in"
+        " sum (zipWith mul xs ys);"
+    ),
+    "loop": "main = (\\x -> 42) (letrec d = \\u -> d u in d 0);",
+}
+
+
 def test_eval_agrees_with_step_iteration_on_fixtures(fixture_name):
-    # letrec (the residual is not lifted), higher-order functions and, from
-    # each definition on its own, lambda results; externals are bound lazily
-    # by eval_program and substituted up front for the oracle
+    # letrec (a fixture's source-letrec form), higher-order functions and,
+    # from each definition on its own, lambda results; externals are bound
+    # lazily by eval_program and substituted up front for the oracle
     original = fixture_program(fixture_name)
     manifest = fixture_manifest(fixture_name)
     fuel = manifest["fuel"] or 100_000
-    for program in (original, supercompile(original, lift=False)):
+    programs = [original, supercompile(original)]
+    if fixture_name in LETREC_FORMS:
+        programs.append(parse_program(LETREC_FORMS[fixture_name]))
+    for program in programs:
         defs = _externals_as_identity(program)
         calls = [parse_expression(e, frozenset(program.defs)) for e in manifest["entries"]]
         for call in calls + [Global(name) for name in program.defs]:
@@ -219,19 +248,16 @@ def _expand_letrecs(e):
 
 
 def test_letrec_costs_its_encoding():
-    # residuals driven without lifting contain letrec nodes; evaluating them
-    # must cost the same number of calls as their fix encoding
-    from deforest import Program
-
+    # evaluating a letrec must cost the same number of calls as its fix
+    # encoding
     for name in ("append_self", "rev_accum", "double_append", "vecdot"):
-        program = fixture_program(name)
-        residual = supercompile(program, lift=False)
+        program = parse_program(LETREC_FORMS[name])
         entry = fixture_manifest(name)["entries"][0]
-        call = parse_expression(entry, frozenset(residual.defs))
-        direct = eval_program(residual, call, 100_000)
+        call = parse_expression(entry, frozenset(program.defs))
+        direct = eval_program(program, call, 100_000)
         encoded = Program(
-            defs={n: _expand_letrecs(b) for n, b in residual.defs.items()},
-            entry=residual.entry,
+            defs={n: _expand_letrecs(b) for n, b in program.defs.items()},
+            entry=program.entry,
         )
         via_encoding = eval_program(encoded, call, 100_000)
         assert direct.kind == via_encoding.kind == "value"

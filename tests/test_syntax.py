@@ -16,23 +16,23 @@ from deforest import (
     Letrec,
     PrimOp,
     Var,
-    alpha_eq,
-    desugar_letrec,
-    free_vars,
-    fun_names,
-    is_linear,
-    match_renaming,
-    substitute,
-    weight,
 )
 from deforest.syntax import (
     SyntaxError_,
+    alpha_eq,
     children,
+    desugar_letrec,
     fold_lambdas,
+    free_vars,
     free_vars_ordered,
+    fun_names,
+    is_linear,
+    match_renaming,
     rebuild,
     scopes,
     select_alt,
+    substitute,
+    weight,
 )
 
 from conftest import VAR_NAMES, expressions, scoped_expressions
