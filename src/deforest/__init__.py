@@ -23,7 +23,6 @@ from .syntax import (
     IntPat,
     Lambda,
     Let,
-    Letrec,
     Pattern,
     PrimOp,
     Program,
@@ -45,7 +44,6 @@ __all__ = [
     "IntPat",
     "Lambda",
     "Let",
-    "Letrec",
     "ParseError",
     "Pattern",
     "PrimOp",

@@ -1,8 +1,8 @@
 """The driving algorithm: symbolic call-by-value evaluation with
-memoization, folding and generalization.  A recursive activation, and a source
-letrec whose symbol the residual still calls, becomes a top-level definition
-in the session's table when it completes; `supercompile` assembles the
-residual program from the definitions that its entry reaches.
+memoization, folding and generalization.  A recursive activation becomes a
+top-level definition in the session's table when it completes; `supercompile`
+assembles the residual program from the definitions that its entry reaches.
+A source letrec needs no rule: the parser has made it a top-level definition.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .syntax import (
     Key,
     Lambda,
     Let,
-    Letrec,
     PrimOp,
     Program,
     SyntaxError_,
@@ -41,7 +40,6 @@ from .syntax import (
     fun_names,
     is_linear,
     match_keys,
-    replace_global,
     select_alt,
     substitute,
     unfold_apps,
@@ -167,10 +165,11 @@ class DriveSession:
         R13, R16, R17, R19 and the frame pushes of R8 and R10) rewrite the
         focus and context and go round the loop, so they add no Python frame;
         R3 hands over to `drive_app`.  Only the rules that build around their
-        results recurse: R4-R6, an annoying R8, a kept R13 let, R14, R15, R18,
-        and Dapp4 and `_generalize` in `drive_app`; Dapp2 unwinds by raising
-        `_Rollback`.  Under assert_measure each pass of the loop must decrease
-        the measure of the one before.
+        results recurse: R4-R6, an annoying R8, a kept R13 let, R15, R18, and
+        Dapp4 and `_generalize` in `drive_app`; Dapp2 unwinds by raising
+        `_Rollback`.  The paper's letrec rule is the parser's: a source letrec
+        arrives as a top-level definition in G.  Under assert_measure each
+        pass of the loop must decrease the measure of the one before.
         """
         me = parent
         while True:
@@ -242,18 +241,6 @@ class DriveSession:
                         x = x2
                     bound = self.drive(bound, [], G, rho, me)
                     return Let(x, bound, self.drive(plug_r(context, body), [], G, rho, me))
-                case Letrec(g, rhs, body):  # R14
-                    self._emit("R14", e, context, rho)
-                    # rename a symbol bound in G, or in the table to another rhs
-                    if g in G or self.defs.get(g, rhs) != rhs:
-                        g2 = self.supply.fun()
-                        rhs = replace_global(rhs, g, Global(g2))
-                        body = replace_global(body, g, Global(g2))
-                        g = g2
-                    result = self.drive(plug_r(context, body), [], {**G, g: rhs}, rho, me)
-                    if g in reached(result, self.defs):  # validation closed the rhs
-                        self.defs[g] = rhs
-                    return result
                 case Case(Var(_) as x, alts):  # R15
                     self._emit("R15", e, context, rho)
                     new_alts = []

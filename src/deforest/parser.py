@@ -16,6 +16,15 @@
 Constructors are capitalized identifiers; "[]"/"(x:xs)"/"[a,b]" are sugar for
 Nil and Cons.  A lowercase identifier pattern (or "_") is a default
 alternative matching anything and binding the scrutinee.
+
+A letrec is a local name for a top-level definition, as in the paper, and
+the parser makes it one: `letrec g = rhs in body` adds the definition
+`g = rhs`, after the program's own, and stands for body, with g a function
+symbol in rhs and body.  rhs must be a lambda closed except for g.  The
+definition is named g, primed (g', g'', ...) past every top-level name and
+earlier letrec definition, unless an earlier letrec g has an equal rhs, whose
+definition it then shares.  An expression on its own (an entry call) may not
+contain a letrec.
 """
 
 from __future__ import annotations
@@ -33,8 +42,8 @@ from .syntax import (
     Global,
     IntLit,
     IntPat,
+    Lambda,
     Let,
-    Letrec,
     NIL,
     Pattern,
     PrimOp,
@@ -42,6 +51,7 @@ from .syntax import (
     Var,
     fold_apps,
     fold_lambdas,
+    free_vars,
 )
 
 KEYWORDS = {"let", "letrec", "in", "case", "of"}
@@ -116,10 +126,13 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], globals_: frozenset[str]):
+    def __init__(self, tokens: list[Token], globals_: dict[str, str], in_program: bool):
         self.tokens = tokens
         self.pos = 0
-        self.globals = globals_
+        self.globals = globals_  # identifier -> the function symbol it names
+        self.names = frozenset(globals_)  # the top-level definitions
+        # letrec definitions, name -> (letrec symbol, rhs); None outside a program
+        self.hoisted: dict[str, tuple] | None = {} if in_program else None
 
     def peek(self, offset: int = 0) -> Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -163,13 +176,10 @@ class _Parser:
             body = self.expr(scope | {name})
             return Let(name, bound, body)
         if t.text == "letrec":
+            if self.hoisted is None:
+                raise self.fail("letrec is allowed only inside a program's definitions")
             self.next()
-            name = self.ident()
-            self.expect("=")
-            rhs = self.expr_with_global(scope, name)
-            self.expect("in")
-            body = self.expr_with_global(scope, name)
-            return Letrec(name, rhs, body)
+            return self.letrec(scope)
         if t.text == "case":
             self.next()
             scrut = self.expr(scope)
@@ -190,9 +200,40 @@ class _Parser:
             return CtorApp(CONS, (e, tail))
         return e
 
-    def expr_with_global(self, scope: frozenset[str], g: str) -> Expression:
+    def letrec(self, scope: frozenset[str]) -> Expression:
+        """`g = rhs in body` after the keyword: rhs becomes a top-level
+        definition (see the module docstring) and body is returned.  A
+        definition is shared when rhs, parsed again with g naming it, is
+        equal to it.
+        """
+        g = self.ident()
+        self.expect("=")
+        t, start, before = self.peek(), self.pos, self.hoisted
+        for name, (symbol, rhs) in before.items():
+            if symbol == g and rhs is not None:
+                self.pos, self.hoisted = start, dict(before)
+                if self.expr_with_global(scope, g, name) == rhs:
+                    break
+        else:
+            self.pos, self.hoisted = start, dict(before)
+            name = g
+            while name in self.names or name in self.hoisted:
+                name += "'"
+            self.hoisted[name] = (g, None)  # taken while rhs is parsed
+            rhs = self.expr_with_global(scope, g, name)
+            if not isinstance(rhs, Lambda):
+                raise ParseError(f"letrec {g} must bind a lambda", t.line, t.col)
+            if captured := free_vars(rhs):
+                raise ParseError(
+                    f"letrec {g} captures variables {sorted(captured)}", t.line, t.col
+                )
+            self.hoisted[name] = (g, rhs)
+        self.expect("in")
+        return self.expr_with_global(scope, g, name)
+
+    def expr_with_global(self, scope: frozenset[str], g: str, name: str) -> Expression:
         saved = self.globals
-        self.globals = saved | {g}
+        self.globals = {**saved, g: name}
         try:
             return self.expr(scope - {g})
         finally:
@@ -269,7 +310,7 @@ class _Parser:
         if t.kind == "ident":
             if t.text in scope or t.text not in self.globals:
                 return Var(t.text)
-            return Global(t.text)
+            return Global(self.globals[t.text])
         if t.kind == "ctor":
             return CtorApp(t.text, ())
         if t.text == "(":
@@ -334,7 +375,7 @@ def parse_program(text: str, entry: str = "main") -> Program:
             raise ParseError(f"duplicate definition of {name!r}", tok.line, tok.col)
         seen.add(name)
 
-    p = _Parser(tokens, frozenset(seen))
+    p = _Parser(tokens, {name: name for name in seen}, in_program=True)
     defs: dict[str, Expression] = {}
     while p.peek().kind != "eof":
         name = p.ident()
@@ -347,12 +388,13 @@ def parse_program(text: str, entry: str = "main") -> Program:
         defs[name] = fold_lambdas(params, body)
     if not defs:
         raise ParseError("empty program", 1, 1)
+    defs.update((name, rhs) for name, (_, rhs) in p.hoisted.items())
     return Program(defs=defs, entry=entry)
 
 
 def parse_expression(text: str, globals_: frozenset[str] = frozenset()) -> Expression:
     tokens = tokenize(text)
-    p = _Parser(tokens, globals_)
+    p = _Parser(tokens, {name: name for name in globals_}, in_program=False)
     e = p.expr(frozenset())
     t = p.peek()
     if t.kind != "eof":

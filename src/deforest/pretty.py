@@ -18,7 +18,6 @@ from .syntax import (
     IntPat,
     Lambda,
     Let,
-    Letrec,
     NIL,
     PrimOp,
     Program,
@@ -82,9 +81,6 @@ def _show(e: Expression, ctx: int) -> str:
             return _wrap(s, ctx < _EXPR)
         case Let(x, bound, body):
             s = f"let {x} = {_show(bound, _EXPR)} in {_show(body, _EXPR)}"
-            return _wrap(s, ctx < _EXPR)
-        case Letrec(g, rhs, body):
-            s = f"letrec {g} = {_show(rhs, _EXPR)} in {_show(body, _EXPR)}"
             return _wrap(s, ctx < _EXPR)
         case Case(scrut, alts):
             branches = "; ".join(_show_alt(a) for a in alts)

@@ -34,17 +34,13 @@ from .syntax import (
     CtorPat,
     DefaultPat,
     Expression,
-    FIX_NAME,
     Global,
     IntLit,
     Lambda,
     Let,
-    Letrec,
     PrimOp,
     Program,
     Var,
-    desugar_letrec,
-    fix_definition,
     free_vars,
     select_alt,
     substitute,
@@ -119,23 +115,11 @@ def _alt_bindings(alt: Alt, v) -> dict:
     return {}
 
 
-_FIX = fix_definition()
-
-
 def _lookup_global(name: str, G: Globals) -> Expression:
     v = G.get(name)
     if v is None:
-        if name == FIX_NAME:
-            return _FIX
         raise StuckError(f"undefined function {name}")
     return v
-
-
-def _encode_letrec(e: Letrec) -> Expression:
-    try:
-        return desugar_letrec(e.fun, e.rhs, e.body)
-    except Exception as exc:
-        raise StuckError(f"malformed letrec: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +145,7 @@ def _decompose_ex(e: Expression):
         match focus:
             case Var(x):
                 return ("stuck", frames, f"free variable {x}")
-            case Global(_) | Letrec(_, _, _):
+            case Global(_):
                 return ("redex", frames, focus)
             case App(f, a):
                 if not is_value(f):
@@ -269,8 +253,6 @@ def _reduce(redex: Expression, G: Globals) -> Expression:
             return substitute(_alt_bindings(alt, v), alt.body)
         case PrimOp(op, IntLit(a), IntLit(b)):
             return IntLit(apply_prim(op, a, b))
-        case Letrec(_, _, _):
-            return _encode_letrec(redex)
         case _:
             raise StuckError("no reduction rule applies")
 
@@ -494,18 +476,6 @@ def _run(e: Expression, G: Globals, fuel: int, externals: bool) -> EvalOutcome:
         elif t is PrimOp:
             frames.append((_PRIM_L, focus.op, focus.rhs, env))
             focus = focus.lhs
-            continue
-        elif t is Letrec:
-            if steps >= fuel:
-                return out("out_of_fuel")
-            # close it over env, then run its fix encoding on its own
-            closed = _read_back(Closure(focus, env), externals)
-            try:
-                focus = _encode_letrec(closed)
-            except StuckError as s:
-                return out("stuck", reason=s.reason)
-            env = _EMPTY
-            steps += 1
             continue
         else:
             return out("stuck", reason=f"cannot evaluate {t.__name__}")

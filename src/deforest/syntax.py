@@ -9,13 +9,14 @@ Two traversal kernels carry the syntax: `children`/`rebuild` give a node's
 immediate subterms and put new ones in their place, and `scopes` pairs each
 subterm with the variables the node binds over it (`rebind` renames them).
 Free variables, substitution, linearity, the canonical key, strictness and
-generalization are written once over these kernels; only the letrec symbol,
-which binds a function name rather than a variable, is handled apart.
+generalization are written once over these kernels.  No node binds a function
+name: a source `letrec` is a top-level definition by the time the parser
+returns it.
 
 "Modulo renaming" (`canonical`, and so `alpha_eq`, `match_renaming` and the
-golden comparison) allows a consistent renaming of bound variables, pattern
-binders and letrec symbols.  Every default alternative is one binder slot,
-so `x -> e` with x unused equals `_ -> e`.
+golden comparison) allows a consistent renaming of bound variables and
+pattern binders.  Every default alternative is one binder slot, so `x -> e`
+with x unused equals `_ -> e`.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
-
-FIX_NAME = "fix"
-
 
 class Expression:
     __slots__ = ()
@@ -107,13 +105,6 @@ class Case(Expression):
 class Let(Expression):
     binder: str
     bound: Expression
-    body: Expression
-
-
-@dataclass(frozen=True, slots=True)
-class Letrec(Expression):
-    fun: str
-    rhs: Expression
     body: Expression
 
 
@@ -221,7 +212,6 @@ _CHILDREN = {
     PrimOp: attrgetter("lhs", "rhs"),
     Case: lambda e: (e.scrutinee, *[a.body for a in e.alts]),
     Let: attrgetter("bound", "body"),
-    Letrec: attrgetter("rhs", "body"),
 }
 
 _SCOPES = {
@@ -234,8 +224,6 @@ _SCOPES = {
         *[(a.body, pattern_binders(a.pattern)) for a in e.alts],
     ),
     Let: lambda e: ((e.bound, ()), (e.body, (e.binder,))),
-    # a letrec symbol is a function name, not a variable
-    Letrec: lambda e: ((e.rhs, ()), (e.body, ())),
 }
 
 
@@ -263,7 +251,6 @@ _REBUILD = {
     PrimOp: lambda e, k: PrimOp(e.op, k[0], k[1]),
     Case: lambda e, k: Case(k[0], tuple([Alt(a.pattern, b) for a, b in zip(e.alts, k[1:])])),
     Let: lambda e, k: Let(e.binder, k[0], k[1]),
-    Letrec: lambda e, k: Letrec(e.fun, k[0], k[1]),
 }
 
 
@@ -286,18 +273,6 @@ def rebind(e: Expression, i: int, binders: Sequence[str]) -> Expression:
             p = CtorPat(p.ctor, tuple(binders)) if type(p) is CtorPat else DefaultPat(binders[0])
             alt = Alt(p, alts[i - 1].body)
             return Case(scrut, alts[: i - 1] + (alt,) + alts[i:])
-
-
-def replace_global(e: Expression, name: str, new: Expression) -> Expression:
-    """Replace the free occurrences of Global(name) by new; a letrec that
-    binds name shadows it.
-    """
-    match e:
-        case Global(g) if g == name:
-            return new
-        case Letrec(g, _, _) if g == name:
-            return e
-    return rebuild(e, [replace_global(c, name, new) for c in children(e)])
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +363,16 @@ def _free_vars_into(e: Expression, bound: frozenset[str], out: dict[str, None]) 
 
 def fun_names(e: Expression) -> set[str]:
     out: set[str] = set()
-    _fun_names_into(e, frozenset(), out)
+    _fun_names_into(e, out)
     return out
 
 
-def _fun_names_into(e: Expression, hidden: frozenset[str], out: set[str]) -> None:
-    t = type(e)
-    if t is Global:
-        if e.name not in hidden:
-            out.add(e.name)
+def _fun_names_into(e: Expression, out: set[str]) -> None:
+    if type(e) is Global:
+        out.add(e.name)
         return
-    if t is Letrec:
-        hidden = hidden | {e.fun}
     for c in children(e):
-        _fun_names_into(c, hidden, out)
+        _fun_names_into(c, out)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +437,7 @@ def _avoid_capture(c: Expression, bs: tuple[str, ...], m: dict, fvs: dict) -> tu
 class Key(NamedTuple):
     shape: tuple  # preorder tokens; see `canonical`
     free: tuple[str, ...]  # free-variable occurrences, left to right
-    globals: tuple[str, ...]  # free function-symbol occurrences, left to right
+    globals: tuple[str, ...]  # function-symbol occurrences, left to right
 
 
 def canonical(e: Expression) -> Key:
@@ -474,14 +445,13 @@ def canonical(e: Expression) -> Key:
 
     The shape is a preorder token sequence in which every tag fixes how many
     payload tokens and subterms follow it, so equal shapes mean equal trees.
-    Each binder (lambda, let, pattern binder, default alternative, letrec
-    symbol) takes the next de Bruijn level from a depth counter, and a bound
-    occurrence becomes its binder's level.  Free variables and free function
-    symbols become the markers "fv" and "fg" and are listed, in order, in
-    `free` and `globals`.
+    Each binder (lambda, let, pattern binder, default alternative) takes the
+    next de Bruijn level from a depth counter, and a bound occurrence becomes
+    its binder's level.  Free variables and function symbols become the
+    markers "fv" and "fg" and are listed, in order, in `free` and `globals`.
     """
     out: tuple[list, list[str], list[str]] = ([], [], [])
-    _canonical_into(e, {}, {}, 0, out)
+    _canonical_into(e, {}, 0, out)
     return Key(*map(tuple, out))
 
 
@@ -493,7 +463,6 @@ _TOKENS = {
     PrimOp: lambda e: ("p", e.op),
     Case: lambda e: ("case", len(e.alts)),
     Let: lambda e: ("let",),
-    Letrec: lambda e: ("letrec",),
 }
 
 
@@ -505,7 +474,7 @@ def _pattern_tokens(p: Pattern) -> tuple:
     return ("dp",)
 
 
-def _canonical_into(e: Expression, vs: dict, fs: dict, depth: int, out: tuple) -> None:
+def _canonical_into(e: Expression, vs: dict, depth: int, out: tuple) -> None:
     shape, free, globals_ = out
     t = type(e)
     if t is Var:
@@ -516,19 +485,13 @@ def _canonical_into(e: Expression, vs: dict, fs: dict, depth: int, out: tuple) -
             free.append(e.name)
         return
     if t is Global:
-        if e.name in fs:
-            shape += ("g", fs[e.name])
-        else:
-            shape.append("fg")
-            globals_.append(e.name)
+        shape.append("fg")
+        globals_.append(e.name)
         return
     if t is IntLit:
         shape += ("i", e.value)
         return
     shape += _TOKENS[t](e)
-    if t is Letrec:  # the symbol is bound in both subterms
-        fs = {**fs, e.fun: depth}
-        depth += 1
     for i, (c, bs) in enumerate(scopes(e)):
         if t is Case and i:
             p = e.alts[i - 1].pattern
@@ -537,14 +500,14 @@ def _canonical_into(e: Expression, vs: dict, fs: dict, depth: int, out: tuple) -
                 bs = (p.binder,)  # one slot whether named or "_"
         if bs:
             vs2 = {**vs, **{b: depth + j for j, b in enumerate(bs)}}
-            _canonical_into(c, vs2, fs, depth + len(bs), out)
+            _canonical_into(c, vs2, depth + len(bs), out)
         else:
-            _canonical_into(c, vs, fs, depth, out)
+            _canonical_into(c, vs, depth, out)
 
 
 def alpha_eq(e1: Expression, e2: Expression) -> bool:
-    """Equality up to consistent renaming of bound variables and of
-    letrec-bound function symbols.  Free variables must match exactly.
+    """Equality up to consistent renaming of bound variables.  Free
+    variables and function symbols must match exactly.
     """
     return canonical(e1) == canonical(e2)
 
@@ -600,44 +563,6 @@ def is_linear(e: Expression, x: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# letrec encoding
-
-
-def fix_definition() -> Expression:
-    """fix = \\f. f (\\n. fix f n)"""
-    return Lambda(
-        "f",
-        App(
-            Var("f"),
-            Lambda("n", App(App(Global(FIX_NAME), Var("f")), Var("n"))),
-        ),
-    )
-
-
-def desugar_letrec(fun: str, rhs: Expression, body: Expression) -> Expression:
-    """(\\h.body) (\\y. fix (\\h.rhs) y); rhs must be a lambda closed except
-    for recursive references to fun.  h is primed until it differs from every
-    name in rhs and body, which may hold the encodings of other letrecs.
-    """
-    if not isinstance(rhs, Lambda):
-        raise SyntaxError_(f"letrec {fun}: right-hand side must be a lambda")
-    extra = free_vars(rhs)
-    if extra:
-        raise SyntaxError_(
-            f"letrec {fun}: right-hand side has free variables {sorted(extra)}"
-        )
-    taken = all_identifiers(rhs) | all_identifiers(body)
-    h = "_h"
-    while h in taken:
-        h += "'"
-    recursive = Lambda(
-        "y",
-        App(App(Global(FIX_NAME), Lambda(h, replace_global(rhs, fun, Var(h)))), Var("y")),
-    )
-    return App(Lambda(h, replace_global(body, fun, Var(h))), recursive)
-
-
-# ---------------------------------------------------------------------------
 # weight (termination measure)
 
 
@@ -666,8 +591,6 @@ def all_identifiers(e: Expression) -> set[str]:
         t = stack.pop()
         if type(t) is Var or type(t) is Global:
             out.add(t.name)
-        elif type(t) is Letrec:
-            out.add(t.fun)
         for c, bs in scopes(t):
             out.update(bs)
             stack.append(c)
@@ -679,10 +602,8 @@ def all_identifiers(e: Expression) -> set[str]:
 
 
 def validate_program(program: Program) -> None:
-    if FIX_NAME in program.defs:
-        raise SyntaxError_(f"'{FIX_NAME}' is a reserved function name")
     for name, body in program.defs.items():
-        unknown = fun_names(body) - set(program.defs) - {FIX_NAME}
+        unknown = fun_names(body) - set(program.defs)
         if unknown:
             raise SyntaxError_(f"{name}: undefined functions {sorted(unknown)}")
         _validate_expr(body, name)
@@ -690,33 +611,21 @@ def validate_program(program: Program) -> None:
 
 def _validate_expr(e: Expression, where: str) -> None:
     for t in subterms(e):
-        match t:
-            case Case(_, alts):
-                heads: set = set()
-                for i, alt in enumerate(alts):
-                    match alt.pattern:
-                        case IntPat(n):
-                            key = ("int", n)
-                        case CtorPat(k, binders):
-                            key = ("ctor", k)
-                            if len(set(binders)) != len(binders):
-                                raise SyntaxError_(
-                                    f"{where}: repeated pattern variable in {k}"
-                                )
-                        case DefaultPat(_):
-                            key = ("default",)
-                            if i != len(alts) - 1:
-                                raise SyntaxError_(
-                                    f"{where}: default alternative must come last"
-                                )
-                    if key in heads:
-                        raise SyntaxError_(f"{where}: duplicate case alternative")
-                    heads.add(key)
-            case Letrec(g, rhs, _):
-                if not isinstance(rhs, Lambda):
-                    raise SyntaxError_(f"{where}: letrec {g} must bind a lambda")
-                extra = free_vars(rhs)
-                if extra:
-                    raise SyntaxError_(
-                        f"{where}: letrec {g} captures variables {sorted(extra)}"
-                    )
+        if type(t) is not Case:
+            continue
+        heads: set = set()
+        for i, alt in enumerate(t.alts):
+            match alt.pattern:
+                case IntPat(n):
+                    key = ("int", n)
+                case CtorPat(k, binders):
+                    key = ("ctor", k)
+                    if len(set(binders)) != len(binders):
+                        raise SyntaxError_(f"{where}: repeated pattern variable in {k}")
+                case DefaultPat(_):
+                    key = ("default",)
+                    if i != len(t.alts) - 1:
+                        raise SyntaxError_(f"{where}: default alternative must come last")
+            if key in heads:
+                raise SyntaxError_(f"{where}: duplicate case alternative")
+            heads.add(key)

@@ -307,7 +307,7 @@ def test_criterion_7_machinery_oracles():
 
 # ---------------------------------------------------------------------------
 
-DIVERGE = parse_expression("letrec d = \\u -> d u in d 0")
+DIVERGE = parse_expression("(\\x -> x x) (\\x -> x x)")
 
 
 def test_criterion_8_strictness_soundness():

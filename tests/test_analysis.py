@@ -7,8 +7,8 @@ from deforest.syntax import free_vars, substitute, unfold_lambdas
 
 from conftest import FIXTURE_NAMES, expressions, fixture_program
 
-# a closed term that runs forever: letrec d = \u -> d u in d 0
-DIVERGE = parse_expression("letrec d = \\u -> d u in d 0")
+# a closed term that runs forever
+DIVERGE = parse_expression("(\\x -> x x) (\\x -> x x)")
 
 
 def test_strict_lambda_is_empty():

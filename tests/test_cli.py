@@ -1,5 +1,6 @@
 import argparse
 import io
+import re
 import subprocess
 import sys
 import tempfile
@@ -252,6 +253,33 @@ def test_eval_reports_unmatched_case(tmp_path, capsys, scrutinee, reason):
     code, out, _ = run_cli("eval", str(prog), "-e", "main", capsys=capsys)
     assert code == 1
     assert out.strip() == f"STUCK: {reason}"
+
+
+def test_letrec_is_lexically_scoped_and_fix_is_a_name(tmp_path, capsys):
+    # f's g is the top-level g, not the letrec g that follows it
+    prog = tmp_path / "p.core"
+    prog.write_text("g x = x + 100; main = letrec f = \\x -> g x in letrec g = \\y -> f y in g 1;")
+    assert run_cli("eval", str(prog), "-e", "main", capsys=capsys) == (0, "101\n", "")
+    assert run_cli("build", str(prog), capsys=capsys) == (0, "main = 101;\n", "")
+    prog.write_text("fix f = f; main = fix 1;")
+    assert run_cli("eval", str(prog), "-e", "main", capsys=capsys) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize(
+    "program, command",
+    [
+        ("main = letrec q = 3 in q;", ["build"]),
+        ("main y = letrec q = \\x -> y in q 1;", ["build"]),
+        ("main = 1;", ["eval", "-e", "letrec q = \\x -> x in q 3"]),
+    ],
+    ids=["rhs-not-a-lambda", "rhs-captures-a-variable", "letrec-in-entry-call"],
+)
+def test_letrec_errors_exit_2(tmp_path, capsys, program, command):
+    prog = tmp_path / "p.core"
+    prog.write_text(program)
+    code, out, err = run_cli(command[0], str(prog), *command[1:], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert re.match(r"error: \d+:\d+: ", err), err
 
 
 def test_embed_command(capsys):

@@ -102,8 +102,21 @@ def test_lambda_multi_parameter():
 
 
 def test_letrec_parses_and_prints():
-    e = parse_expression("letrec go = \\x -> go x in go 1")
-    assert pretty_expr(parse_expression(pretty_expr(e))) == pretty_expr(e)
+    # a letrec becomes a top-level definition, primed past the top-level go,
+    # and the program prints and parses back unchanged
+    p = parse_program("go = 1; main = letrec go = \\x -> go x in go 1;")
+    text = pretty_program(p)
+    assert text == "go = 1;\nmain = go' 1;\ngo' x = go' x;\n"
+    assert parse_program(text) == p
+
+
+def test_equal_letrecs_share_one_definition():
+    # the second f is parsed again with f naming the first one's definition;
+    # its nested h then shares h's, so nothing is left over
+    f = "letrec f = \\y -> (letrec h = \\z -> f z in h y) in f"
+    p = parse_program(f"main x = case x of {{ 0 -> {f} 1; _ -> {f} 2 }};")
+    assert list(p.defs) == ["main", "f", "h"]
+    assert pretty_program(p).splitlines()[0] == "main x = case x of { 0 -> f 1; _ -> f 2 };"
 
 
 def test_expression_roundtrip_through_pretty():

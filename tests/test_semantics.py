@@ -4,15 +4,11 @@ from hypothesis import given, settings
 
 from deforest import (
     App,
-    CtorApp,
     EvalOutcome,
     Global,
     IntLit,
     Lambda,
-    Let,
-    Letrec,
     PrimOp,
-    Program,
     Var,
     eval_program,
     parse_expression,
@@ -27,7 +23,7 @@ from deforest.semantics import (
     is_value,
     step,
 )
-from deforest.syntax import alpha_eq, desugar_letrec, free_vars, substitute
+from deforest.syntax import alpha_eq, free_vars, substitute
 
 from conftest import (
     entry_calls_for,
@@ -222,47 +218,16 @@ def test_generated_programs_never_get_stuck():
             assert out.kind in ("value", "out_of_fuel"), out.reason
 
 
-def _expand_letrecs(e):
-    from deforest.syntax import Alt, Case
-
-    match e:
-        case Letrec(g, rhs, body):
-            return desugar_letrec(g, _expand_letrecs(rhs), _expand_letrecs(body))
-        case App(f, a):
-            return App(_expand_letrecs(f), _expand_letrecs(a))
-        case Lambda(p, b):
-            return Lambda(p, _expand_letrecs(b))
-        case CtorApp(k, args):
-            return CtorApp(k, tuple(_expand_letrecs(a) for a in args))
-        case PrimOp(op, l, r):
-            return PrimOp(op, _expand_letrecs(l), _expand_letrecs(r))
-        case Case(s, alts):
-            return Case(
-                _expand_letrecs(s),
-                tuple(Alt(a.pattern, _expand_letrecs(a.body)) for a in alts),
-            )
-        case Let(x, bound, body):
-            return Let(x, _expand_letrecs(bound), _expand_letrecs(body))
-        case _:
-            return e
-
-
 def test_letrec_costs_its_encoding():
-    # evaluating a letrec must cost the same number of calls as its fix
-    # encoding
-    for name in ("append_self", "rev_accum", "double_append", "vecdot"):
-        program = parse_program(LETREC_FORMS[name])
-        entry = fixture_manifest(name)["entries"][0]
-        call = parse_expression(entry, frozenset(program.defs))
-        direct = eval_program(program, call, 100_000)
-        encoded = Program(
-            defs={n: _expand_letrecs(b) for n, b in program.defs.items()},
-            entry=program.entry,
-        )
-        via_encoding = eval_program(encoded, call, 100_000)
-        assert direct.kind == via_encoding.kind == "value"
-        assert alpha_eq(direct.value, via_encoding.value)
-        assert direct.calls == via_encoding.calls
+    # a source letrec is a top-level definition, so a letrec form and its
+    # fixture agree on every entry call, counters included
+    for name, text in LETREC_FORMS.items():
+        program, fixture = parse_program(text), fixture_program(name)
+        manifest = fixture_manifest(name)
+        fuel = manifest["fuel"] or 100_000
+        for entry in manifest["entries"]:
+            call = parse_expression(entry, frozenset(program.defs))
+            assert eval_program(program, call, fuel) == eval_program(fixture, call, fuel)
 
 
 def test_bind_externals_substitutes_identity():

@@ -13,15 +13,12 @@ from deforest import (
     IntPat,
     Lambda,
     Let,
-    Letrec,
     PrimOp,
     Var,
 )
 from deforest.syntax import (
-    SyntaxError_,
     alpha_eq,
     children,
-    desugar_letrec,
     fold_lambdas,
     free_vars,
     free_vars_ordered,
@@ -66,11 +63,6 @@ def test_free_vars_case_binders():
 
 def test_fun_names_variable():
     assert fun_names(V("x")) == set()
-
-
-def test_fun_names_letrec_hides_its_own_symbol():
-    e = Letrec("g", Lambda("x", App(Global("g"), V("x"))), Global("g"))
-    assert fun_names(e) == set()
 
 
 def test_fun_names_application():
@@ -165,43 +157,11 @@ def test_is_linear_head_and_branch():
     assert not is_linear(e, "x")
 
 
-def test_desugar_letrec_shape():
-    rhs = Lambda("x", App(Global("h"), V("x")))
-    out = desugar_letrec("h", rhs, Global("h"))
-    # (\h. h) (\y. fix (\h. \x. h x) y)
-    assert isinstance(out, App)
-    assert isinstance(out.fun, Lambda)
-    assert out.fun.body == Var(out.fun.param)
-    wrap = out.arg
-    assert isinstance(wrap, Lambda)
-    inner = wrap.body
-    assert isinstance(inner, App)
-    assert inner.arg == Var(wrap.param)
-    assert inner.fun.fun == Global("fix")
-
-
-def test_desugar_letrec_rejects_open_rhs():
-    rhs = Lambda("x", V("free"))
-    with pytest.raises(SyntaxError_):
-        desugar_letrec("h", rhs, Global("h"))
-
-
-def test_desugar_letrec_rejects_non_lambda():
-    with pytest.raises(SyntaxError_):
-        desugar_letrec("h", IntLit(4), Global("h"))
-
-
 def test_alpha_eq_basic():
     assert alpha_eq(Lambda("x", V("x")), Lambda("y", V("y")))
     assert not alpha_eq(
         Lambda("x", Lambda("y", V("x"))), Lambda("a", Lambda("b", V("b")))
     )
-
-
-def test_alpha_eq_letrec_symbols_are_binders():
-    e1 = Letrec("h1", Lambda("x", App(Global("h1"), V("x"))), Global("h1"))
-    e2 = Letrec("h2", Lambda("x", App(Global("h2"), V("x"))), Global("h2"))
-    assert alpha_eq(e1, e2)
 
 
 def test_alpha_eq_shadowing_binder_takes_a_new_level():
@@ -405,7 +365,6 @@ _K = CtorApp("K", ())
             ((V("s"), ()), (V("c"), ()), (V("w"), ())),
         ),
         (Let("x", V("a"), V("b")), ((V("a"), ()), (V("b"), ("x",)))),
-        (Letrec("g", Lambda("y", _K), Global("g")), ((Lambda("y", _K), ()), (Global("g"), ()))),
     ],
     ids=[
         "int",
@@ -418,7 +377,6 @@ _K = CtorApp("K", ())
         "case-ctor-int-named-default",
         "case-wildcard",
         "let",
-        "letrec-binds-no-variable",
     ],
 )
 def test_scopes(term, expected):
