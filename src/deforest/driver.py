@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .analysis import is_annoying, strict_vars
-from .generalize import embeds, split
+from .generalize import Prepared, embeds, prepare, split
 from .semantics import apply_prim
 from .syntax import (
     Alt,
@@ -84,6 +84,7 @@ class MemoEntry:
     name: str
     term: Expression
     key: Key  # canonical(term)
+    form: Prepared  # the whistle's form of term
 
     @property
     def params(self) -> tuple[str, ...]:  # fv(term) in first-occurrence order
@@ -130,6 +131,7 @@ class DriveSession:
         self.assert_measure = assert_measure
         self.explain_strict = explain_strict
         self.defs: Globals = {}
+        self.symbols: dict = {}  # the whistle's intern table
 
     # ------------------------------------------------------------------
 
@@ -345,9 +347,10 @@ class DriveSession:
 
         # (2) mutual embedding: ask the owning activation to generalize;
         # (3) otherwise generalize downwards against the nearest entry
-        below = [entry for entry in reversed(rho) if embeds(entry.term, term)]
+        form = prepare(term, self.symbols)
+        below = [entry for entry in reversed(rho) if embeds(entry.form, form)]
         for entry in below:
-            if embeds(term, entry.term):
+            if embeds(form, entry.form):
                 self._emit("Dapp2", term, context, rho)
                 raise _Rollback(entry.name, term)
         if below:
@@ -359,7 +362,7 @@ class DriveSession:
         if v is None:
             raise DriverError(f"undefined function {g} during driving")
         h = self.supply.fun()
-        entry = MemoEntry(h, term, key)
+        entry = MemoEntry(h, term, key, form)
         self._emit("Dapp4", term, context, rho)
         try:
             e = self.drive(plug_r(context, v), [], G, rho + (entry,), me)

@@ -7,10 +7,21 @@ whistle slightly eager and keeps it a well-quasi-order.  msg/split are
 stricter: operators and case shapes must agree, and generalization never
 descends below a binder, so the common term is always rebuilt from its parts
 by ordinary substitution.
+
+The whistle works on a prepared form of each term (`prepare`): its nodes in
+post-order, each with an interned symbol, its children, its subtree size and
+the bitmask of the symbols in its subtree, plus the symbol counts of the
+whole term.  The driver prepares each term once and keeps the form in its
+memo entry, with one intern table per drive.  An embedding maps the nodes of
+one term one-to-one onto nodes of the other with equal symbols, so a term
+cannot embed where a symbol count, the size or the symbol set is smaller;
+`embeds` refuses such pairs without recursing, and decides the rest as the
+definition does.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,30 +56,116 @@ def _symbol(e: Expression):
     return t
 
 
-def embeds(e: Expression, f: Expression) -> bool:
-    """The whistle: e is homeomorphically embedded in f, either in a child
-    of f (diving) or with equal symbols and each child of e embedded in the
-    matching child of f (coupling).  Symbols erase variable names, integer
+class Prepared:
+    """The whistle's form of a term.  Its nodes are numbered in post-order,
+    so the root is the last node and the subtree of node j is the range
+    (j - size[j], j].  Per node: `sym`, the symbol's id in the intern table
+    the form was prepared with; `kids`, the child indices; `size`, the
+    number of nodes in the subtree; `mask`, the bits of the symbol ids that
+    occur in the subtree.  For the whole term: `counts`, symbol id ->
+    occurrences.
+    """
+
+    __slots__ = ("sym", "kids", "size", "mask", "counts")
+
+    def __init__(self, sym: list, kids: list, size: list, mask: list):
+        self.sym = sym
+        self.kids = kids
+        self.size = size
+        self.mask = mask
+        self.counts = Counter(sym)
+
+
+def prepare(e: Expression, symbols: dict) -> Prepared:
+    """The prepared form of e, interning new symbols into `symbols`.  Built
+    with an explicit stack, so a term of any depth can be prepared.
+    """
+    sym: list[int] = []
+    kids: list[tuple[int, ...]] = []
+    size: list[int] = []
+    mask: list[int] = []
+    done: list[int] = []  # finished nodes whose parent is not finished yet
+    todo: list = [e]  # terms to visit, and (term, arity) to finish
+    while todo:
+        t = todo.pop()
+        if type(t) is not tuple:
+            ks = children(t)
+            if ks:
+                todo.append((t, len(ks)))
+                todo.extend(reversed(ks))
+                continue
+            n = 0
+        else:
+            t, n = t
+        key = _symbol(t)
+        s = symbols.get(key)
+        if s is None:
+            s = symbols[key] = len(symbols)
+        m = 1 << s
+        sz = 1
+        if n:
+            ks = tuple(done[-n:])
+            del done[-n:]
+            for c in ks:
+                sz += size[c]
+                m |= mask[c]
+        done.append(len(sym))
+        sym.append(s)
+        kids.append(ks)
+        size.append(sz)
+        mask.append(m)
+    return Prepared(sym, kids, size, mask)
+
+
+def embeds(a: Expression | Prepared, b: Expression | Prepared) -> bool:
+    """The whistle: a is homeomorphically embedded in b, either in a child
+    of b (diving) or with equal symbols and each child of a embedded in the
+    matching child of b (coupling).  Symbols erase variable names, integer
     values, binders, operators and patterns, so a variable embeds in any
     variable and an integer in any integer.
+
+    a and b are both terms, or both forms prepared with one intern table.
+    The recursion is memoized on pairs of node indices.  An embedding maps
+    the nodes of a one-to-one onto nodes of b with the same symbols, and
+    the subtree of each node into the subtree of its image.  So a pair of
+    whole terms can only embed when b has every symbol at least as often as
+    a, and a pair of nodes only when b's subtree is at least as large as
+    a's and has every symbol that a's has.  Pairs that fail these tests are
+    refused without recursing; the tests are necessary conditions only, so
+    every answer is the definition's.
     """
-    return _embeds(e, f, {})
+    if not isinstance(a, Prepared):
+        symbols: dict = {}
+        a, b = prepare(a, symbols), prepare(b, symbols)
+    counts = b.counts
+    for s, n in a.counts.items():
+        if counts[s] < n:
+            return False
+    return _embeds(a, b, len(a.sym) - 1, len(b.sym) - 1, {})
 
 
-def _embeds(a: Expression, b: Expression, memo: dict[tuple[int, int], bool]) -> bool:
+def _embeds(a: Prepared, b: Prepared, i: int, j: int, memo: dict) -> bool:
     # a module-level function, not a closure: a recursive closure is a
     # reference cycle, and it would keep the memo alive until the cyclic
-    # garbage collector runs
-    key = (id(a), id(b))
+    # garbage collector runs.  Plain loops, not any/all over generators,
+    # take one Python frame per level of b.
+    key = (i, j)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    kids = children(b)
-    out = any(_embeds(a, c, memo) for c in kids) or (
-        type(a) is type(b)
-        and _symbol(a) == _symbol(b)
-        and all(_embeds(x, y, memo) for x, y in zip(children(a), kids))
-    )
+    out = False
+    if a.size[i] <= b.size[j] and not a.mask[i] & ~b.mask[j]:
+        for c in b.kids[j]:
+            if _embeds(a, b, i, c, memo):
+                out = True
+                break
+        else:
+            if a.sym[i] == b.sym[j]:
+                for x, y in zip(a.kids[i], b.kids[j]):
+                    if not _embeds(a, b, x, y, memo):
+                        break
+                else:
+                    out = True
     memo[key] = out
     return out
 

@@ -21,10 +21,11 @@ A letrec is a local name for a top-level definition, as in the paper, and
 the parser makes it one: `letrec g = rhs in body` adds the definition
 `g = rhs`, after the program's own, and stands for body, with g a function
 symbol in rhs and body.  rhs must be a lambda closed except for g.  The
-definition is named g, primed (g', g'', ...) past every top-level name and
-earlier letrec definition, unless an earlier letrec g has an equal rhs, whose
-definition it then shares.  An expression on its own (an entry call) may not
-contain a letrec.
+definition is named g, primed (g', g'', ...) past every top-level name,
+every variable of the program (parameters, binders and variables used) and
+every earlier letrec definition, unless an earlier letrec g has an equal rhs,
+whose definition it then shares.  An expression on its own (an entry call)
+may not contain a letrec.
 """
 
 from __future__ import annotations
@@ -126,11 +127,18 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], globals_: dict[str, str], in_program: bool):
+    def __init__(
+        self,
+        tokens: list[Token],
+        globals_: dict[str, str],
+        in_program: bool,
+        taken: frozenset[str] = frozenset(),
+    ):
         self.tokens = tokens
         self.pos = 0
         self.globals = globals_  # identifier -> the function symbol it names
-        self.names = frozenset(globals_)  # the top-level definitions
+        self.names = frozenset(globals_) | taken  # no letrec definition's name
+        self.variables: set[str] = set()  # every variable bound or used
         # letrec definitions, name -> (letrec symbol, rhs); None outside a program
         self.hoisted: dict[str, tuple] | None = {} if in_program else None
 
@@ -164,12 +172,14 @@ class _Parser:
                 params.append(self.next().text)
             if not params:
                 raise self.fail("lambda needs at least one parameter")
+            self.variables.update(params)
             self.expect("->")
             body = self.expr(scope | set(params))
             return fold_lambdas(params, body)
         if t.text == "let":
             self.next()
             name = self.ident()
+            self.variables.add(name)
             self.expect("=")
             bound = self.expr(scope)
             self.expect("in")
@@ -248,6 +258,7 @@ class _Parser:
                 binders = set(bs)
             case DefaultPat(b) if b is not None:
                 binders = {b}
+        self.variables |= binders
         body = self.expr(scope | binders)
         return Alt(pat, body)
 
@@ -309,6 +320,7 @@ class _Parser:
             return IntLit(int(t.text))
         if t.kind == "ident":
             if t.text in scope or t.text not in self.globals:
+                self.variables.add(t.text)
                 return Var(t.text)
             return Global(self.globals[t.text])
         if t.kind == "ctor":
@@ -375,21 +387,33 @@ def parse_program(text: str, entry: str = "main") -> Program:
             raise ParseError(f"duplicate definition of {name!r}", tok.line, tok.col)
         seen.add(name)
 
-    p = _Parser(tokens, {name: name for name in seen}, in_program=True)
+    globals_ = {name: name for name in seen}
+    p = _Parser(tokens, globals_, in_program=True)
+    defs = _definitions(p)
+    if not p.variables.isdisjoint(p.hoisted):
+        # a letrec definition takes a variable's name: name them all again,
+        # past the variables that this pass has collected
+        p = _Parser(tokens, globals_, in_program=True, taken=frozenset(p.variables))
+        defs = _definitions(p)
+    defs.update((name, rhs) for name, (_, rhs) in p.hoisted.items())
+    return Program(defs=defs, entry=entry)
+
+
+def _definitions(p: _Parser) -> dict[str, Expression]:
     defs: dict[str, Expression] = {}
     while p.peek().kind != "eof":
         name = p.ident()
         params = []
         while p.peek().kind == "ident":
             params.append(p.next().text)
+        p.variables.update(params)
         p.expect("=")
         body = p.expr(frozenset(params))
         p.expect(";")
         defs[name] = fold_lambdas(params, body)
     if not defs:
         raise ParseError("empty program", 1, 1)
-    defs.update((name, rhs) for name, (_, rhs) in p.hoisted.items())
-    return Program(defs=defs, entry=entry)
+    return defs
 
 
 def parse_expression(text: str, globals_: frozenset[str] = frozenset()) -> Expression:

@@ -1,7 +1,10 @@
 import itertools
 import random
+import sys
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deforest import (
     App,
@@ -12,10 +15,10 @@ from deforest import (
     Var,
     parse_expression,
 )
-from deforest.generalize import embeds, msg, split
-from deforest.syntax import FreshSupply, alpha_eq, children, substitute
+from deforest.generalize import _symbol, embeds, msg, prepare, split
+from deforest.syntax import FreshSupply, alpha_eq, children, rebuild, substitute, subterms
 
-from conftest import expressions
+from conftest import expressions, scoped_expressions
 
 
 def pe(text):
@@ -131,6 +134,158 @@ def test_embedding_agrees_with_bottom_up_oracle_small():
     rel = _oracle_closure(terms)
     for a, b in itertools.product(terms, terms):
         assert embeds(a, b) == ((a, b) in rel), (a, b)
+
+
+# the reference whistle: the definition, recursing on terms, memoized on
+# pairs of subterm objects
+def reference_embeds(a, b, memo=None):
+    memo = {} if memo is None else memo
+    key = (id(a), id(b))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    kids = children(b)
+    out = any(reference_embeds(a, c, memo) for c in kids) or (
+        type(a) is type(b)
+        and _symbol(a) == _symbol(b)
+        and all(reference_embeds(x, y, memo) for x, y in zip(children(a), kids))
+    )
+    memo[key] = out
+    return out
+
+
+def _replace(e, k, new):
+    """e with its k-th subterm in preorder replaced by new."""
+    if k == 0:
+        return new
+    k -= 1
+    kids = list(children(e))
+    for i, c in enumerate(kids):
+        n = sum(1 for _ in subterms(c))
+        if k < n:
+            kids[i] = _replace(c, k, new)
+            return rebuild(e, kids)
+        k -= n
+    raise IndexError(k)
+
+
+_TERMS = scoped_expressions(8)  # built once: a fresh strategy is validated per draw
+_SMALL_TERMS = scoped_expressions(3)
+
+
+@st.composite
+def whistle_pairs(draw):
+    """(a, b): independent terms, a subterm of b and b, or b with one
+    subterm replaced (by one of its own subterms, which embeds, or by
+    another term) and b; either way round.
+    """
+    b = draw(_TERMS)
+    inside = list(subterms(b))
+    how = draw(st.sampled_from(["independent", "subterm", "shrunk", "replaced"]))
+    if how == "independent":
+        a = draw(_TERMS)
+    elif how == "subterm":
+        a = draw(st.sampled_from(inside))
+    else:
+        k = draw(st.integers(0, len(inside) - 1))
+        if how == "shrunk":
+            new = draw(st.sampled_from(list(subterms(inside[k]))))
+        else:
+            new = draw(_SMALL_TERMS)
+        a = _replace(b, k, new)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@given(whistle_pairs())
+@settings(max_examples=400, deadline=None)
+def test_embeds_agrees_with_the_reference(pair):
+    a, b = pair
+    assert embeds(a, b) == reference_embeds(a, b)
+
+
+def test_whistle_pairs_draw_both_answers():
+    # the property above is only worth as much as the answers it meets
+    answers = set()
+
+    @given(whistle_pairs())
+    @settings(max_examples=40, deadline=None, database=None)
+    def collect(pair):
+        answers.add(reference_embeds(*pair))
+
+    collect()
+    assert answers == {True, False}
+
+
+_SHARED = pe("sum xs")
+
+
+# (name, a, b, expected): the cases where a pruning test decides or could
+# wrongly decide; every row is also checked against the reference
+PRUNING_CASES = [
+    ("a-larger-than-b", pe("sum (sum xs)"), pe("sum xs"), False),
+    ("b-larger-than-a", pe("sum xs"), pe("sum (sum xs)"), True),
+    # Leaf and sum both occur in b, but sum only beside the Leaf
+    ("symbol-in-another-branch", pe("Leaf (sum x)"), pe("Cons (Leaf y) (sum x)"), False),
+    ("symbol-below-in-the-branch", pe("Leaf (sum x)"), pe("Cons (Leaf (Just (sum y))) z"), True),
+    ("equal-counts-other-nesting", pe("Just (Leaf x)"), pe("Leaf (Just x)"), False),
+    ("equal-counts-same-nesting", pe("Just (Leaf x)"), pe("Just (Leaf y)"), True),
+    ("fewer-alternatives", pe("case x of { 0 -> 1 }"), pe("case x of { 0 -> 1; _ -> 1 }"), False),
+    ("more-alternatives", pe("case x of { 0 -> 1; _ -> 1 }"), pe("case x of { 0 -> 1 }"), False),
+    (
+        "alternatives-inside",
+        pe("case x of { 0 -> 1 }"),
+        pe("case x of { 0 -> case y of { Nil -> 2 }; _ -> 1 }"),
+        True,
+    ),
+    ("smaller-arity", CtorApp("K", (Var("x"),)), CtorApp("K", (Var("x"), Var("y"))), False),
+    ("larger-arity", CtorApp("K", (Var("x"), Var("y"))), CtorApp("K", (Var("x"),)), False),
+    (
+        "arity-inside",
+        CtorApp("K", (Var("x"),)),
+        CtorApp("K", (CtorApp("K", (Var("x"), Var("y"))),)),
+        True,
+    ),
+    ("shared-subterm", pe("P (sum a) (sum b)"), CtorApp("P", (_SHARED, _SHARED)), True),
+    ("shared-subterm-counted-twice", pe("P (sum a) a"), CtorApp("P", (_SHARED, _SHARED)), True),
+    ("shared-subterm-other-nesting", pe("P (sum (sum a)) a"), CtorApp("P", (_SHARED, _SHARED)), False),
+]
+
+
+@pytest.mark.parametrize("a, b, expected", [c[1:] for c in PRUNING_CASES], ids=[c[0] for c in PRUNING_CASES])
+def test_embeds_pruning_cases(a, b, expected):
+    assert reference_embeds(a, b) == expected
+    assert embeds(a, b) == expected
+    symbols: dict = {}
+    assert embeds(prepare(a, symbols), prepare(b, symbols)) == expected
+
+
+def test_prepared_form_numbers_nodes_in_post_order():
+    symbols: dict = {}
+    form = prepare(pe("Cons (sum x) y"), symbols)
+    # post-order: sum, x, the application, y, the Cons node
+    assert form.kids == [(), (), (0, 1), (), (2, 3)]
+    assert form.size == [1, 1, 3, 1, 5]
+    assert form.sym[0] == symbols[("global", "sum")]
+    assert form.sym[1] == form.sym[3] == symbols[Var]
+    assert form.mask[-1] == (1 << len(symbols)) - 1
+    assert form.counts[symbols[Var]] == 2
+
+
+def test_prepared_form_of_a_long_list_builds_at_the_default_recursion_limit():
+    lst = CtorApp("Nil", ())
+    for i in range(5000):
+        lst = CtorApp("Cons", (IntLit(i), lst))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        symbols: dict = {}
+        form = prepare(lst, symbols)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(form.sym) == form.size[-1] == 10001
+    assert form.counts[symbols[("ctor", "Cons", 2)]] == 5000
+    # the head of the outermost cell comes first, its tail ends just before it
+    assert form.kids[-1] == (0, 9999)
 
 
 @given(expressions(10))

@@ -110,6 +110,21 @@ def test_letrec_parses_and_prints():
     assert parse_program(text) == p
 
 
+def test_letrec_definition_is_named_past_every_variable():
+    # the parameter go would capture a definition named go, in the source
+    # and in the residual alike
+    p = parse_program("main go = letrec go = \\n -> n + 1 in case (\\y -> go y) of { _ -> 1 };")
+    assert sorted(p.defs) == ["go'", "main"]
+    for x in (p, supercompile(p)):
+        assert program_alpha_eq(parse_program(pretty_program(x)), x)
+    # a parameter, a let binder, a pattern binder and an external variable
+    # each take a name
+    p = parse_program(
+        "main f = letrec f = \\z -> let f' = z in case f' of { f'' -> f'' } in f 1 + f''';"
+    )
+    assert sorted(p.defs) == ["f''''", "main"]
+
+
 def test_equal_letrecs_share_one_definition():
     # the second f is parsed again with f naming the first one's definition;
     # its nested h then shares h's, so nothing is left over
