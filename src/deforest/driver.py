@@ -3,6 +3,13 @@ memoization, folding and generalization.  A recursive activation becomes a
 top-level definition in the session's table when it completes; `supercompile`
 assembles the residual program from the definitions that its entry reaches.
 A source letrec needs no rule: the parser has made it a top-level definition.
+
+A term folds into an ancestor activation (the memo `rho`) and, failing that,
+into any completed recursive activation: the global memo of Bolingbroke &
+Peyton Jones, "Supercompilation by evaluation" (2010).  Under call-by-value,
+a call of a completed definition on variables behaves as the term it was
+driven from, so the fold loses no divergence; it spares driving the term
+again in every case branch that meets it.  The whistle looks at `rho` only.
 """
 
 from __future__ import annotations
@@ -117,6 +124,9 @@ Measure = tuple[int, int, int]
 class DriveSession:
     """One drive of an entry definition.  `defs` is the table of residual
     definitions written so far, in the order their activations completed.
+    `done` indexes the memo entries of those definitions by their key's
+    (shape, globals), for the global fold; `_done_log` lists them in the
+    order they were added, so that an abandoned drive can take its own out.
     """
 
     def __init__(
@@ -131,6 +141,8 @@ class DriveSession:
         self.assert_measure = assert_measure
         self.explain_strict = explain_strict
         self.defs: Globals = {}
+        self.done: dict[tuple, list[MemoEntry]] = {}
+        self._done_log: list[MemoEntry] = []
         self.symbols: dict = {}  # the whistle's intern table
 
     # ------------------------------------------------------------------
@@ -148,10 +160,23 @@ class DriveSession:
                 f"measure did not decrease at {rule}: {parent} -> {m}"
             )
 
-    def _emit(self, rule: str, e: Expression, context: list[RFrame], rho: Rho) -> None:
+    def _emit(
+        self,
+        rule: str,
+        e: Expression,
+        context: list[RFrame],
+        rho: Rho,
+        hit: str = "",
+        where: str = "rho",
+    ) -> None:
+        """One `--trace` line: the rule, the focus's weight, the memo depth
+        and the context depth, then the memo entry that a fold or a whistle
+        hit and where it was found, as `-> h4 (table)` or `-> h1 (rho)`.
+        """
         if self.trace is not None:
             w = weight(e, _NonHoleVars(self.supply))
-            self.trace(f"{rule} w={w} rho={len(rho)} depth={len(context)}")
+            via = f" -> {hit} ({where})" if hit else ""
+            self.trace(f"{rule} w={w} rho={len(rho)} depth={len(context)}{via}")
 
     # ------------------------------------------------------------------
 
@@ -330,20 +355,26 @@ class DriveSession:
         rho: Rho,
         me: Optional[Measure],
     ) -> Expression:
-        """Rules Dapp1-Dapp4 for a call of g in context.  Dapp2 raises
-        `_Rollback`, which abandons every activation up to the one it names;
-        that one generalizes instead of returning its result (Dapp4a).
+        """Rules Dapp1-Dapp4 for a call of g in context, tried in this order:
+        fold into an ancestor in rho (Dapp1), fold into a completed
+        definition of the table `done` (Dapp1, the global fold), the whistle
+        against rho (Dapp2, Dapp3), and otherwise memoize and unfold (Dapp4).
+        Ancestors come first, and the whistle looks at rho only.  Dapp2
+        raises `_Rollback`, which abandons every activation up to the one it
+        names; that one generalizes instead of returning its result (Dapp4a).
         """
         term = plug_r(context, Global(g))
         key = canonical(term)
 
-        # (1) fold: the term is a renaming of something already driven
-        for entry in reversed(rho):
-            sigma = match_keys(entry.key, key)
-            if sigma is not None:
-                self._emit("Dapp1", term, context, rho)
-                args = [Var(sigma[p]) for p in entry.params] or [IntLit(0)]
-                return fold_apps(Global(entry.name), args)
+        # (1) fold: the term is a renaming of an ancestor or of a completed
+        # recursive activation, so it becomes a call of that one's definition
+        table = self.done.get(_table_key(key), ())
+        for entries, where in ((reversed(rho), "rho"), (table, "table")):
+            for entry in entries:
+                sigma = match_keys(entry.key, key)
+                if sigma is not None:
+                    self._emit("Dapp1", term, context, rho, entry.name, where)
+                    return _call(entry, sigma)
 
         # (2) mutual embedding: ask the owning activation to generalize;
         # (3) otherwise generalize downwards against the nearest entry
@@ -351,10 +382,10 @@ class DriveSession:
         below = [entry for entry in reversed(rho) if embeds(entry.form, form)]
         for entry in below:
             if embeds(form, entry.form):
-                self._emit("Dapp2", term, context, rho)
+                self._emit("Dapp2", term, context, rho, entry.name)
                 raise _Rollback(entry.name, term)
         if below:
-            self._emit("Dapp3", term, context, rho)
+            self._emit("Dapp3", term, context, rho, below[0].name)
             return self._generalize(term, below[0].term, G, rho, me)
 
         # (4) memoize, unfold and drive
@@ -364,18 +395,25 @@ class DriveSession:
         h = self.supply.fun()
         entry = MemoEntry(h, term, key, form)
         self._emit("Dapp4", term, context, rho)
+        mark = len(self._done_log)
         try:
             e = self.drive(plug_r(context, v), [], G, rho + (entry,), me)
         except _Rollback as r:  # (4a) upwards generalization
             if r.owner != h:
                 raise
-            self._emit("Dapp4a", term, context, rho)
+            # definitions completed in the abandoned drive may call it
+            for done in self._done_log[mark:]:
+                self.done[_table_key(done.key)].remove(done)
+            del self._done_log[mark:]
+            self._emit("Dapp4a", term, context, rho, h)
             return self._generalize(term, r.term, G, rho, me)
         if h in reached(e, self.defs):  # (4b)
             self._emit("Dapp4b", term, context, rho)
             lam_params = list(entry.params) or [self.supply.var("u")]
             self.defs[h] = fold_lambdas(lam_params, e)
-            return fold_apps(Global(h), [Var(p) for p in entry.params] or [IntLit(0)])
+            self.done.setdefault(_table_key(key), []).append(entry)
+            self._done_log.append(entry)
+            return _call(entry, {p: p for p in entry.params})
         return e  # (4c)
 
     def _generalize(
@@ -394,6 +432,16 @@ class DriveSession:
             r.term = substitute(fill, r.term)
             raise
         return substitute(fill, driven_common)
+
+
+def _table_key(key: Key) -> tuple:
+    """What a renaming keeps of a key: all but the free-variable names."""
+    return key.shape, key.globals
+
+
+def _call(entry: MemoEntry, sigma: dict[str, str]) -> Expression:
+    """The call of entry's definition on the renaming sigma of its parameters."""
+    return fold_apps(Global(entry.name), [Var(sigma[p]) for p in entry.params] or [IntLit(0)])
 
 
 def reached(e: Expression, defs: Globals) -> set[str]:

@@ -13,7 +13,7 @@ generalization are written once over these kernels.  No node binds a function
 name: a source `letrec` is a top-level definition by the time the parser
 returns it.
 
-"Modulo renaming" (`canonical`, and so `alpha_eq`, `match_renaming` and the
+"Modulo renaming" (`canonical`, and so `alpha_eq`, `match_keys` and the
 golden comparison) allows a consistent renaming of bound variables and
 pattern binders.  Every default alternative is one binder slot, so `x -> e`
 with x unused equals `_ -> e`.
@@ -513,7 +513,11 @@ def alpha_eq(e1: Expression, e2: Expression) -> bool:
 
 
 def match_keys(pattern: Key, subject: Key) -> Optional[dict[str, str]]:
-    """`match_renaming` on precomputed keys."""
+    """The folding test on the keys of two terms: a consistent (not
+    necessarily injective) variable-to-variable map sigma on the free
+    variables of the pattern's term with sigma(pattern term) equal to the
+    subject up to bound-variable renaming, or None.
+    """
     if pattern.shape != subject.shape or pattern.globals != subject.globals:
         return None
     sigma: dict[str, str] = {}
@@ -521,14 +525,6 @@ def match_keys(pattern: Key, subject: Key) -> Optional[dict[str, str]]:
         if sigma.setdefault(x, y) != y:
             return None
     return sigma
-
-
-def match_renaming(pattern_term: Expression, subject: Expression) -> Optional[dict[str, str]]:
-    """A consistent (not necessarily injective) variable-to-variable map sigma
-    on the free variables of pattern_term with sigma(pattern_term) equal to
-    subject up to bound-variable renaming, or None.
-    """
-    return match_keys(canonical(pattern_term), canonical(subject))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import subprocess
 import sys
 
@@ -26,6 +27,7 @@ from deforest.syntax import (
     FreshSupply,
     SyntaxError_,
     alpha_eq,
+    canonical,
     free_vars,
     fun_names,
     pattern_binders,
@@ -254,6 +256,29 @@ def test_trace_emits_rule_lines():
     assert all(" w=" in line and " rho=" in line and " depth=" in line for line in lines)
 
 
+def _via(lines, rule):
+    """The `-> h (where)` ends of the trace lines of rule."""
+    return [line.split(" -> ")[1] for line in lines if line.split(" ", 1)[0] == rule]
+
+
+def test_trace_names_the_memo_entry_of_folds_and_whistles():
+    # append_self folds into an ancestor and whistles downwards and upwards;
+    # an append chain also folds into a completed definition of the table
+    whistled, folded = [], []
+    residual = supercompile(fixture_program("append_self"), trace=whistled.append)
+    chain = supercompile(parse_program(append_chain(3)), trace=folded.append)
+    for rule in ("Dapp1", "Dapp2", "Dapp3", "Dapp4a"):
+        vias = _via(whistled + folded, rule)
+        assert vias and all(re.fullmatch(r"h\d+ \((rho|table)\)", v) for v in vias), rule
+    for line in whistled + folded:
+        assert (" -> " in line) == line.startswith(("Dapp1 ", "Dapp2 ", "Dapp3 ", "Dapp4a ")), line
+    # Dapp4a names the activation that Dapp2 unwound to
+    assert _via(whistled, "Dapp4a") == _via(whistled, "Dapp2")
+    assert {v.split()[0] for v in _via(whistled, "Dapp1")} <= set(residual.defs)
+    table = [v.split()[0] for v in _via(folded, "Dapp1") if v.endswith("(table)")]
+    assert table and set(table) <= set(chain.defs)
+
+
 def test_flags_do_not_change_the_residual():
     # tracing, strictness explanations and measure checks only observe
     programs = [fixture_program(name) for name in FIXTURE_NAMES] + generate_programs(40)
@@ -323,6 +348,54 @@ def test_driving_and_eval_fit_the_default_recursion_limit():
     )
     assert out.returncode == 0, out.stderr[-2000:]
     assert out.stdout.splitlines() == ["append k=8", "map k=12", "eval 3 x 1000"]
+
+
+def append_chain(k):
+    """main x0 .. xk = append (... (append x0 x1) ...) xk"""
+    e = "x0"
+    for i in range(1, k + 1):
+        e = f"append ({e}) x{i}"
+    return APPEND + f"main {' '.join(f'x{i}' for i in range(k + 1))} = {e};"
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_append_chain_has_one_definition_per_append(k):
+    # a term driven in one case branch and met again in its sibling folds
+    # into the definition completed for it, so the chain yields k+1
+    # definitions and not 2^(k-1)+1; counting trace lines keeps it exact
+    lines = []
+    residual = supercompile(parse_program(append_chain(k)), trace=lines.append)
+    assert len(residual.defs) == k + 1
+    assert sum(line.startswith("Dapp4 ") for line in lines) <= k * k
+
+
+def test_append_chain_definitions_differ_modulo_renaming():
+    residual = supercompile(parse_program(append_chain(6)))
+    shapes = [canonical(body).shape for body in residual.defs.values()]
+    assert len(set(shapes)) == len(shapes) == 7
+    call = parse_expression("main [1] [2, 3] [] [4] [5, 6] [7] [8]", frozenset({"main"}))
+    assert eval_program(residual, call).value == parse_expression("[1, 2, 3, 4, 5, 6, 7, 8]")
+
+
+def test_definitions_of_an_abandoned_drive_leave_the_table():
+    # h1 = f xs xs completes g t, whose definition calls h1; then f t z
+    # unwinds the drive to h1 (Dapp2), which is never defined.  The
+    # generalized drive meets g t again and must drive it anew, not call
+    # the definition that calls h1
+    p = parse_program(
+        "f xs ys = case xs of { [] -> 0; (a:t) -> P (g t) (f t ys) };\n"
+        "g zs = case zs of { [] -> 1; (b:u) -> P (g u) (f u u) };\n"
+        "main xs = f xs xs;"
+    )
+    expected = parse_program(
+        "h4 t = case t of { [] -> 1; (b : u) -> P (h4 u) (h3 u u) };"
+        "h3 xs z = let ys = z in case xs of { [] -> 0; (a : t) -> P (h4 t) (h3 t ys) };"
+        "main xs = h3 xs xs;"
+    )
+    lines = []
+    residual = supercompile(p, trace=lines.append)
+    assert any(line.startswith("Dapp4a ") for line in lines)
+    assert program_alpha_eq(residual, expected), pretty_program(residual)
 
 
 def test_letrec_in_source_is_driven():
