@@ -9,10 +9,11 @@ the number of residual definitions and the median build time in ms.  The
 package is imported from `--src`, the `src/` directory of any checkout, so
 that two versions can be measured with one script.
 
-A build is repeated up to `--repeats` times, but no more once the builds of
-that k have taken `--limit-s` seconds together.  A family stops after the
-first k whose single build takes longer than `--limit-s`: a driver that is
-exponential in k is measured up to that point and no further.
+The chain programs are those of the benchmark's `chains` workload, imported
+from `bench/workloads.py`.  A build is repeated up to REPEATS times, but no
+more once the builds of that k have taken LIMIT_S seconds together.  A family
+stops after the first k whose single build takes longer than LIMIT_S: a
+driver that is exponential in k is measured up to that point and no further.
 
 With `--out` and `--side`, the result is stored under that side's key of the
 JSON file, keeping the others, so that `{"parent": ..., "change": ...}` can
@@ -30,26 +31,16 @@ import sys
 import time
 from pathlib import Path
 
-APPEND = "append xs ys = case xs of { [] -> ys; (x:xs') -> x : append xs' ys };\n"
-MAP = (
-    "map f xs = case xs of { [] -> []; (x:xs') -> f x : map f xs' };\n"
-    "inc x = x + 1;\n"
-    "dbl x = x * 2;\n"
-)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import append_chain, map_chain  # noqa: E402
+
+REPEATS = 5
+LIMIT_S = 5.0
 
 
-def append_chain(k: int) -> str:
-    e = "x0"
-    for i in range(1, k + 1):
-        e = f"append ({e}) x{i}"
-    return APPEND + f"main {' '.join(f'x{i}' for i in range(k + 1))} = {e};\n"
-
-
-def map_chain(k: int) -> str:
-    e = "xs"
-    for i in range(k):
-        e = f"map {('inc', 'dbl')[i % 2]} ({e})"
-    return MAP + f"main xs = {e};\n"
+def alternating_map_chain(k: int) -> str:
+    """main xs = map f (... (map dbl (map inc xs))), inc innermost"""
+    return map_chain([("inc", "dbl")[i % 2] for i in reversed(range(k))])
 
 
 def build(api, text: str) -> tuple[int, float]:
@@ -60,17 +51,17 @@ def build(api, text: str) -> tuple[int, float]:
     return len(residual.defs), (time.perf_counter() - t0) * 1e3
 
 
-def curve(api, family, ks, repeats: int, limit_s: float) -> list[dict]:
+def curve(api, family, ks) -> list[dict]:
     rows = []
     for k in ks:
         text = family(k)
         times = []
-        while not times or (len(times) < repeats and sum(times) < limit_s * 1e3):
+        while not times or (len(times) < REPEATS and sum(times) < LIMIT_S * 1e3):
             defs, ms = build(api, text)
             times.append(ms)
         rows.append({"k": k, "defs": defs, "build_ms": statistics.median(times), "runs": len(times)})
         print(f"{family.__name__} k={k}: {defs} defs, {rows[-1]['build_ms']:.1f} ms", file=sys.stderr)
-        if times[0] > limit_s * 1e3:
+        if times[0] > LIMIT_S * 1e3:
             break
     return rows
 
@@ -78,8 +69,6 @@ def curve(api, family, ks, repeats: int, limit_s: float) -> list[dict]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", required=True, help="the src/ directory of a checkout")
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--limit-s", type=float, default=5.0)
     ap.add_argument("--out", help="JSON file to store the result in")
     ap.add_argument("--side", default="change", help="key of the result in --out")
     args = ap.parse_args(argv)
@@ -90,10 +79,10 @@ def main(argv=None) -> int:
     result = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {platform.system()}, nproc {os.cpu_count()}",
-        "repeats": args.repeats,
-        "limit_s": args.limit_s,
-        "append": curve(api, append_chain, range(2, 17), args.repeats, args.limit_s),
-        "map": curve(api, map_chain, range(4, 17), args.repeats, args.limit_s),
+        "repeats": REPEATS,
+        "limit_s": LIMIT_S,
+        "append": curve(api, append_chain, range(2, 17)),
+        "map": curve(api, alternating_map_chain, range(4, 17)),
     }
     if args.out is None:
         json.dump(result, sys.stdout, indent=1)

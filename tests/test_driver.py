@@ -248,29 +248,27 @@ def test_fuzz_totality_nothing_raises():
         assert residual.defs
 
 
+def _via(lines, rule):
+    """The `-> h (where)` ends of the trace lines of rule."""
+    return [line.split(" -> ")[1] for line in lines if line.split(" ", 1)[0] == rule]
+
+
 def test_trace_emits_rule_lines():
     lines = []
     supercompile(fixture_program("factorial"), trace=lines.append)
     assert any(line.startswith("R3 ") for line in lines)
     assert any(line.startswith("Dapp4 ") for line in lines)
     assert all(" w=" in line and " rho=" in line and " depth=" in line for line in lines)
-
-
-def _via(lines, rule):
-    """The `-> h (where)` ends of the trace lines of rule."""
-    return [line.split(" -> ")[1] for line in lines if line.split(" ", 1)[0] == rule]
-
-
-def test_trace_names_the_memo_entry_of_folds_and_whistles():
-    # append_self folds into an ancestor and whistles downwards and upwards;
-    # an append chain also folds into a completed definition of the table
+    # the lines of folds and whistles name the memo entry hit: append_self
+    # folds into an ancestor and whistles downwards and upwards; an append
+    # chain also folds into a completed definition of the table
     whistled, folded = [], []
     residual = supercompile(fixture_program("append_self"), trace=whistled.append)
     chain = supercompile(parse_program(append_chain(3)), trace=folded.append)
     for rule in ("Dapp1", "Dapp2", "Dapp3", "Dapp4a"):
         vias = _via(whistled + folded, rule)
         assert vias and all(re.fullmatch(r"h\d+ \((rho|table)\)", v) for v in vias), rule
-    for line in whistled + folded:
+    for line in lines + whistled + folded:
         assert (" -> " in line) == line.startswith(("Dapp1 ", "Dapp2 ", "Dapp3 ", "Dapp4a ")), line
     # Dapp4a names the activation that Dapp2 unwound to
     assert _via(whistled, "Dapp4a") == _via(whistled, "Dapp2")
@@ -296,6 +294,15 @@ MAP = (
     "map f xs = case xs of { [] -> []; (x:xs') -> f x : map f xs' };\n"
     "inc x = x + 1;\ndbl x = x * 2;\n"
 )
+
+
+def append_chain(k):
+    """main x0 .. xk = append (... (append x0 x1) ...) xk"""
+    e = "x0"
+    for i in range(1, k + 1):
+        e = f"append ({e}) x{i}"
+    return APPEND + f"main {' '.join(f'x{i}' for i in range(k + 1))} = {e};"
+
 
 # Run in a fresh process at Python's default recursion limit, with three
 # program texts as arguments.  Each check prints its label, followed by the
@@ -328,14 +335,11 @@ attempt("eval 3 x 1000", lambda: eval_program(double_append, call, 10_000_000))
 def test_driving_and_eval_fit_the_default_recursion_limit():
     # Tail rules drive in a loop and the closed-call check loops down a list
     # literal's tail, so stack depth follows how deeply the input nests.
-    append = "x0"
-    for i in range(1, 9):
-        append = f"append ({append}) x{i}"
     mapped = "xs"
     for f in ["inc", "dbl"] * 6:
         mapped = f"map {f} ({mapped})"
     texts = [
-        APPEND + f"main {' '.join(f'x{i}' for i in range(9))} = {append};",
+        append_chain(8),
         MAP + f"main xs = {mapped};",
         (FIXTURES / "double_append.core").read_text(),
     ]
@@ -348,14 +352,6 @@ def test_driving_and_eval_fit_the_default_recursion_limit():
     )
     assert out.returncode == 0, out.stderr[-2000:]
     assert out.stdout.splitlines() == ["append k=8", "map k=12", "eval 3 x 1000"]
-
-
-def append_chain(k):
-    """main x0 .. xk = append (... (append x0 x1) ...) xk"""
-    e = "x0"
-    for i in range(1, k + 1):
-        e = f"append ({e}) x{i}"
-    return APPEND + f"main {' '.join(f'x{i}' for i in range(k + 1))} = {e};"
 
 
 @pytest.mark.parametrize("k", range(2, 13))
@@ -412,10 +408,9 @@ def test_residual_definitions_are_letrec_free_reachable_and_closed():
     # a recursive activation becomes a top-level definition when it
     # completes, and the program keeps only what its entry reaches; no term
     # holds a letrec, because the parser makes each one a definition
-    append = "append (" * 6 + "x0" + "".join(f") x{i}" for i in range(1, 7))
     programs = [fixture_program(name) for name in FIXTURE_NAMES]
     programs += generate_programs(200)
-    programs.append(parse_program(APPEND + f"main x0 x1 x2 x3 x4 x5 x6 = {append};"))
+    programs.append(parse_program(append_chain(6)))
     programs.append(parse_program("main y = letrec go = \\xs -> go xs in go y;"))
     for program in programs:
         externals = set().union(*map(free_vars, program.defs.values()))
