@@ -15,9 +15,9 @@ again in every case branch that meets it.  The whistle looks at `rho` only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .analysis import is_annoying, strict_vars
+from .analysis import demand, is_annoying, strict_vars
 from .generalize import Prepared, embeds, prepare, split
 from .semantics import apply_prim
 from .syntax import (
@@ -45,7 +45,6 @@ from .syntax import (
     fold_lambdas,
     free_vars,
     fun_names,
-    is_linear,
     match_keys,
     select_alt,
     substitute,
@@ -123,7 +122,8 @@ Measure = tuple[int, int, int]
 
 class DriveSession:
     """One drive of an entry definition.  `defs` is the table of residual
-    definitions written so far, in the order their activations completed.
+    definitions written so far, in the order their activations completed, and
+    `callees` holds the function symbols of each; neither is ever rewritten.
     `done` indexes the memo entries of those definitions by their key's
     (shape, globals), for the global fold; `_done_log` lists them in the
     order they were added, so that an abandoned drive can take its own out.
@@ -141,6 +141,7 @@ class DriveSession:
         self.assert_measure = assert_measure
         self.explain_strict = explain_strict
         self.defs: Globals = {}
+        self.callees: dict[str, set[str]] = {}
         self.done: dict[tuple, list[MemoEntry]] = {}
         self._done_log: list[MemoEntry] = []
         self.symbols: dict = {}  # the whistle's intern table
@@ -191,12 +192,19 @@ class DriveSession:
         """Drive e in context.  The tail rules (R7, R9-R12, a substituting
         R13, R16, R17, R19 and the frame pushes of R8 and R10) rewrite the
         focus and context and go round the loop, so they add no Python frame;
-        R3 hands over to `drive_app`.  Only the rules that build around their
-        results recurse: R4-R6, an annoying R8, a kept R13 let, R15, R18, and
-        Dapp4 and `_generalize` in `drive_app`; Dapp2 unwinds by raising
-        `_Rollback`.  The paper's letrec rule is the parser's: a source letrec
-        arrives as a top-level definition in G.  Under assert_measure each
-        pass of the loop must decrease the measure of the one before.
+        R3 hands over to `drive_app`.  R9 and R16 put the lets they make at
+        the focus and keep the context: the binders are fresh, and the hole
+        of a context is strict and counted once, so strictness and linearity
+        in a let body are those in the plugged term.  R11-R13 keep it too
+        when substituting yields another let, which plugging would only take
+        apart into the same context again.  Otherwise R7, R11-R13, R16 and
+        R17 plug the context around their result and start again.  Only the
+        rules that build around their results recurse: R4-R6, an annoying
+        R8, a kept R13 let, R15, R18, and Dapp4 and `_generalize` in
+        `drive_app`; Dapp2 unwinds by raising `_Rollback`.  The paper's
+        letrec rule is the parser's: a source letrec arrives as a top-level
+        definition in G.  Under assert_measure each pass of the loop must
+        decrease the measure of the one before.
         """
         me = parent
         while True:
@@ -250,17 +258,21 @@ class DriveSession:
                     type(v) is Var and v.name in self.supply.hole_names
                 ):  # R11, R12; a generalization hole is not copied
                     self._emit("R11" if type(v) is IntLit else "R12", e, context, rho)
-                    e, context = plug_r(context, substitute({x: v}, body)), []
+                    e = substitute({x: v}, body)
+                    if type(e) is not Let:
+                        e, context = plug_r(context, e), []
                 case Let(x, bound, body):  # R13
                     self._emit("R13", e, context, rho)
-                    strict = strict_vars(body)
+                    strict, uses = demand(body, x)
                     if self.explain_strict is not None:
                         self.explain_strict(
-                            f"let {x}: strict={{{', '.join(sorted(strict))}}} "
-                            f"linear={is_linear(body, x)}"
+                            f"let {x}: strict={{{', '.join(sorted(strict_vars(body)))}}} "
+                            f"linear={uses <= 1}"
                         )
-                    if x in strict and is_linear(body, x):
-                        e, context = plug_r(context, substitute({x: bound}, body)), []
+                    if strict and uses <= 1:
+                        e = substitute({x: bound}, body)
+                        if type(e) is not Let:
+                            e, context = plug_r(context, e), []
                         continue
                     if any(x in free_vars(plug_r([fr], Var("_"))) for fr in context):
                         x2 = self.supply.var(x)
@@ -283,11 +295,13 @@ class DriveSession:
                 ) is not None:  # R16
                     self._emit("R16", e, context, rho)
                     if type(alt.pattern) is CtorPat:
-                        e = self._fresh_lets(alt.pattern.binders, args, alt.body, context)
+                        binders, values = alt.pattern.binders, args
                     else:  # a default binds the whole value
-                        b = alt.pattern.binder
-                        e = self._fresh_lets((b,), (scrut,), alt.body, context)
-                    context = []
+                        binders, values = (alt.pattern.binder,), (scrut,)
+                    if binders:
+                        e = self._fresh_lets(binders, values, alt.body, [])
+                    else:
+                        e, context = plug_r(context, alt.body), []
                 case Case(IntLit() as scrut, alts) if (
                     alt := select_alt(scrut, alts)
                 ) is not None:  # R17
@@ -407,10 +421,12 @@ class DriveSession:
             del self._done_log[mark:]
             self._emit("Dapp4a", term, context, rho, h)
             return self._generalize(term, r.term, G, rho, me)
-        if h in reached(e, self.defs):  # (4b)
+        called = fun_names(e)
+        if h in reachable(called, self.callees):  # (4b)
             self._emit("Dapp4b", term, context, rho)
             lam_params = list(entry.params) or [self.supply.var("u")]
             self.defs[h] = fold_lambdas(lam_params, e)
+            self.callees[h] = called
             self.done.setdefault(_table_key(key), []).append(entry)
             self._done_log.append(entry)
             return _call(entry, {p: p for p in entry.params})
@@ -444,17 +460,17 @@ def _call(entry: MemoEntry, sigma: dict[str, str]) -> Expression:
     return fold_apps(Global(entry.name), [Var(sigma[p]) for p in entry.params] or [IntLit(0)])
 
 
-def reached(e: Expression, defs: Globals) -> set[str]:
-    """The function symbols that e calls, directly or through the
-    definitions in defs that it reaches.
+def reachable(names: Iterable[str], callees: dict[str, set[str]]) -> set[str]:
+    """The function symbols in names and those they call, through the
+    definitions whose function symbols callees lists.
     """
     out: set[str] = set()
-    stack = [e]
+    stack = list(names)
     while stack:
-        for n in fun_names(stack.pop()) - out:
+        n = stack.pop()
+        if n not in out:
             out.add(n)
-            if n in defs:
-                stack.append(defs[n])
+            stack.extend(callees.get(n, ()))
     return out
 
 
@@ -486,7 +502,8 @@ def supercompile(
     defs = {**program.defs, **session.defs}
     del defs[program.entry]
     defs[program.entry] = fold_lambdas(params, residual)
-    keep = reached(defs[program.entry], defs) | {program.entry}
+    callees = {n: session.callees[n] if n in session.callees else fun_names(e) for n, e in defs.items()}
+    keep = reachable([program.entry], callees)
     if unknown := keep - set(defs):
         raise DriverError(f"residual references unknown functions {sorted(unknown)}")
     return Program({n: e for n, e in defs.items() if n in keep}, program.entry)

@@ -8,7 +8,7 @@ generalization holes are names in `FreshSupply.hole_names`).
 Two traversal kernels carry the syntax: `children`/`rebuild` give a node's
 immediate subterms and put new ones in their place, and `scopes` pairs each
 subterm with the variables the node binds over it (`rebind` renames them).
-Free variables, substitution, linearity, the canonical key, strictness and
+Free variables, substitution, the canonical key, strictness and
 generalization are written once over these kernels.  No node binds a function
 name: a source `letrec` is a top-level definition by the time the parser
 returns it.
@@ -390,10 +390,14 @@ def substitute(mapping: dict[str, Expression], e: Expression) -> Expression:
 
 
 def _substitute(e: Expression, m: dict[str, Expression], fvs: dict[str, set[str]]) -> Expression:
-    """substitute(m, e), given fvs[x] = free_vars(m[x])."""
+    """substitute(m, e), given fvs[x] = free_vars(m[x]).  A node none of
+    whose children changes is returned as it is, so only the paths to the
+    replaced variables are rebuilt.
+    """
     if type(e) is Var:
         return m.get(e.name, e)
     kids = []
+    changed = False
     for i, (c, bs) in enumerate(scopes(e)):
         m2 = m
         if bs:
@@ -402,8 +406,11 @@ def _substitute(e: Expression, m: dict[str, Expression], fvs: dict[str, set[str]
                 c, new, m2 = _avoid_capture(c, bs, m2, fvs)
                 if new != bs:
                     e = rebind(e, i, new)
-        kids.append(_substitute(c, m2, fvs) if m2 else c)
-    return rebuild(e, kids)
+                    changed = True
+        k = _substitute(c, m2, fvs) if m2 else c
+        changed = changed or k is not c
+        kids.append(k)
+    return rebuild(e, kids) if changed else e
 
 
 def _avoid_capture(c: Expression, bs: tuple[str, ...], m: dict, fvs: dict) -> tuple:
@@ -525,37 +532,6 @@ def match_keys(pattern: Key, subject: Key) -> Optional[dict[str, str]]:
         if sigma.setdefault(x, y) != y:
             return None
     return sigma
-
-
-# ---------------------------------------------------------------------------
-# linearity
-
-
-def _occurrences(e: Expression, x: str) -> int:
-    """Occurrence count of x in e with the case rule: a case contributes its
-    head count plus the maximum over its branches.  Capped at 2.
-    """
-    t = type(e)
-    if t is Var:
-        return 1 if e.name == x else 0
-    sc = scopes(e)
-    if t is Case:
-        branch = max((_occurrences(c, x) for c, bs in sc[1:] if x not in bs), default=0)
-        return min(2, _occurrences(sc[0][0], x) + branch)
-    n = 0
-    for c, bs in sc:
-        if x not in bs:
-            n += _occurrences(c, x)
-            if n >= 2:
-                return 2
-    return n
-
-
-def is_linear(e: Expression, x: str) -> bool:
-    """x occurs at most once in e, where a variable may occur once in each of
-    several case branches but never in both the scrutinee and a branch.
-    """
-    return _occurrences(e, x) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,24 @@
 from hypothesis import given, settings
 
-from deforest import App, Global, Var, parse_expression
-from deforest.analysis import is_annoying, strict_vars
+from deforest import App, Case, Global, Lambda, Var, parse_expression
+from deforest.analysis import demand, is_annoying, strict_vars
 from deforest.semantics import _decompose_ex, eval_expr
-from deforest.syntax import free_vars, substitute, unfold_lambdas
+from deforest.syntax import (
+    all_identifiers,
+    free_vars,
+    scopes,
+    substitute,
+    subterms,
+    unfold_lambdas,
+)
 
-from conftest import FIXTURE_NAMES, expressions, fixture_program
+from conftest import (
+    FIXTURE_NAMES,
+    VAR_NAMES,
+    expressions,
+    fixture_program,
+    scoped_expressions,
+)
 
 # a closed term that runs forever
 DIVERGE = parse_expression("(\\x -> x x) (\\x -> x x)")
@@ -29,6 +42,61 @@ def test_strict_case_intersects_branches():
 def test_strict_let_removes_binder():
     e = parse_expression("let x = y in x + z")
     assert strict_vars(e) == {"y", "z"}
+
+
+# the reference analyses: strictness as a set built per node, and the
+# occurrence count with the case rule, each in its own walk
+
+
+def reference_strict_vars(e):
+    t = type(e)
+    if t is Var:
+        return {e.name}
+    if t is Lambda:
+        return set()
+    parts = [reference_strict_vars(c).difference(bs) for c, bs in scopes(e)]
+    if t is Case:
+        scrut, *branches = parts
+        return scrut | (set.intersection(*branches) if branches else set())
+    return set().union(*parts)
+
+
+def reference_occurrences(e, x):
+    t = type(e)
+    if t is Var:
+        return 1 if e.name == x else 0
+    sc = scopes(e)
+    if t is Case:
+        branch = max((reference_occurrences(c, x) for c, bs in sc[1:] if x not in bs), default=0)
+        return min(2, reference_occurrences(sc[0][0], x) + branch)
+    n = 0
+    for c, bs in sc:
+        if x not in bs:
+            n += reference_occurrences(c, x)
+            if n >= 2:
+                return 2
+    return n
+
+
+def assert_demand_agrees(e):
+    names = all_identifiers(e) | set(VAR_NAMES) | {"p", "q"}
+    for t in subterms(e):
+        strict = reference_strict_vars(t)
+        assert strict_vars(t) == strict
+        for x in names:
+            assert demand(t, x) == (x in strict, reference_occurrences(t, x)), (t, x)
+
+
+def test_demand_agrees_with_the_reference_on_fixtures():
+    for name in FIXTURE_NAMES:
+        for body in fixture_program(name).defs.values():
+            assert_demand_agrees(body)
+
+
+@given(expressions() | scoped_expressions())
+@settings(max_examples=300, deadline=None)
+def test_demand_agrees_with_the_reference(e):
+    assert_demand_agrees(e)
 
 
 def test_annoying_variable():

@@ -277,6 +277,18 @@ def test_trace_emits_rule_lines():
     assert table and set(table) <= set(chain.defs)
 
 
+def test_case_of_constructor_lets_keep_their_context():
+    # R16 drives the lets it makes in the context of the case, so R12 sees
+    # the frame `[] * 2` instead of a let wrapped around the plugged context
+    lines = []
+    p = parse_program("main y = (case Cons y Nil of { (h:t) -> h + 1 }) * 2;")
+    residual = supercompile(p, trace=lines.append)
+    rules = [line.split()[0] for line in lines]
+    after = lines[rules.index("R16") + 1]
+    assert after.startswith("R12 ") and after.endswith(" depth=1")
+    assert program_alpha_eq(residual, parse_program("main y = let t = [] in (y + 1) * 2;"))
+
+
 def test_flags_do_not_change_the_residual():
     # tracing, strictness explanations and measure checks only observe
     programs = [fixture_program(name) for name in FIXTURE_NAMES] + generate_programs(40)

@@ -16,6 +16,7 @@ from deforest import (
     PrimOp,
     Var,
 )
+from deforest.analysis import is_linear
 from deforest.syntax import (
     alpha_eq,
     canonical,
@@ -24,7 +25,6 @@ from deforest.syntax import (
     free_vars,
     free_vars_ordered,
     fun_names,
-    is_linear,
     match_keys,
     rebuild,
     scopes,
@@ -132,6 +132,14 @@ def test_substitute_literal():
 def test_substitute_identity_when_absent():
     e = Lambda("y", V("y"))
     assert substitute({"x": IntLit(1)}, e) == e
+
+
+def test_substitute_shares_unchanged_subterms():
+    kept = Lambda("y", PrimOp("+", V("y"), V("z")))
+    e = App(kept, V("x"))
+    out = substitute({"x": IntLit(1)}, e)
+    assert out == App(kept, IntLit(1)) and out.fun is kept
+    assert substitute({"x": IntLit(1)}, kept) is kept
 
 
 def test_is_linear_append_second_parameter():
