@@ -1,0 +1,139 @@
+"""Parse time against build time on the corpus texts, and parse time as the
+text grows.
+
+    python3 scripts/parse_curve.py --src src --out BENCH_parse.json --side change
+
+The corpus texts are those of the benchmark's `corpus` workload: the 11
+fixtures and the GENERATED programs of the test suite's generator (seed
+PROGRAM_SEED), printed.  For each text it records the number of tokens, the
+median parse time and the median build time (parse, supercompile and print)
+over REPEATS runs, in ms.  The size curve parses the first n of SIZE_PROGRAMS
+generated programs (seed SIZE_SEED), each with its function names suffixed
+so that they do not clash, concatenated into one text.  The package is
+imported from `--src`, the `src/` directory of any checkout, so that two
+versions can be measured with one script; the texts come from this
+checkout's `tests/conftest.py`.
+
+With `--out` and `--side`, the result is stored under that side's key of the
+JSON file, keeping the others, so that `{"parent": ..., "change": ...}` can
+be written by two runs.  Without `--out` it goes to standard output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+REPEATS = 11
+GENERATED = 150
+PROGRAM_SEED = 20240809
+SIZE_PROGRAMS = (1, 4, 16, 64, 256, 1024)
+SIZE_SEED = 7
+
+
+def median_ms(fn, text: str) -> float:
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn(text)
+        times.append((time.perf_counter() - t0) * 1e3)
+    return statistics.median(times)
+
+
+def corpus_texts(api, conftest) -> list[tuple[str, str]]:
+    texts = [
+        (name, (conftest.FIXTURES / f"{name}.core").read_text())
+        for name in conftest.FIXTURE_NAMES
+    ]
+    programs = conftest.generate_programs(GENERATED, seed=PROGRAM_SEED)
+    texts += [(f"gen{i}", api.pretty_program(p)) for i, p in enumerate(programs)]
+    return texts
+
+
+def corpus(api, conftest) -> dict:
+    def build(text):
+        api.pretty_program(api.supercompile(api.parse_program(text)))
+
+    rows = []
+    for name, text in corpus_texts(api, conftest):
+        rows.append({
+            "name": name,
+            "chars": len(text),
+            "tokens": len(api.parser.tokenize(text)),
+            "parse_ms": median_ms(api.parse_program, text),
+            "build_ms": median_ms(build, text),
+        })
+    parse = sum(r["parse_ms"] for r in rows)
+    total = sum(r["build_ms"] for r in rows)
+    print(f"corpus: parse {parse:.1f} ms of build {total:.1f} ms", file=sys.stderr)
+    return {
+        "parse_ms_sum": parse,
+        "build_ms_sum": total,
+        "parse_share": parse / total,
+        "parse_ms_p50": statistics.median(r["parse_ms"] for r in rows),
+        "build_ms_p50": statistics.median(r["build_ms"] for r in rows),
+        "programs": rows,
+    }
+
+
+def sizes(api, conftest) -> list[dict]:
+    programs = conftest.generate_programs(max(SIZE_PROGRAMS), seed=SIZE_SEED)
+    # function names are f0..f4 and main; no variable is named like them
+    texts = [
+        re.sub(r"\b(f\d|main)\b", rf"\1_{i}", api.pretty_program(p))
+        for i, p in enumerate(programs)
+    ]
+    rows = []
+    for n in SIZE_PROGRAMS:
+        text = "".join(texts[:n])
+        rows.append({
+            "programs": n,
+            "chars": len(text),
+            "tokens": len(api.parser.tokenize(text)),
+            "parse_ms": median_ms(api.parse_program, text),
+        })
+        print(f"{n} programs: {rows[-1]['parse_ms']:.2f} ms", file=sys.stderr)
+    return rows
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", required=True, help="the src/ directory of a checkout")
+    ap.add_argument("--out", help="JSON file to store the result in")
+    ap.add_argument("--side", default="change", help="key of the result in --out")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import deforest as api
+
+    sys.path.insert(1, str(ROOT / "tests"))
+    import conftest
+
+    result = {
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {platform.system()}, nproc {os.cpu_count()}",
+        "repeats": REPEATS,
+        "corpus": corpus(api, conftest),
+        "sizes": sizes(api, conftest),
+    }
+    if args.out is None:
+        json.dump(result, sys.stdout, indent=1)
+        print()
+        return 0
+    out = Path(args.out)
+    sides = json.loads(out.read_text()) if out.exists() else {}
+    sides[args.side] = result
+    out.write_text(json.dumps(sides, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

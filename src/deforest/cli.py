@@ -177,9 +177,9 @@ def cmd_check(args) -> int:
 
 
 def _parse_two(args) -> tuple:
-    e1 = parse_expression(args.e1)
-    e2 = parse_expression(args.e2)
-    return e1, e2
+    # argparse before Python 3.12 gives [] for an argument "--" after "--"
+    e1, e2 = (e if isinstance(e, str) else "--" for e in (args.e1, args.e2))
+    return parse_expression(e1), parse_expression(e2)
 
 
 def cmd_embed(args) -> int:

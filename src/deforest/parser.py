@@ -26,10 +26,16 @@ every variable of the program (parameters, binders and variables used) and
 every earlier letrec definition, unless an earlier letrec g has an equal rhs,
 whose definition it then shares.  An expression on its own (an entry call)
 may not contain a letrec.
+
+One regular expression, _TOKEN, cuts the text into tokens with re.findall.
+A token is a kind and a text, and the parser reads both by index from two
+parallel lists.  Positions are not kept: an error finds its token's offset
+by scanning the text again, and its line and column from that offset.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .syntax import (
@@ -53,11 +59,25 @@ from .syntax import (
     fold_apps,
     fold_lambdas,
     free_vars,
+    pattern_binders,
 )
 
 KEYWORDS = {"let", "letrec", "in", "case", "of"}
 
 PUNCT = ("->", "\\", "=", ";", "(", ")", "{", "}", "[", "]", ",", ":", "+", "-", "*", "_")
+
+# Layout: whitespace and comments.  What follows it in _TOKEN always
+# matches, so the engine never backtracks into it.
+_LAYOUT = r"[ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*"
+# A token and the layout after it; the first match also takes the layout
+# before it, and the empty end of input is the last.  "." is a character
+# that starts no token.  A word starts with [^\W\d_], which also takes
+# numerals that str.isalpha refuses, as "²"; _Kinds rejects those.
+_TOKEN = re.compile(
+    rf"(?:\A{_LAYOUT})?([0-9]+|[^\W\d_][\w']*|->|[\\=;(){{}}\[\],:+\-*_]|.|\Z){_LAYOUT}"
+)
+_NESTING = {"(": 1, "{": 1, "[": 1, ")": -1, "}": -1, "]": -1}
+_FIXED_KINDS = {**dict.fromkeys(PUNCT, "punct"), **dict.fromkeys(KEYWORDS, "punct"), "": "eof"}
 
 
 class ParseError(Exception):
@@ -67,74 +87,65 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # int | ident | ctor | punct | eof
-    text: str
-    line: int
-    col: int
+class _Kinds(dict):
+    """Token text -> kind (int | ident | ctor | punct | eof), an integer or
+    a word classified when first seen; a KeyError if it starts no token."""
+
+    def __missing__(self, text: str) -> str:
+        c = text[0]
+        if not (c in "0123456789" or c.isalpha()):
+            raise KeyError(text)
+        kind = self[text] = "int" if c in "0123456789" else "ctor" if c.isupper() else "ident"
+        return kind
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if c == "-" and text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in "0123456789":
-            j = i
-            while j < n and text[j] in "0123456789":
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            if word in KEYWORDS:
-                kind = "punct"
-            elif word[0].isupper():
-                kind = "ctor"
-            else:
-                kind = "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+@dataclass
+class Tokens:
+    """A text's tokens as parallel lists, ending with the end of input."""
+
+    kinds: list[str]
+    texts: list[str]
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+
+def tokenize(text: str) -> Tokens:
+    """text's tokens; a ParseError at a character that starts none."""
+    texts = _TOKEN.findall(text)
+    if not texts[0]:  # layout alone: its match and the end both match ""
+        texts = [""]
+    try:
+        kinds = list(map(_Kinds(_FIXED_KINDS).__getitem__, texts))
+    except KeyError as bad:
+        i = texts.index(bad.args[0])
+        raise error_at(text, i, f"unexpected character {texts[i][0]!r}") from None
+    return Tokens(kinds, texts)
+
+
+def error_at(text: str, i: int, message: str) -> ParseError:
+    """A ParseError at the line and column of token i of text, found by
+    scanning the text again.  The end of input after a comment that no
+    newline ends is where the comment starts.
+    """
+    offset = [m.start(1) for m in _TOKEN.finditer(text)][i]
+    if offset == len(text) and (comment := text.find("--", text.rfind("\n") + 1)) >= 0:
+        offset = comment
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 class _Parser:
     def __init__(
         self,
-        tokens: list[Token],
+        text: str,
+        tokens: Tokens,
         globals_: dict[str, str],
         in_program: bool,
         taken: frozenset[str] = frozenset(),
     ):
-        self.tokens = tokens
+        self.text = text
+        self.kinds, self.texts = tokens.kinds, tokens.texts
         self.pos = 0
         self.globals = globals_  # identifier -> the function symbol it names
         self.names = frozenset(globals_) | taken  # no letrec definition's name
@@ -142,42 +153,38 @@ class _Parser:
         # letrec definitions, name -> (letrec symbol, rhs); None outside a program
         self.hoisted: dict[str, tuple] | None = {} if in_program else None
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def expect(self, text: str) -> None:
+        if self.texts[self.pos] != text:
+            raise self.error(f"expected {text!r}, found {self.texts[self.pos] or 'end of input'!r}")
+        self.pos += 1
 
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def error(self, message: str, i: int | None = None) -> ParseError:
+        """A ParseError at token i, by default the current one."""
+        return error_at(self.text, self.pos if i is None else i, message)
 
-    def expect(self, text: str) -> Token:
-        t = self.next()
-        if t.text != text or t.kind not in ("punct", "ident", "ctor"):
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}", t.line, t.col)
-        return t
-
-    def fail(self, message: str) -> ParseError:
-        t = self.peek()
-        return ParseError(message, t.line, t.col)
+    def integer(self, i: int) -> int:
+        text = self.texts[i]
+        try:
+            return int(text)
+        except ValueError:  # longer than Python converts
+            raise self.error(f"integer literal too long ({len(text)} digits)", i) from None
 
     # expressions -----------------------------------------------------------
 
     def expr(self, scope: frozenset[str]) -> Expression:
-        t = self.peek()
-        if t.text == "\\":
-            self.next()
-            params = []
-            while self.peek().kind == "ident":
-                params.append(self.next().text)
+        texts = self.texts
+        t = texts[self.pos]
+        if t == "\\":
+            self.pos += 1
+            params = self.idents()
             if not params:
-                raise self.fail("lambda needs at least one parameter")
+                raise self.error("lambda needs at least one parameter")
             self.variables.update(params)
             self.expect("->")
             body = self.expr(scope | set(params))
             return fold_lambdas(params, body)
-        if t.text == "let":
-            self.next()
+        if t == "let":
+            self.pos += 1
             name = self.ident()
             self.variables.add(name)
             self.expect("=")
@@ -185,27 +192,27 @@ class _Parser:
             self.expect("in")
             body = self.expr(scope | {name})
             return Let(name, bound, body)
-        if t.text == "letrec":
+        if t == "letrec":
             if self.hoisted is None:
-                raise self.fail("letrec is allowed only inside a program's definitions")
-            self.next()
+                raise self.error("letrec is allowed only inside a program's definitions")
+            self.pos += 1
             return self.letrec(scope)
-        if t.text == "case":
-            self.next()
+        if t == "case":
+            self.pos += 1
             scrut = self.expr(scope)
             self.expect("of")
             self.expect("{")
             alts = [self.alt(scope)]
-            while self.peek().text == ";":
-                self.next()
-                if self.peek().text == "}":
+            while texts[self.pos] == ";":
+                self.pos += 1
+                if texts[self.pos] == "}":
                     break
                 alts.append(self.alt(scope))
             self.expect("}")
             return Case(scrut, tuple(alts))
         e = self.arith(scope)
-        if self.peek().text == ":" and self.peek().kind == "punct":
-            self.next()
+        if texts[self.pos] == ":":
+            self.pos += 1
             tail = self.expr(scope)  # right associative
             return CtorApp(CONS, (e, tail))
         return e
@@ -218,7 +225,7 @@ class _Parser:
         """
         g = self.ident()
         self.expect("=")
-        t, start, before = self.peek(), self.pos, self.hoisted
+        start, before = self.pos, self.hoisted
         for name, (symbol, rhs) in before.items():
             if symbol == g and rhs is not None:
                 self.pos, self.hoisted = start, dict(before)
@@ -232,11 +239,9 @@ class _Parser:
             self.hoisted[name] = (g, None)  # taken while rhs is parsed
             rhs = self.expr_with_global(scope, g, name)
             if not isinstance(rhs, Lambda):
-                raise ParseError(f"letrec {g} must bind a lambda", t.line, t.col)
+                raise self.error(f"letrec {g} must bind a lambda", start)
             if captured := free_vars(rhs):
-                raise ParseError(
-                    f"letrec {g} captures variables {sorted(captured)}", t.line, t.col
-                )
+                raise self.error(f"letrec {g} captures variables {sorted(captured)}", start)
             self.hoisted[name] = (g, rhs)
         self.expect("in")
         return self.expr_with_global(scope, g, name)
@@ -252,148 +257,142 @@ class _Parser:
     def alt(self, scope: frozenset[str]) -> Alt:
         pat = self.pattern()
         self.expect("->")
-        binders = set()
-        match pat:
-            case CtorPat(_, bs):
-                binders = set(bs)
-            case DefaultPat(b) if b is not None:
-                binders = {b}
-        self.variables |= binders
-        body = self.expr(scope | binders)
+        binders = pattern_binders(pat)
+        self.variables.update(binders)
+        body = self.expr(scope.union(binders))
         return Alt(pat, body)
 
     def pattern(self) -> Pattern:
-        t = self.next()
-        if t.kind == "int":
-            return IntPat(int(t.text))
-        if t.text == "_":
+        kinds, texts = self.kinds, self.texts
+        i = self.pos
+        self.pos = i + 1  # past the end of input only to raise below
+        kind, t = kinds[i], texts[i]
+        if kind == "int":
+            return IntPat(self.integer(i))
+        if t == "_":
             return DefaultPat(None)
-        if t.text == "[":
+        if t == "[":
             self.expect("]")
             return CtorPat(NIL, ())
-        if t.text == "(":
-            head = self.next()
-            if head.kind != "ident":
-                raise ParseError("expected variable in cons pattern", head.line, head.col)
+        if t == "(":
+            head = self.ident("expected variable in cons pattern")
             self.expect(":")
-            tail = self.next()
-            if tail.kind != "ident":
-                raise ParseError("expected variable in cons pattern", tail.line, tail.col)
+            tail = self.ident("expected variable in cons pattern")
             self.expect(")")
-            return CtorPat(CONS, (head.text, tail.text))
-        if t.kind == "ctor":
-            binders = []
-            while self.peek().kind == "ident":
-                binders.append(self.next().text)
-            return CtorPat(t.text, tuple(binders))
-        if t.kind == "ident":
-            return DefaultPat(t.text)
-        raise ParseError(f"expected pattern, found {t.text!r}", t.line, t.col)
+            return CtorPat(CONS, (head, tail))
+        if kind == "ctor":
+            return CtorPat(t, tuple(self.idents()))
+        if kind == "ident":
+            return DefaultPat(t)
+        raise self.error(f"expected pattern, found {t!r}", i)
 
     def arith(self, scope: frozenset[str]) -> Expression:
         e = self.application(scope)
-        while self.peek().text in ("+", "-", "*") and self.peek().kind == "punct":
-            op = self.next().text
+        while (op := self.texts[self.pos]) in ("+", "-", "*"):
+            self.pos += 1
             rhs = self.application(scope)
             e = PrimOp(op, e, rhs)
         return e
 
     def application(self, scope: frozenset[str]) -> Expression:
-        first = self.peek()
-        atoms = [self.atom(scope)]
-        while self._at_atom():
-            atoms.append(self.atom(scope))
-        head, args = atoms[0], atoms[1:]
+        kinds, texts, first = self.kinds, self.texts, self.pos
+        head, args = self.atom(scope), []
+        while kinds[self.pos] in ("int", "ident", "ctor") or texts[self.pos] in ("(", "["):
+            args.append(self.atom(scope))
+        if not args:
+            return head
         if isinstance(head, CtorApp) and not head.args:
             return CtorApp(head.ctor, tuple(args))
-        if args and isinstance(head, (IntLit, CtorApp)):
-            raise ParseError("this expression cannot be applied", first.line, first.col)
+        if isinstance(head, (IntLit, CtorApp)):
+            raise self.error("this expression cannot be applied", first)
         return fold_apps(head, args)
 
-    def _at_atom(self) -> bool:
-        t = self.peek()
-        return t.kind in ("int", "ident", "ctor") or t.text in ("(", "[")
-
     def atom(self, scope: frozenset[str]) -> Expression:
-        t = self.next()
-        if t.kind == "int":
-            return IntLit(int(t.text))
-        if t.kind == "ident":
-            if t.text in scope or t.text not in self.globals:
-                self.variables.add(t.text)
-                return Var(t.text)
-            return Global(self.globals[t.text])
-        if t.kind == "ctor":
-            return CtorApp(t.text, ())
-        if t.text == "(":
-            if self.peek().text == "-" and self.peek(1).kind == "int" and self.peek(2).text == ")":
-                n = int(self.peek(1).text)
-                self.pos += 3
-                return IntLit(-n)
+        kinds, texts = self.kinds, self.texts
+        i = self.pos
+        self.pos = i + 1  # past the end of input only to raise below
+        kind, t = kinds[i], texts[i]
+        if kind == "int":
+            return IntLit(self.integer(i))
+        if kind == "ident":
+            if t in scope or t not in self.globals:
+                self.variables.add(t)
+                return Var(t)
+            return Global(self.globals[t])
+        if kind == "ctor":
+            return CtorApp(t, ())
+        if t == "(":
+            if texts[i + 1] == "-" and kinds[i + 2] == "int" and texts[i + 3] == ")":
+                self.pos = i + 4
+                return IntLit(-self.integer(i + 2))
             e = self.expr(scope)
-            if self.peek().text == ":":
-                self.next()
+            if texts[self.pos] == ":":
+                self.pos += 1
                 tail = self.expr(scope)
                 self.expect(")")
                 return CtorApp(CONS, (e, tail))
             self.expect(")")
             return e
-        if t.text == "[":
-            if self.peek().text == "]":
-                self.next()
+        if t == "[":
+            if texts[self.pos] == "]":
+                self.pos += 1
                 return CtorApp(NIL, ())
             items = [self.expr(scope)]
-            while self.peek().text == ",":
-                self.next()
+            while texts[self.pos] == ",":
+                self.pos += 1
                 items.append(self.expr(scope))
             self.expect("]")
             lst: Expression = CtorApp(NIL, ())
             for item in reversed(items):
                 lst = CtorApp(CONS, (item, lst))
             return lst
-        raise ParseError(f"expected expression, found {t.text or 'end of input'!r}", t.line, t.col)
+        raise self.error(f"expected expression, found {t or 'end of input'!r}", i)
 
-    def ident(self) -> str:
-        t = self.next()
-        if t.kind != "ident":
-            raise ParseError(f"expected identifier, found {t.text!r}", t.line, t.col)
-        return t.text
+    def ident(self, error: str = "expected identifier, found {!r}") -> str:
+        i = self.pos
+        if self.kinds[i] != "ident":
+            raise self.error(error.format(self.texts[i]), i)
+        self.pos = i + 1
+        return self.texts[i]
+
+    def idents(self) -> list[str]:
+        """The identifiers from the current token on."""
+        start = self.pos
+        while self.kinds[self.pos] == "ident":
+            self.pos += 1
+        return list(self.texts[start : self.pos])
 
 
 def parse_program(text: str, entry: str = "main") -> Program:
     tokens = tokenize(text)
     # first pass: collect top-level names so mutual recursion resolves
-    names = []
-    depth = 0
-    at_def_start = True
-    for i, t in enumerate(tokens):
-        if t.kind == "eof":
-            break
-        if t.text in ("(", "{", "["):
-            depth += 1
-        elif t.text in (")", "}", "]"):
-            depth -= 1
-        elif t.text == ";" and depth == 0:
+    kinds, names, depth, at_def_start = tokens.kinds, [], 0, True
+    for i, t in enumerate(tokens.texts):
+        if t in _NESTING:
+            depth += _NESTING[t]
+        elif depth:
+            continue
+        elif t == ";":
             at_def_start = True
             continue
-        if at_def_start and depth == 0:
-            if t.kind != "ident":
-                raise ParseError("definition must start with a function name", t.line, t.col)
-            names.append((t.text, t))
+        if at_def_start and not depth and kinds[i] != "eof":
+            if kinds[i] != "ident":
+                raise error_at(text, i, "definition must start with a function name")
+            names.append((t, i))
             at_def_start = False
     seen = set()
-    for name, tok in names:
+    for name, i in names:
         if name in seen:
-            raise ParseError(f"duplicate definition of {name!r}", tok.line, tok.col)
+            raise error_at(text, i, f"duplicate definition of {name!r}")
         seen.add(name)
 
     globals_ = {name: name for name in seen}
-    p = _Parser(tokens, globals_, in_program=True)
+    p = _Parser(text, tokens, globals_, in_program=True)
     defs = _definitions(p)
     if not p.variables.isdisjoint(p.hoisted):
         # a letrec definition takes a variable's name: name them all again,
         # past the variables that this pass has collected
-        p = _Parser(tokens, globals_, in_program=True, taken=frozenset(p.variables))
+        p = _Parser(text, tokens, globals_, in_program=True, taken=frozenset(p.variables))
         defs = _definitions(p)
     defs.update((name, rhs) for name, (_, rhs) in p.hoisted.items())
     return Program(defs=defs, entry=entry)
@@ -401,11 +400,9 @@ def parse_program(text: str, entry: str = "main") -> Program:
 
 def _definitions(p: _Parser) -> dict[str, Expression]:
     defs: dict[str, Expression] = {}
-    while p.peek().kind != "eof":
+    while p.kinds[p.pos] != "eof":
         name = p.ident()
-        params = []
-        while p.peek().kind == "ident":
-            params.append(p.next().text)
+        params = p.idents()
         p.variables.update(params)
         p.expect("=")
         body = p.expr(frozenset(params))
@@ -418,9 +415,8 @@ def _definitions(p: _Parser) -> dict[str, Expression]:
 
 def parse_expression(text: str, globals_: frozenset[str] = frozenset()) -> Expression:
     tokens = tokenize(text)
-    p = _Parser(tokens, {name: name for name in globals_}, in_program=False)
+    p = _Parser(text, tokens, {name: name for name in globals_}, in_program=False)
     e = p.expr(frozenset())
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"unexpected input after expression: {t.text!r}", t.line, t.col)
+    if p.kinds[p.pos] != "eof":
+        raise p.error(f"unexpected input after expression: {p.texts[p.pos]!r}")
     return e

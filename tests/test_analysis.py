@@ -2,7 +2,7 @@ from hypothesis import given, settings
 
 from deforest import App, Case, Global, Lambda, Var, parse_expression
 from deforest.analysis import demand, is_annoying, strict_vars
-from deforest.semantics import _decompose_ex, eval_expr
+from deforest.semantics import eval_expr
 from deforest.syntax import (
     all_identifiers,
     free_vars,
@@ -19,6 +19,7 @@ from conftest import (
     fixture_program,
     scoped_expressions,
 )
+from small_step import _decompose_ex
 
 # a closed term that runs forever
 DIVERGE = parse_expression("(\\x -> x x) (\\x -> x x)")

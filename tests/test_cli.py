@@ -227,6 +227,26 @@ def test_deep_input_exits_cleanly(tmp_path, program, entry):
         assert out.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "program, entry",
+    [
+        # a 5,001-digit literal, past Python's default int conversion limit
+        ("main = 1" + "0" * 5_000 + ";\n", None),
+        # a negative one in an entry call
+        (APPEND_SELF, "main [(-" + "9" * 5_000 + ")]"),
+    ],
+    ids=["build", "eval"],
+)
+def test_long_integer_literal_exits_2(tmp_path, capsys, program, entry):
+    prog = tmp_path / "p.core"
+    prog.write_text(program)
+    args = ["eval", str(prog), "-e", entry] if entry else ["build", str(prog)]
+    code, out, err = run_cli(*args, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "integer literal too long" in err
+
+
 @pytest.mark.parametrize("fuel", ["0", "-1"])
 @pytest.mark.parametrize("command", ["eval", "check"])
 def test_fuel_flag_below_one_exits_2(tmp_path, capsys, command, fuel):
@@ -287,6 +307,9 @@ def test_embed_command(capsys):
     assert code == 0 and out.strip() == "embedded"
     code, out, _ = run_cli("embed", "fac (y - 1)", "fac y", capsys=capsys)
     assert code == 0 and out.strip() == "not-embedded"
+    # an argument "--" after "--" is the comment "--", an empty expression
+    code, out, err = run_cli("embed", "--", "main", "--", capsys=capsys)
+    assert code == 2 and err == "error: 1:1: expected expression, found 'end of input'\n"
 
 
 def test_main_restores_the_recursion_limit(capsys):

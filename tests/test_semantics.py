@@ -15,14 +15,7 @@ from deforest import (
     parse_program,
     supercompile,
 )
-from deforest.semantics import (
-    StuckError,
-    decompose,
-    eval_expr,
-    eval_via_step,
-    is_value,
-    step,
-)
+from deforest.semantics import StuckError, eval_expr
 from deforest.syntax import alpha_eq, free_vars, substitute
 
 from conftest import (
@@ -32,6 +25,7 @@ from conftest import (
     fixture_program,
     generate_programs,
 )
+from small_step import decompose, eval_via_step, is_value, step
 
 
 def ev(text, defs_text="", fuel=100_000):
