@@ -27,6 +27,8 @@ from .syntax import (
 )
 
 _ATOM, _APP, _ARITH, _EXPR = range(4)
+_CHUNK_DIGITS = 500  # below every digit limit Python lets a program set
+_CHUNK = 10**_CHUNK_DIGITS
 
 
 def pretty_expr(e: Expression) -> str:
@@ -46,10 +48,28 @@ def _literal_list(e: Expression) -> list[Expression] | None:
                 return None
 
 
+def _int_text(n: int) -> str:
+    """str(n), also for an integer past Python's int-to-str digit limit
+    (evaluation and constant folding can make one from shorter literals).
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    chunks = []
+    m = abs(n)
+    while m:
+        m, r = divmod(m, _CHUNK)
+        chunks.append(str(r).zfill(_CHUNK_DIGITS))
+    text = "".join(reversed(chunks)).lstrip("0")
+    return text if n >= 0 else "-" + text
+
+
 def _show(e: Expression, ctx: int) -> str:
     match e:
         case IntLit(n):
-            return str(n) if n >= 0 else f"({n})"
+            text = _int_text(n)
+            return text if n >= 0 else f"({text})"
         case Var(name):
             return name
         case Global(name):

@@ -8,11 +8,26 @@ never copied or re-substituted.  A result is read back into a term by
 substituting each closure's read-back environment into its lambda, which
 gives the term the substitution semantics computes.
 
-Counters: `calls` counts (Global) and (App) reductions, `allocs` counts
-constructor values built from not-yet-value arguments, `steps` counts every
-reduction.  A constructor application whose arguments are integers, lambdas,
-bound variables or such constructor applications is already a value: it costs
-no step and no alloc.
+An atom, a variable or an integer literal, needs no continuation frame: its
+value is a lookup.  Where the machine would push a frame only to evaluate an
+atom, it looks the atom up in place and hands the frame its value in the same
+turn of its loop.  A case on a variable selects its branch; a function value
+meeting an atom argument binds it, a lambda in function position without
+becoming a closure, so that a call of a global on atoms is its (Global) step
+and its (App) steps in one turn; arithmetic uses atom operands directly; the
+leading atoms of a constructor application are finished arguments at once.
+Fuel rule: every reduction such a turn takes is taken only while steps <
+fuel.  When the next one would cross the limit, or the atom is a free
+variable or a value of the wrong kind, the machine takes the frame path
+instead, which runs out of fuel or gets stuck exactly where literal step
+iteration does.  So counters, fuel boundaries and stuck reasons are those of
+the small-step semantics.
+
+Counters: `calls` counts (Global) and (App) reductions, `unfolds` the
+(Global) ones among them, `allocs` counts constructor values built from
+not-yet-value arguments, `steps` counts every reduction.  A constructor
+application whose arguments are integers, lambdas, bound variables or such
+constructor applications is already a value: it costs no step and no alloc.
 
 `eval_program` runs an entry call against a program whose definitions may use
 unknown external functions (their free variables): a variable bound nowhere
@@ -26,7 +41,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    Alt,
     App,
     Case,
     CtorApp,
@@ -62,6 +76,7 @@ class EvalOutcome:
     calls: int
     allocs: int
     steps: int
+    unfolds: int  # the (Global) reductions among `calls`
 
     def stats_block(self) -> str:
         return (
@@ -80,34 +95,31 @@ def apply_prim(op: str, a: int, b: int) -> int:
     raise StuckError(f"unknown operator {op!r}")
 
 
-def _match_alt(v, alts: tuple[Alt, ...]) -> Alt:
-    """(KCase)/(NCase): the branch a scrutinee value selects."""
+def _branch(v, alts: tuple, env: dict):
+    """(KCase)/(NCase): the body of the branch the value v selects and the
+    environment it runs in, or None when no branch matches.
+    """
     alt = select_alt(v, alts)
     if alt is None:
-        match v:
-            case CtorApp(k, _):
-                raise StuckError(f"no alternative matches constructor {k}")
-            case IntLit(n):
-                raise StuckError(f"no alternative matches {n}")
-        raise StuckError("case scrutinee is not a data value")
-    return alt
+        return None
+    p = alt.pattern
+    if type(p) is CtorPat:
+        if p.binders:
+            env = env.copy()
+            for x, w in zip(p.binders, v.args):
+                env[x] = w
+    elif type(p) is DefaultPat and p.binder is not None:
+        env = {**env, p.binder: v}
+    return alt.body, env
 
 
-def _alt_bindings(alt: Alt, v) -> dict:
-    """What the selected branch's pattern binds."""
-    match alt.pattern:
-        case CtorPat(_, binders):
-            return dict(zip(binders, v.args))
-        case DefaultPat(b) if b is not None:
-            return {b: v}
-    return {}
-
-
-def _lookup_global(name: str, G: Globals) -> Expression:
-    v = G.get(name)
-    if v is None:
-        raise StuckError(f"undefined function {name}")
-    return v
+def _no_match(v) -> str:
+    """Why a case on the value v selects no branch."""
+    if type(v) is CtorApp:
+        return f"no alternative matches constructor {v.ctor}"
+    if type(v) is IntLit:
+        return f"no alternative matches {v.value}"
+    return "case scrutinee is not a data value"
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +153,10 @@ _EXTERNAL = Closure(_IDENTITY, _EMPTY)
 #   (_PRIM_R, op, n)              n (+) E
 #   (_CASE, alts, env)            case E of
 #   (_LET, x, body, env)          let x = E in e
-_APP_FUN, _APP_ARG, _CTOR, _PRIM_L, _PRIM_R, _CASE, _LET = range(7)
+# numbered so that the return loop tests a frame with few comparisons: after
+# _CASE, `tag <= _APP_ARG` picks the application frames and then
+# `tag <= _PRIM_R` the arithmetic ones
+_CASE, _APP_FUN, _APP_ARG, _PRIM_L, _PRIM_R, _CTOR, _LET = range(7)
 
 
 def _ctor_value(e: CtorApp, env: dict, externals: bool):
@@ -232,60 +247,113 @@ def _read_back(root, externals: bool) -> Expression:
     return done[id(root)]
 
 
+def _atom(e: Expression, env: dict, ext):
+    """The value of an atom (an integer literal, or a variable bound in env or
+    standing for `ext`), or None when e is no atom or cannot be looked up.
+    """
+    t = type(e)
+    if t is IntLit:
+        return e
+    if t is Var:
+        return env.get(e.name, ext)
+    return None
+
+
 def _run(e: Expression, G: Globals, fuel: int, externals: bool) -> EvalOutcome:
-    calls = allocs = steps = 0
+    calls = allocs = steps = unfolds = 0
     frames: list[tuple] = []
     focus, env = e, _EMPTY
+    ext = _EXTERNAL if externals else None  # what a free variable is
 
     def out(kind: str, value=None, reason=None) -> EvalOutcome:
-        return EvalOutcome(kind, value, reason, calls, allocs, steps)
+        return EvalOutcome(kind, value, reason, calls, allocs, steps, unfolds)
 
     while True:
         # evaluate focus in env: push frames per the context grammar until
-        # a value v is reached
+        # a value v is reached; a frame whose hole is an atom gets its value
+        # in this turn
         t = type(focus)
-        if t is Var:
-            v = env.get(focus.name)
-            if v is None:
-                if not externals:
-                    return out("stuck", reason=f"free variable {focus.name}")
-                v = _EXTERNAL
-        elif t is App:
+        while t is App:
             frames.append((_APP_FUN, focus.arg, env))
             focus = focus.fun
-            continue
-        elif t is CtorApp:
-            v = _ctor_value(focus, env, externals)
-            if v is None:
-                frames.append((_CTOR, focus, [], env))
-                focus = focus.args[0]
-                continue
-        elif t is IntLit:
-            v = focus
-        elif t is Lambda:
-            v = Closure(focus, env)
-        elif t is Global:
+            t = type(focus)
+        if t is Global:
             if steps >= fuel:
                 return out("out_of_fuel")
-            try:
-                focus = _lookup_global(focus.name, G)
-            except StuckError as s:
-                return out("stuck", reason=s.reason)
-            env = _EMPTY
+            body = G.get(focus.name)
+            if body is None:
+                return out("stuck", reason=f"undefined function {focus.name}")
+            focus, env = body, _EMPTY
             calls += 1
             steps += 1
-            continue
+            unfolds += 1
+            t = type(focus)
+        if t is Lambda:
+            # (App) on atom arguments: bind them without building a closure
+            fresh = False  # whether env is a dict of this loop's own
+            while frames and steps < fuel:
+                fr = frames[-1]
+                if fr[0] != _APP_FUN:
+                    break
+                a = _atom(fr[1], fr[2], ext)
+                if a is None:
+                    break
+                frames.pop()
+                if fresh:
+                    env[focus.param] = a
+                else:
+                    env, fresh = {**env, focus.param: a}, True
+                focus = focus.body
+                calls += 1
+                steps += 1
+                if type(focus) is not Lambda:
+                    break
+            t = type(focus)
+        if t is Lambda:
+            v = Closure(focus, env)
         elif t is Case:
-            frames.append((_CASE, focus.alts, env))
-            focus = focus.scrutinee
+            v = _atom(focus.scrutinee, env, ext)
+            if v is None or steps >= fuel or (b := _branch(v, focus.alts, env)) is None:
+                frames.append((_CASE, focus.alts, env))
+                focus = focus.scrutinee
+                continue
+            focus, env = b
+            steps += 1
             continue
-        elif t is Let:
-            frames.append((_LET, focus.binder, focus.body, env))
-            focus = focus.bound
-            continue
-        elif t is PrimOp:
-            frames.append((_PRIM_L, focus.op, focus.rhs, env))
-            focus = focus.lhs
+        elif t is PrimOp or t is Let:
+            if t is PrimOp:
+                frames.append((_PRIM_L, focus.op, focus.rhs, env))
+                focus = focus.lhs
+            else:
+                frames.append((_LET, focus.binder, focus.body, env))
+                focus = focus.bound
+            v = _atom(focus, env, ext)
+            if v is None:
+                continue
+        elif t is CtorApp:
+            args = focus.args
+            done = []  # the leading atoms are finished arguments
+            for a in args:
+                a = _atom(a, env, ext)
+                if a is None:
+                    break
+                done.append(a)
+            i = len(done)
+            if i == len(args):
+                v = CtorApp(focus.ctor, tuple(done)) if i else focus
+            elif type(args[i]) not in (CtorApp, Lambda) or (
+                v := _ctor_value(focus, env, externals)
+            ) is None:
+                frames.append((_CTOR, focus, done, env))
+                focus = args[i]
+                continue
+        elif t is Var:
+            v = env.get(focus.name, ext)
+            if v is None:
+                return out("stuck", reason=f"free variable {focus.name}")
+        elif t is IntLit:
+            v = focus
+        elif t is App or t is Global:
             continue
         else:
             return out("stuck", reason=f"cannot evaluate {t.__name__}")
@@ -296,20 +364,51 @@ def _run(e: Expression, G: Globals, fuel: int, externals: bool) -> EvalOutcome:
                 return out("value", value=_read_back(v, externals))
             fr = frames.pop()
             tag = fr[0]
-            if tag == _APP_FUN:
-                if type(v) is not Closure:
-                    return out("stuck", reason="application of a non-function value")
-                frames.append((_APP_ARG, v))
-                focus, env = fr[1], fr[2]
-                break
-            if tag == _APP_ARG:
+            if tag == _CASE:
                 if steps >= fuel:
                     return out("out_of_fuel")
-                lam = fr[1].term
-                focus, env = lam.body, {**fr[1].env, lam.param: v}
+                b = _branch(v, fr[1], fr[2])
+                if b is None:
+                    return out("stuck", reason=_no_match(v))
+                focus, env = b
+                steps += 1
+                break
+            if tag <= _APP_ARG:
+                if tag == _APP_ARG:
+                    fun = fr[1]
+                elif type(v) is not Closure:
+                    return out("stuck", reason="application of a non-function value")
+                else:
+                    a = _atom(fr[1], fr[2], ext)
+                    if a is None:
+                        frames.append((_APP_ARG, v))
+                        focus, env = fr[1], fr[2]
+                        break
+                    fun, v = v, a
+                if steps >= fuel:
+                    return out("out_of_fuel")
+                lam = fun.term
+                focus, env = lam.body, {**fun.env, lam.param: v}
                 calls += 1
                 steps += 1
                 break
+            if tag <= _PRIM_R:
+                if type(v) is not IntLit:
+                    return out("stuck", reason="arithmetic on a non-integer")
+                if tag == _PRIM_R:
+                    n = fr[2]
+                else:
+                    r = _atom(fr[2], fr[3], ext)
+                    if type(r) is not IntLit:
+                        frames.append((_PRIM_R, fr[1], v.value))
+                        focus, env = fr[2], fr[3]
+                        break
+                    n, v = v.value, r
+                if steps >= fuel:
+                    return out("out_of_fuel")
+                v = IntLit(apply_prim(fr[1], n, v.value))
+                steps += 1
+                continue
             if tag == _CTOR:
                 _, term, done_args, cenv = fr
                 done_args.append(v)
@@ -320,31 +419,6 @@ def _run(e: Expression, G: Globals, fuel: int, externals: bool) -> EvalOutcome:
                 v = CtorApp(term.ctor, tuple(done_args))
                 allocs += 1
                 continue
-            if tag == _PRIM_L:
-                if type(v) is not IntLit:
-                    return out("stuck", reason="arithmetic on a non-integer")
-                frames.append((_PRIM_R, fr[1], v.value))
-                focus, env = fr[2], fr[3]
-                break
-            if tag == _PRIM_R:
-                if type(v) is not IntLit:
-                    return out("stuck", reason="arithmetic on a non-integer")
-                if steps >= fuel:
-                    return out("out_of_fuel")
-                v = IntLit(apply_prim(fr[1], fr[2], v.value))
-                steps += 1
-                continue
-            if tag == _CASE:
-                if steps >= fuel:
-                    return out("out_of_fuel")
-                try:
-                    alt = _match_alt(v, fr[1])
-                except StuckError as s:
-                    return out("stuck", reason=s.reason)
-                bound = _alt_bindings(alt, v)
-                focus, env = alt.body, {**fr[2], **bound} if bound else fr[2]
-                steps += 1
-                break
             # _LET
             if steps >= fuel:
                 return out("out_of_fuel")

@@ -2,9 +2,9 @@
 `deforest.semantics`.
 
 `decompose`/`step` are the literal one-reduction-at-a-time functions, and
-`eval_via_step` iterates them, counting calls, allocs and steps as
-`eval_expr` does.  They share the machine's primitive operations, case
-selection and global lookup.
+`eval_via_step` iterates them, counting calls, allocs, steps and unfolds
+as `eval_expr` does.  They share the machine's primitive operations and
+its reasons for a case that selects no branch.
 """
 
 from __future__ import annotations
@@ -15,15 +15,16 @@ from deforest.semantics import (
     EvalOutcome,
     Globals,
     StuckError,
-    _alt_bindings,
-    _lookup_global,
-    _match_alt,
+    _no_match,
     apply_prim,
 )
 from deforest.syntax import (
+    Alt,
     App,
     Case,
     CtorApp,
+    CtorPat,
+    DefaultPat,
     Expression,
     Global,
     IntLit,
@@ -31,6 +32,7 @@ from deforest.syntax import (
     Let,
     PrimOp,
     Var,
+    select_alt,
     substitute,
 )
 
@@ -161,6 +163,31 @@ def plug(frames: list[Frame], e: Expression) -> Expression:
     return e
 
 
+def _match_alt(v, alts: tuple[Alt, ...]) -> Alt:
+    """(KCase)/(NCase): the branch a scrutinee value selects."""
+    alt = select_alt(v, alts)
+    if alt is None:
+        raise StuckError(_no_match(v))
+    return alt
+
+
+def _alt_bindings(alt: Alt, v) -> dict:
+    """What the selected branch's pattern binds."""
+    match alt.pattern:
+        case CtorPat(_, binders):
+            return dict(zip(binders, v.args))
+        case DefaultPat(b) if b is not None:
+            return {b: v}
+    return {}
+
+
+def _lookup_global(name: str, G: Globals) -> Expression:
+    v = G.get(name)
+    if v is None:
+        raise StuckError(f"undefined function {name}")
+    return v
+
+
 def _reduce(redex: Expression, G: Globals) -> Expression:
     match redex:
         case Global(g):
@@ -195,22 +222,25 @@ def eval_via_step(e: Expression, G: Globals, fuel: int) -> EvalOutcome:
     pending arguments all values), and again for each enclosing constructor
     frame that this completes in turn.
     """
-    calls = allocs = steps = 0
+    calls = allocs = steps = unfolds = 0
     while True:
         out = _decompose_ex(e)
         if out[0] == "value":
-            return EvalOutcome("value", e, None, calls, allocs, steps)
+            return EvalOutcome("value", e, None, calls, allocs, steps, unfolds)
         if out[0] == "stuck":
-            return EvalOutcome("stuck", None, out[2], calls, allocs, steps)
+            return EvalOutcome("stuck", None, out[2], calls, allocs, steps, unfolds)
         if steps >= fuel:
-            return EvalOutcome("out_of_fuel", None, None, calls, allocs, steps)
+            return EvalOutcome("out_of_fuel", None, None, calls, allocs, steps, unfolds)
         _, frames, redex = out
         try:
             reduct = _reduce(redex, G)
         except StuckError as s:
-            return EvalOutcome("stuck", None, s.reason, calls, allocs, steps)
+            return EvalOutcome("stuck", None, s.reason, calls, allocs, steps, unfolds)
         match redex:
-            case Global(_) | App(_, _):
+            case Global(_):
+                calls += 1
+                unfolds += 1
+            case App(_, _):
                 calls += 1
         steps += 1
         if is_value(reduct):

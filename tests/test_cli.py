@@ -92,6 +92,24 @@ def test_eval_factorial(capsys):
     assert out.strip() == "6"
 
 
+def test_eval_prints_integers_past_the_digit_limit(tmp_path, capsys):
+    # A * A has 4,400 digits, past Python's default int-to-str limit of
+    # 4,300; the literal A itself is within the parser's limit
+    a = int("7" * 2200)
+    src = tmp_path / "big.core"
+    src.write_text(f"main = {a} * {a};\nneg = 0 - {a} * {a};\n")
+    code, out, _ = run_cli("eval", str(src), "-e", "main", capsys=capsys)
+    code_neg, out_neg, _ = run_cli("eval", str(src), "-e", "neg", capsys=capsys)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(a * a)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out.strip()) == (0, expected)
+    assert (code_neg, out_neg.strip()) == (0, f"(-{expected})")
+
+
 def test_eval_double_append(capsys):
     code, out, _ = run_cli(
         "eval", fixture("double_append"), "-e", "main [1,2] [3] [4]", capsys=capsys

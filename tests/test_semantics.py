@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 from hypothesis import given, settings
 
@@ -137,17 +138,88 @@ def test_fuel_monotonicity():
         )
 
 
+# Fuel sweeps: the machine takes several reductions in one turn of its loop
+# when their operands are atoms, so each fuel limit must still stop it at the
+# reduction, with the counters, where literal step iteration stops.
+SWEEP_CAP = 100  # the largest fuel swept for a call that runs out
+
+HANDWRITTEN = """
+shadow = \\x -> \\x -> x + 1;
+mk n = \\y -> n * y;
+mkl n = let k = \\y -> n * y in k;
+pick b = case b of { 0 -> \\y -> y; _ -> \\y -> y + 1 };
+add a b = a + b;
+apply f x = f x;
+twice f x = f (f x);
+map f xs = case xs of { [] -> []; (x:xs') -> f x : map f xs' };
+cons x xs = x : xs;
+bad x = x + Nil;
+plus x y = x + y;
+"""
+
+HANDWRITTEN_CALLS = [
+    "shadow 1 2",
+    "mk 3 4",
+    "mkl 3 4",
+    "pick 0 5",
+    "pick 1 5",
+    "map (add 1) [1, 2]",
+    "apply (mk 2) 5",
+    "twice (add 3) 1",
+    "map (\\x -> x * x) [3, 4]",
+    "(\\x -> x + 1) 2",
+    "let z = 3 in z * z",
+    "cons 1 [2]",
+    "Just (add 1)",
+    "add 1",
+    "bad 1",
+    "plus 1 Nil",
+    "plus Nil 1",
+    "plus (add 1) 1",
+    "case mk 3 of { _ -> 0 }",
+    "pick 2",
+    "apply 1 2",
+]
+
+# open terms: eval_expr is stuck at a free variable wherever it stands
+OPEN_CALLS = [
+    "y",
+    "case y of { _ -> 1 }",
+    "add y 1",
+    "add 1 y",
+    "y + 1",
+    "1 + y",
+    "(\\x -> x) y",
+    "let z = y in z",
+    "cons y []",
+    "Just y",
+    "y : []",
+    "shadow y 2",
+    "mk 3 y",
+    "apply y 1",
+]
+
+
+def _fuel_sweep(outcome, call, defs) -> int:
+    """Compare the whole machine outcome(fuel) of call with literal step
+    iteration at every fuel from 0 to one past the steps the call takes (at
+    most SWEEP_CAP); returns the number of fuels compared.
+    """
+    steps = outcome(SWEEP_CAP).steps
+    for fuel in range(steps + 2):
+        assert outcome(fuel) == eval_via_step(call, defs, fuel), (call, fuel)
+    return steps + 2
+
+
 def test_eval_agrees_with_step_iteration():
     rng = random.Random(11)
-    for program in generate_programs(12, seed=5):
+    swept = 0
+    for program in generate_programs(30, seed=5):
         for call in entry_calls_for(program, rng):
-            machine = eval_expr(call, program.defs, 4000)
-            stepped = eval_via_step(call, program.defs, 4000)
-            assert machine.kind == stepped.kind
-            assert machine.calls == stepped.calls
-            assert machine.allocs == stepped.allocs
-            assert machine.steps == stepped.steps
-            assert machine.value == stepped.value
+            outcome = partial(eval_expr, call, program.defs)
+            assert outcome(4000) == eval_via_step(call, program.defs, 4000)
+            swept += _fuel_sweep(outcome, call, program.defs)
+    assert swept > 300
 
 
 def _externals_as_identity(program):
@@ -201,7 +273,28 @@ def test_eval_agrees_with_step_iteration_on_fixtures(fixture_name):
         defs = _externals_as_identity(program)
         calls = [parse_expression(e, frozenset(program.defs)) for e in manifest["entries"]]
         for call in calls + [Global(name) for name in program.defs]:
-            assert eval_program(program, call, fuel) == eval_via_step(call, defs, fuel)
+            outcome = partial(eval_program, program, call)
+            assert outcome(fuel) == eval_via_step(call, defs, fuel)
+            _fuel_sweep(outcome, call, defs)
+
+
+def test_fuel_sweep_on_atom_corner_cases():
+    # shadowed curried parameters, a global given more arguments than it has
+    # lambdas, partial application, functions as arguments, non-integers in
+    # arithmetic, and an undefined global
+    program = parse_program(HANDWRITTEN)
+    calls = [parse_expression(e, frozenset(program.defs)) for e in HANDWRITTEN_CALLS]
+    calls += [Global("nope"), App(Global("nope"), IntLit(1))]
+    outcomes = [eval_program(program, c, 1000) for c in calls]
+    assert [o.value for o in outcomes[:3]] == [IntLit(3), IntLit(12), IntLit(12)]
+    assert {o.kind for o in outcomes} == {"value", "stuck"}
+    defs = _externals_as_identity(program)
+    swept = sum(_fuel_sweep(partial(eval_program, program, c), c, defs) for c in calls)
+    assert swept > 100
+    for text in OPEN_CALLS:
+        call = parse_expression(text, frozenset(program.defs))
+        assert eval_expr(call, program.defs, 1000).reason == "free variable y"
+        _fuel_sweep(partial(eval_expr, call, program.defs), call, program.defs)
 
 
 def test_generated_programs_never_get_stuck():
@@ -229,7 +322,7 @@ def test_bind_externals_substitutes_identity():
     # applying it costs the one beta its substitution would
     program = parse_program("main = show 42;")
     out = eval_program(program, Global("main"), 100)
-    assert out == EvalOutcome("value", IntLit(42), None, 2, 0, 2)
+    assert out == EvalOutcome("value", IntLit(42), None, 2, 0, 2, 1)
     # it reads back as that lambda inside data and under binders
     program = parse_program("main = Just show; f = \\x -> show x;")
     out = eval_program(program, Global("main"), 100)
