@@ -9,26 +9,20 @@ LIST_LENGTHS elements (every list argument has that length) or, for
 call takes and the steps per second of the median of REPEATS timed runs.
 The inputs are built as terms, not parsed, so that no parser limit bounds
 them; their elements come from a fixed seed.  The collector is off inside
-each timed run.  The package is imported from `--src`, the `src/` directory
-of any checkout, so that two versions can be measured with one script.
-
-With `--out` and `--side`, the result is stored under that side's key of the
-JSON file, keeping the others, so that `{"parent": ..., "change": ...}` can
-be written by two runs.  Without `--out` it goes to standard output.
+each timed run.  The flags `--src`, `--out` and `--side` are those of
+`curve_harness.run`.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
-import os
-import platform
 import random
 import statistics
 import sys
 import time
 from pathlib import Path
+
+from curve_harness import run
 
 FIXTURES = ("double_append", "sum_map_square", "vecdot", "rev_accum", "flip_tree")
 LIST_ARGS = {"double_append": 3, "sum_map_square": 1, "vecdot": 2, "rev_accum": 1}
@@ -112,33 +106,16 @@ def curve(api, fixtures: Path, name: str) -> list[dict]:
     return rows
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", required=True, help="the src/ directory of a checkout")
-    ap.add_argument("--out", help="JSON file to store the result in")
-    ap.add_argument("--side", default="change", help="key of the result in --out")
-    args = ap.parse_args(argv)
-
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    import deforest as api
-
-    result = {
-        "python": platform.python_version(),
-        "machine": f"{platform.machine()}, {platform.system()}, nproc {os.cpu_count()}",
+def curves(api, src: Path) -> dict:
+    return {
         "repeats": REPEATS,
         "size": "elements per list argument; tree depth for flip_tree",
         "fixtures": {name: curve(api, src / "deforest" / "fixtures", name) for name in FIXTURES},
     }
-    if args.out is None:
-        json.dump(result, sys.stdout, indent=1)
-        print()
-        return 0
-    out = Path(args.out)
-    sides = json.loads(out.read_text()) if out.exists() else {}
-    sides[args.side] = result
-    out.write_text(json.dumps(sides, indent=1) + "\n")
-    return 0
+
+
+def main(argv=None) -> int:
+    return run(__doc__, curves, argv)
 
 
 if __name__ == "__main__":

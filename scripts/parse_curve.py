@@ -9,27 +9,20 @@ PROGRAM_SEED), printed.  For each text it records the number of tokens, the
 median parse time and the median build time (parse, supercompile and print)
 over REPEATS runs, in ms.  The size curve parses the first n of SIZE_PROGRAMS
 generated programs (seed SIZE_SEED), each with its function names suffixed
-so that they do not clash, concatenated into one text.  The package is
-imported from `--src`, the `src/` directory of any checkout, so that two
-versions can be measured with one script; the texts come from this
-checkout's `tests/conftest.py`.
-
-With `--out` and `--side`, the result is stored under that side's key of the
-JSON file, keeping the others, so that `{"parent": ..., "change": ...}` can
-be written by two runs.  Without `--out` it goes to standard output.
+so that they do not clash, concatenated into one text.  The texts come from
+this checkout's `tests/conftest.py`, whatever checkout `--src` names.  The
+flags `--src`, `--out` and `--side` are those of `curve_harness.run`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import re
 import statistics
 import sys
 import time
 from pathlib import Path
+
+from curve_harness import run
 
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 11
@@ -104,35 +97,19 @@ def sizes(api, conftest) -> list[dict]:
     return rows
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", required=True, help="the src/ directory of a checkout")
-    ap.add_argument("--out", help="JSON file to store the result in")
-    ap.add_argument("--side", default="change", help="key of the result in --out")
-    args = ap.parse_args(argv)
-
-    sys.path.insert(0, str(Path(args.src).resolve()))
-    import deforest as api
-
+def curves(api, src: Path) -> dict:
     sys.path.insert(1, str(ROOT / "tests"))
     import conftest
 
-    result = {
-        "python": platform.python_version(),
-        "machine": f"{platform.machine()}, {platform.system()}, nproc {os.cpu_count()}",
+    return {
         "repeats": REPEATS,
         "corpus": corpus(api, conftest),
         "sizes": sizes(api, conftest),
     }
-    if args.out is None:
-        json.dump(result, sys.stdout, indent=1)
-        print()
-        return 0
-    out = Path(args.out)
-    sides = json.loads(out.read_text()) if out.exists() else {}
-    sides[args.side] = result
-    out.write_text(json.dumps(sides, indent=1) + "\n")
-    return 0
+
+
+def main(argv=None) -> int:
+    return run(__doc__, curves, argv)
 
 
 if __name__ == "__main__":

@@ -30,11 +30,15 @@ from .analysis import strict_vars
 DEFAULT_FUEL = 1_000_000
 
 
+class UsageError(Exception):
+    """An error in the command's files or arguments that has no source position."""
+
+
 def _load_program(path: str) -> Program:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}", 0, 0)
+        raise UsageError(f"cannot read {path}: {exc.strerror}")
     program = parse_program(text)
     validate_program(program)
     return program
@@ -44,13 +48,13 @@ def _parse_entry(text: str, program: Program) -> Expression:
     call = parse_expression(text, frozenset(program.defs))
     missing = free_vars(call)
     if missing:
-        raise ParseError(f"entry call has free variables {sorted(missing)}", 0, 0)
+        raise UsageError(f"entry call has free variables {sorted(missing)}")
     return call
 
 
 def _fuel(value: int, source: str) -> int:
     if value < 1:
-        raise ParseError(f"{source} must be at least 1, got {value}", 0, 0)
+        raise UsageError(f"{source} must be at least 1, got {value}")
     return value
 
 
@@ -110,10 +114,10 @@ def _read_manifest(path: Path) -> dict:
             try:
                 fuel = int(value)
             except ValueError:
-                raise ParseError(f"manifest fuel {value!r} is not an integer", 0, 0) from None
+                raise UsageError(f"manifest fuel {value!r} is not an integer") from None
             _fuel(fuel, "manifest fuel")
         else:
-            raise ParseError(f"unknown manifest key {key!r}", 0, 0)
+            raise UsageError(f"unknown manifest key {key!r}")
     return {"entries": entries, "golden": golden, "fuel": fuel}
 
 
@@ -143,7 +147,7 @@ def cmd_check(args) -> int:
     program = _load_program(args.file)
     manifest_path = Path(args.manifest) if args.manifest else Path(args.file).with_suffix(".manifest")
     if not manifest_path.exists():
-        raise ParseError(f"no manifest at {manifest_path}", 0, 0)
+        raise UsageError(f"no manifest at {manifest_path}")
     manifest = _read_manifest(manifest_path)
     fuel = _fuel(args.fuel, "--fuel") if args.fuel is not None else manifest["fuel"]
     if fuel is None:
@@ -265,7 +269,7 @@ def _run(argv) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, SyntaxError_) as exc:
+    except (ParseError, SyntaxError_, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

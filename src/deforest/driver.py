@@ -72,19 +72,6 @@ class _Rollback(DriverError):
         self.term = term
 
 
-class _NonHoleVars:
-    """Membership view for the termination measure: every variable weighs 2
-    except generalization holes, which weigh 1.  Renamed copies of program
-    binders keep the weight of the variables they stand for.
-    """
-
-    def __init__(self, supply: FreshSupply):
-        self.supply = supply
-
-    def __contains__(self, name: str) -> bool:
-        return name not in self.supply.hole_names
-
-
 @dataclass(frozen=True)
 class MemoEntry:
     name: str
@@ -121,22 +108,26 @@ Measure = tuple[int, int, int]
 
 
 class DriveSession:
-    """One drive of an entry definition.  `defs` is the table of residual
-    definitions written so far, in the order their activations completed, and
-    `callees` holds the function symbols of each; neither is ever rewritten.
-    `done` indexes the memo entries of those definitions by their key's
-    (shape, globals), for the global fold; `_done_log` lists them in the
-    order they were added, so that an abandoned drive can take its own out.
+    """One drive of an entry definition.  `G` holds the program's
+    definitions, which Dapp4 unfolds and nothing changes.  `defs` is the
+    table of residual definitions written so far, in the order their
+    activations completed, and `callees` holds the function symbols of each;
+    neither is ever rewritten.  `done` indexes the memo entries of those
+    definitions by their key's (shape, globals), for the global fold;
+    `_done_log` lists them in the order they were added, so that an
+    abandoned drive can take its own out.
     """
 
     def __init__(
         self,
         supply: FreshSupply,
+        G: Globals,
         trace: Optional[Callable[[str], None]] = None,
         assert_measure: bool = False,
         explain_strict: Optional[Callable[[str], None]] = None,
     ):
         self.supply = supply
+        self.G = G
         self.trace = trace
         self.assert_measure = assert_measure
         self.explain_strict = explain_strict
@@ -149,17 +140,8 @@ class DriveSession:
     # ------------------------------------------------------------------
 
     def _measure(self, e: Expression, context: list[RFrame], rho: Rho) -> Measure:
-        vars_ = _NonHoleVars(self.supply)
-        whole = weight(plug_r(context, e), vars_)
-        return (-len(rho), whole, weight(e, vars_))
-
-    def _check_measure(
-        self, parent: Optional[Measure], m: Measure, rule: str
-    ) -> None:
-        if parent is not None and not m < parent:
-            raise DriverError(
-                f"measure did not decrease at {rule}: {parent} -> {m}"
-            )
+        holes = self.supply.hole_names
+        return (-len(rho), weight(plug_r(context, e), holes), weight(e, holes))
 
     def _emit(
         self,
@@ -175,7 +157,7 @@ class DriveSession:
         hit and where it was found, as `-> h4 (table)` or `-> h1 (rho)`.
         """
         if self.trace is not None:
-            w = weight(e, _NonHoleVars(self.supply))
+            w = weight(e, self.supply.hole_names)
             via = f" -> {hit} ({where})" if hit else ""
             self.trace(f"{rule} w={w} rho={len(rho)} depth={len(context)}{via}")
 
@@ -185,7 +167,6 @@ class DriveSession:
         self,
         e: Expression,
         context: list[RFrame],
-        G: Globals,
         rho: Rho,
         parent: Optional[Measure] = None,
     ) -> Expression:
@@ -203,14 +184,15 @@ class DriveSession:
         R8, a kept R13 let, R15, R18, and Dapp4 and `_generalize` in
         `drive_app`; Dapp2 unwinds by raising `_Rollback`.  The paper's
         letrec rule is the parser's: a source letrec arrives as a top-level
-        definition in G.  Under assert_measure each pass of the loop must
+        definition in `G`.  Under assert_measure each pass of the loop must
         decrease the measure of the one before.
         """
         me = parent
         while True:
             if self.assert_measure:
                 m = self._measure(e, context, rho)
-                self._check_measure(me, m, "drive")
+                if me is not None and not m < me:
+                    raise DriverError(f"measure did not decrease at drive: {me} -> {m}")
                 me = m
             match e:
                 case IntLit(_) | Var(_):  # R1, R2
@@ -218,15 +200,15 @@ class DriveSession:
                     return plug_r(context, e)
                 case Global(_):  # R3
                     self._emit("R3", e, context, rho)
-                    return self.drive_app(e.name, context, G, rho, me)
+                    return self.drive_app(e.name, context, rho, me)
                 case CtorApp(k, args) if not context:  # R4
                     self._emit("R4", e, context, rho)
-                    return CtorApp(k, tuple([self.drive(a, [], G, rho, me) for a in args]))
+                    return CtorApp(k, tuple([self.drive(a, [], rho, me) for a in args]))
                 case App(_, _):
                     head, args = unfold_apps(e)
                     if isinstance(head, Var):  # R5
                         self._emit("R5", e, context, rho)
-                        args = [self.drive(a, [], G, rho, me) for a in args]
+                        args = [self.drive(a, [], rho, me) for a in args]
                         return plug_r(context, fold_apps(head, args))
                     if isinstance(head, Lambda):  # R9
                         self._emit("R9", e, context, rho)
@@ -241,15 +223,15 @@ class DriveSession:
                 case Lambda(_, _) if not context:  # R6
                     self._emit("R6", e, context, rho)
                     params, body = unfold_lambdas(e)
-                    return fold_lambdas(params, self.drive(body, [], G, rho, me))
+                    return fold_lambdas(params, self.drive(body, [], rho, me))
                 case PrimOp(op, IntLit(a), IntLit(b)):  # R7
                     self._emit("R7", e, context, rho)
                     e, context = plug_r(context, IntLit(apply_prim(op, a, b))), []
                 case PrimOp(op, lhs, rhs):  # R8
                     self._emit("R8", e, context, rho)
                     if is_annoying(e):
-                        lhs = self.drive(lhs, [], G, rho, me)
-                        return plug_r(context, PrimOp(op, lhs, self.drive(rhs, [], G, rho, me)))
+                        lhs = self.drive(lhs, [], rho, me)
+                        return plug_r(context, PrimOp(op, lhs, self.drive(rhs, [], rho, me)))
                     if isinstance(lhs, IntLit) or is_annoying(lhs):
                         e, context = rhs, context + [("prim_r", op, lhs)]
                     else:
@@ -278,8 +260,8 @@ class DriveSession:
                         x2 = self.supply.var(x)
                         body = substitute({x: Var(x2)}, body)
                         x = x2
-                    bound = self.drive(bound, [], G, rho, me)
-                    return Let(x, bound, self.drive(plug_r(context, body), [], G, rho, me))
+                    bound = self.drive(bound, [], rho, me)
+                    return Let(x, bound, self.drive(plug_r(context, body), [], rho, me))
                 case Case(Var(_) as x, alts):  # R15
                     self._emit("R15", e, context, rho)
                     new_alts = []
@@ -288,7 +270,7 @@ class DriveSession:
                         branch = plug_r(context, substitute(rename, alt.body))
                         if value is not None:
                             branch = substitute({x.name: value}, branch)
-                        new_alts.append(Alt(pat, self.drive(branch, [], G, rho, me)))
+                        new_alts.append(Alt(pat, self.drive(branch, [], rho, me)))
                     return Case(x, tuple(new_alts))
                 case Case(CtorApp(_, args) as scrut, alts) if (
                     alt := select_alt(scrut, alts)
@@ -316,8 +298,8 @@ class DriveSession:
                     for alt in alts:
                         pat, rename, _ = self._freshen_pattern(alt.pattern)
                         branch = plug_r(context, substitute(rename, alt.body))
-                        new_alts.append(Alt(pat, self.drive(branch, [], G, rho, me)))
-                    return Case(self.drive(scrut, [], G, rho, me), tuple(new_alts))
+                        new_alts.append(Alt(pat, self.drive(branch, [], rho, me)))
+                    return Case(self.drive(scrut, [], rho, me), tuple(new_alts))
                 case Case(scrut, alts):  # R19
                     self._emit("R19", e, context, rho)
                     e, context = scrut, context + [("case", alts)]
@@ -365,7 +347,6 @@ class DriveSession:
         self,
         g: str,
         context: list[RFrame],
-        G: Globals,
         rho: Rho,
         me: Optional[Measure],
     ) -> Expression:
@@ -400,10 +381,10 @@ class DriveSession:
                 raise _Rollback(entry.name, term)
         if below:
             self._emit("Dapp3", term, context, rho, below[0].name)
-            return self._generalize(term, below[0].term, G, rho, me)
+            return self._generalize(term, below[0].term, rho, me)
 
         # (4) memoize, unfold and drive
-        v = G.get(g)
+        v = self.G.get(g)
         if v is None:
             raise DriverError(f"undefined function {g} during driving")
         h = self.supply.fun()
@@ -411,7 +392,7 @@ class DriveSession:
         self._emit("Dapp4", term, context, rho)
         mark = len(self._done_log)
         try:
-            e = self.drive(plug_r(context, v), [], G, rho + (entry,), me)
+            e = self.drive(plug_r(context, v), [], rho + (entry,), me)
         except _Rollback as r:  # (4a) upwards generalization
             if r.owner != h:
                 raise
@@ -420,7 +401,7 @@ class DriveSession:
                 self.done[_table_key(done.key)].remove(done)
             del self._done_log[mark:]
             self._emit("Dapp4a", term, context, rho, h)
-            return self._generalize(term, r.term, G, rho, me)
+            return self._generalize(term, r.term, rho, me)
         called = fun_names(e)
         if h in reachable(called, self.callees):  # (4b)
             self._emit("Dapp4b", term, context, rho)
@@ -436,14 +417,13 @@ class DriveSession:
         self,
         term: Expression,
         against: Expression,
-        G: Globals,
         rho: Rho,
         me: Optional[Measure],
     ) -> Expression:
         common, parts, holes = split(term, against, self.supply)
-        fill = dict(zip(holes, [self.drive(p, [], G, rho, me) for p in parts]))
+        fill = dict(zip(holes, [self.drive(p, [], rho, me) for p in parts]))
         try:
-            driven_common = self.drive(common, [], G, rho, me)
+            driven_common = self.drive(common, [], rho, me)
         except _Rollback as r:  # a request from the common term may name holes
             r.term = substitute(fill, r.term)
             raise
@@ -492,12 +472,13 @@ def supercompile(
         reserved |= all_identifiers(body)
     session = DriveSession(
         FreshSupply(reserved),
+        program.defs,
         trace=trace,
         assert_measure=assert_measure,
         explain_strict=explain_strict,
     )
     params, body = unfold_lambdas(program.defs[program.entry])
-    residual = session.drive(body, [], dict(program.defs), ())
+    residual = session.drive(body, [], ())
 
     defs = {**program.defs, **session.defs}
     del defs[program.entry]

@@ -363,7 +363,7 @@ class _Parser:
         return list(self.texts[start : self.pos])
 
 
-def parse_program(text: str, entry: str = "main") -> Program:
+def parse_program(text: str) -> Program:
     tokens = tokenize(text)
     # first pass: collect top-level names so mutual recursion resolves
     kinds, names, depth, at_def_start = tokens.kinds, [], 0, True
@@ -395,7 +395,7 @@ def parse_program(text: str, entry: str = "main") -> Program:
         p = _Parser(text, tokens, globals_, in_program=True, taken=frozenset(p.variables))
         defs = _definitions(p)
     defs.update((name, rhs) for name, (_, rhs) in p.hoisted.items())
-    return Program(defs=defs, entry=entry)
+    return Program(defs)
 
 
 def _definitions(p: _Parser) -> dict[str, Expression]:

@@ -363,16 +363,16 @@ def _free_vars_into(e: Expression, bound: frozenset[str], out: dict[str, None]) 
 
 def fun_names(e: Expression) -> set[str]:
     out: set[str] = set()
-    _fun_names_into(e, out)
+    stack = [e]
+    kids_of = _CHILDREN.get  # `children` without its call, on a hot walk
+    while stack:
+        t = stack.pop()
+        kids = kids_of(type(t))
+        if kids is not None:
+            stack.extend(kids(t))
+        elif type(t) is Global:
+            out.add(t.name)
     return out
-
-
-def _fun_names_into(e: Expression, out: set[str]) -> None:
-    if type(e) is Global:
-        out.add(e.name)
-        return
-    for c in children(e):
-        _fun_names_into(c, out)
 
 
 # ---------------------------------------------------------------------------
@@ -538,21 +538,22 @@ def match_keys(pattern: Key, subject: Key) -> Optional[dict[str, str]]:
 # weight (termination measure)
 
 
-def weight(e: Expression, initial_vars: set[str] | frozenset[str]) -> int:
-    """Variables from the initial program, integer literals and function
-    symbols weigh 2; variables minted during driving weigh 1; any composite
-    weighs one plus the sum of its parts.
+def weight(e: Expression, holes: set[str] | frozenset[str]) -> int:
+    """A generalization hole (a variable named in holes) weighs 1; any other
+    leaf (variable, integer literal, function symbol, nullary constructor)
+    weighs 2; any other node weighs one plus the sum of its parts.
     """
-    match e:
-        case Var(name):
-            return 2 if name in initial_vars else 1
-        case IntLit() | Global():
-            return 2
-        case CtorApp(_, args) if not args:
-            return 2
-        case _:
-            kids = children(e)
-            return 1 + sum(weight(c, initial_vars) for c in kids)
+    total = 0
+    stack = [e]
+    while stack:
+        t = stack.pop()
+        kids = children(t)
+        if kids:
+            total += 1
+            stack.extend(kids)
+        else:
+            total += 1 if type(t) is Var and t.name in holes else 2
+    return total
 
 
 def all_identifiers(e: Expression) -> set[str]:

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deforest.cli import main, make_arg_parser
+from deforest import CtorApp, IntLit, Lambda, Var
+from deforest.cli import _verdict, main, make_arg_parser
+from deforest.semantics import EvalOutcome
 
 from conftest import FIXTURE_NAMES, FIXTURES
 
@@ -51,6 +53,11 @@ def test_build_parse_error_exit_2(tmp_path, capsys):
     code, out, err = run_cli("build", str(bad), capsys=capsys)
     assert code == 2
     assert "error" in err
+    # an error with no source position prints none
+    missing = tmp_path / "missing.core"
+    assert run_cli("build", str(missing), capsys=capsys) == (
+        2, "", f"error: cannot read {missing}: No such file or directory\n"
+    )
 
 
 def test_build_empty_file_exit_2(tmp_path, capsys):
@@ -141,6 +148,7 @@ def test_eval_open_entry_rejected(capsys):
         "eval", fixture("factorial"), "-e", "main unknownvar", capsys=capsys
     )
     assert code == 2
+    assert err == "error: entry call has free variables ['unknownvar']\n"
 
 
 def test_check_fixture_passes(capsys):
@@ -169,23 +177,70 @@ def test_check_detects_golden_mismatch(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "manifest",
+    "manifest, message",
     [
-        "fuel: abc\n",
-        "entry: main y\n",
-        "golden: missing.core\n",
-        "fuel: -5\nentry: main 1\n",
-        "fuel: 0\nentry: main 1\n",
+        ("fuel: abc\n", "manifest fuel 'abc' is not an integer"),
+        ("entry: main y\n", "entry call has free variables ['y']"),
+        ("golden: missing.core\n", "cannot read {d}/missing.core: No such file or directory"),
+        ("fuel: -5\nentry: main 1\n", "manifest fuel must be at least 1, got -5"),
+        ("fuel: 0\nentry: main 1\n", "manifest fuel must be at least 1, got 0"),
+        ("entries: main 1\n", "unknown manifest key 'entries'"),
+        (None, "no manifest at {d}/p.manifest"),
     ],
-    ids=["bad-fuel", "free-variable-entry", "missing-golden", "negative-fuel", "zero-fuel"],
+    ids=["bad-fuel", "free-variable-entry", "missing-golden", "negative-fuel", "zero-fuel",
+         "unknown-key", "no-manifest"],
 )
-def test_check_bad_manifest_exits_2(tmp_path, capsys, manifest):
+def test_check_bad_manifest_exits_2(tmp_path, capsys, manifest, message):
+    # none of these errors has a source position, and none prints one
     prog = tmp_path / "p.core"
     prog.write_text("main x = x + 1;")
-    (tmp_path / "p.manifest").write_text(manifest)
+    if manifest is not None:
+        (tmp_path / "p.manifest").write_text(manifest)
     code, out, err = run_cli("check", str(prog), capsys=capsys)
-    assert code == 2
-    assert err.startswith("error: ")
+    assert (code, out, err) == (2, "", f"error: {message.format(d=tmp_path)}\n")
+
+
+@pytest.mark.parametrize(
+    "program, message",
+    [
+        ("main x = case x of { Cons a a -> 1 };", "main: repeated pattern variable in Cons"),
+        ("main x = case x of { y -> 1; 0 -> 2 };", "main: default alternative must come last"),
+        ("main x = case x of { 0 -> 1; 0 -> 2 };", "main: duplicate case alternative"),
+    ],
+    ids=["repeated-binder", "default-not-last", "duplicate-alternative"],
+)
+def test_invalid_program_exits_2(tmp_path, capsys, program, message):
+    prog = tmp_path / "p.core"
+    prog.write_text(program)
+    assert run_cli("build", str(prog), capsys=capsys) == (2, "", f"error: {message}\n")
+
+
+def _value(e, calls=3):
+    return EvalOutcome("value", e, None, calls, 0, calls, 0)
+
+
+OUT_OF_FUEL = EvalOutcome("out_of_fuel", None, None, 5, 0, 5, 0)
+STUCK = EvalOutcome("stuck", None, "free variable y", 1, 0, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "before, after, verdict",
+    [
+        (_value(IntLit(1)), _value(IntLit(2)), "MISMATCH"),
+        (_value(CtorApp("Nil", ())), _value(Lambda("x", Var("x"))), "MISMATCH"),
+        # the residual terminates where the original diverges
+        (OUT_OF_FUEL, _value(IntLit(1)), "MISMATCH"),
+        (_value(IntLit(1)), OUT_OF_FUEL, "MISMATCH"),
+        (STUCK, _value(IntLit(1)), "MISMATCH"),
+        (_value(IntLit(1)), _value(IntLit(1), calls=4), "IMPROVEMENT-VIOLATION"),
+        (_value(Lambda("x", Var("x"))), _value(Lambda("y", IntLit(0)), calls=4),
+         "IMPROVEMENT-VIOLATION"),
+        (_value(IntLit(1)), _value(IntLit(1), calls=2), "both-value-equal"),
+        (OUT_OF_FUEL, OUT_OF_FUEL, "both-out-of-fuel"),
+    ],
+)
+def test_verdict(before, after, verdict):
+    assert _verdict(before, after) == verdict
 
 
 APPEND_SELF = (
@@ -273,9 +328,7 @@ def test_fuel_flag_below_one_exits_2(tmp_path, capsys, command, fuel):
     (tmp_path / "p.manifest").write_text("entry: main 1\n")
     extra = ["-e", "main 1"] if command == "eval" else []
     code, out, err = run_cli(command, str(prog), *extra, "--fuel", fuel, capsys=capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ")
+    assert (code, out, err) == (2, "", f"error: --fuel must be at least 1, got {fuel}\n")
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,8 @@ from deforest import (
 from deforest.driver import DriveSession
 from deforest.syntax import (
     FreshSupply,
+    Global,
+    Program,
     SyntaxError_,
     alpha_eq,
     canonical,
@@ -45,11 +47,6 @@ from conftest import (
     fixture_program,
     generate_programs,
 )
-
-
-def drive_text(defs_text, entry_body, **kwargs):
-    program = parse_program(defs_text + f"\nmain = {entry_body};")
-    return supercompile(program, **kwargs)
 
 
 def test_constants_fold_during_driving():
@@ -151,7 +148,7 @@ def test_generalization_hole_is_not_copied():
     supply = FreshSupply({"x"})
     hole = supply.fresh_var()
     term = Let("x", Var(hole.name), PrimOp("+", Var("x"), Var("x")))
-    out = DriveSession(supply).drive(term, [], {}, ())
+    out = DriveSession(supply, {}).drive(term, [], ())
     assert out == term
 
 
@@ -498,6 +495,14 @@ def test_missing_entry_rejected():
         supercompile(p)
 
 
+def test_undefined_function_rejected():
+    # the parser reads an unknown name as a variable, so only a program built
+    # by hand can call an undefined function
+    p = Program({"main": Global("nope")})
+    with pytest.raises(SyntaxError_, match=r"main: undefined functions \['nope'\]"):
+        supercompile(p)
+
+
 def test_upward_generalization_request_names_the_filled_holes():
     # Dapp2 fires while driving the common term of a generalization, so its
     # request names that term's holes; the activation it unwinds to must see
@@ -573,6 +578,18 @@ STRESS_PROGRAMS = [
         "main xs = append (append xs xs) xs;",
         "main [1,2]",
         False,  # positive information duplicates the scrutinee in the context
+    ),
+    (
+        "let binder free in its context: the kept let is renamed",
+        "main x y = (let x = y * y in x + x) + x;",
+        "main 3 5",
+        True,
+    ),
+    (
+        "case of a constructor on a default alternative",
+        "main y = case Cons y Nil of { xs -> xs };",
+        "main 1",
+        False,  # the let that R16 makes weighs what the case weighed
     ),
     (
         "triple map fusion",

@@ -47,6 +47,9 @@ def test_cons_pattern_sugar():
 def test_infix_cons_is_right_associative():
     e = parse_expression("1 : 2 : []")
     assert e == parse_expression("[1, 2]")
+    # a case ends at its brace, so the parenthesis reads the cons
+    e = parse_expression("(case x of { _ -> 1; } : [])")
+    assert e == parse_expression("[case x of { _ -> 1 }]")
 
 
 def test_default_and_wildcard_patterns():
@@ -147,11 +150,13 @@ def test_expression_roundtrip_through_pretty():
         "x : y : rest",
         "f (g 1) (2 - 3 * 4)",
         "f (-4) (x - (-3))",
+        "Just True Nothing",
     ]
     for text in samples:
         e = parse_expression(text, frozenset({"f", "g"}))
         again = parse_expression(pretty_expr(e), frozenset({"f", "g"}))
         assert again == e, text
+    assert pretty_expr(CtorApp("True", ())) == "True"
 
 
 def test_generated_programs_roundtrip():

@@ -1,6 +1,7 @@
 import random
 from functools import partial
 
+import pytest
 from hypothesis import given, settings
 
 from deforest import (
@@ -155,6 +156,8 @@ map f xs = case xs of { [] -> []; (x:xs') -> f x : map f xs' };
 cons x xs = x : xs;
 bad x = x + Nil;
 plus x y = x + y;
+second = case Cons 1 (Cons (\\x -> x + 1) Nil) of {
+  (h:t) -> case t of { (f:r) -> f h; [] -> 0 }; [] -> 0 };
 """
 
 HANDWRITTEN_CALLS = [
@@ -179,6 +182,7 @@ HANDWRITTEN_CALLS = [
     "case mk 3 of { _ -> 0 }",
     "pick 2",
     "apply 1 2",
+    "second",
 ]
 
 # open terms: eval_expr is stuck at a free variable wherever it stands
@@ -281,7 +285,8 @@ def test_eval_agrees_with_step_iteration_on_fixtures(fixture_name):
 def test_fuel_sweep_on_atom_corner_cases():
     # shadowed curried parameters, a global given more arguments than it has
     # lambdas, partial application, functions as arguments, non-integers in
-    # arithmetic, and an undefined global
+    # arithmetic, a lambda inside a nested constructor literal, and an
+    # undefined global
     program = parse_program(HANDWRITTEN)
     calls = [parse_expression(e, frozenset(program.defs)) for e in HANDWRITTEN_CALLS]
     calls += [Global("nope"), App(Global("nope"), IntLit(1))]
@@ -294,6 +299,8 @@ def test_fuel_sweep_on_atom_corner_cases():
     for text in OPEN_CALLS:
         call = parse_expression(text, frozenset(program.defs))
         assert eval_expr(call, program.defs, 1000).reason == "free variable y"
+        with pytest.raises(StuckError, match=r"entry call has free variables \['y'\]"):
+            eval_program(program, call, 1000)
         _fuel_sweep(partial(eval_expr, call, program.defs), call, program.defs)
 
 
