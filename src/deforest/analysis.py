@@ -84,13 +84,6 @@ def strict_vars(e: Expression) -> set[str]:
     return {v for v in free_vars(e) if demand(e, v)[0]}
 
 
-def is_linear(e: Expression, x: str) -> bool:
-    """x occurs at most once in e, where a variable may occur once in each of
-    several case branches but never in both the scrutinee and a branch.
-    """
-    return demand(e, x)[1] <= 1
-
-
 def is_annoying(e: Expression) -> bool:
     """a ::= x | n (+) a | a (+) n | a (+) a | a e-bar
 

@@ -41,11 +41,13 @@ from .syntax import (
     Var,
     all_identifiers,
     canonical,
+    children,
     fold_apps,
     fold_lambdas,
     free_vars,
     fun_names,
     match_keys,
+    rebuild,
     select_alt,
     substitute,
     unfold_apps,
@@ -102,6 +104,26 @@ def plug_r(context: list[RFrame], e: Expression) -> Expression:
             case ("prim_r", op, lhs):
                 e = PrimOp(op, lhs, e)
     return e
+
+
+def _refocus(e: Expression, context: list[RFrame]) -> tuple[Expression, list[RFrame]]:
+    """Where driving goes on after a rewrite leaves e in the hole of
+    context.  The innermost frame goes back on e while e is a value (an
+    integer, a constructor or a lambda), annoying, or an applied lambda,
+    since the rules for those look at the frame around them.  Any other e
+    keeps the frames that remain: R8, R10 and R19 would push exactly those
+    again if e were plugged into them.
+    """
+    i = len(context)
+    while i:
+        head = e
+        while type(head) is App:
+            head = head.fun
+        if not (type(e) in (IntLit, CtorApp) or type(head) is Lambda or is_annoying(e)):
+            break
+        i -= 1
+        e = plug_r(context[i : i + 1], e)
+    return e, context[:i]
 
 
 Measure = tuple[int, int, int]
@@ -170,22 +192,11 @@ class DriveSession:
         rho: Rho,
         parent: Optional[Measure] = None,
     ) -> Expression:
-        """Drive e in context.  The tail rules (R7, R9-R12, a substituting
-        R13, R16, R17, R19 and the frame pushes of R8 and R10) rewrite the
-        focus and context and go round the loop, so they add no Python frame;
-        R3 hands over to `drive_app`.  R9 and R16 put the lets they make at
-        the focus and keep the context: the binders are fresh, and the hole
-        of a context is strict and counted once, so strictness and linearity
-        in a let body are those in the plugged term.  R11-R13 keep it too
-        when substituting yields another let, which plugging would only take
-        apart into the same context again.  Otherwise R7, R11-R13, R16 and
-        R17 plug the context around their result and start again.  Only the
-        rules that build around their results recurse: R4-R6, an annoying
-        R8, a kept R13 let, R15, R18, and Dapp4 and `_generalize` in
-        `drive_app`; Dapp2 unwinds by raising `_Rollback`.  The paper's
-        letrec rule is the parser's: a source letrec arrives as a top-level
-        definition in `G`.  Under assert_measure each pass of the loop must
-        decrease the measure of the one before.
+        """The residual of plug_r(context, e).  A rule that rewrites the focus
+        goes round the loop in the context that `_refocus` leaves it; only
+        the rules that build around their results recurse, and Dapp2 unwinds
+        by raising `_Rollback`.  Under assert_measure each pass of the loop
+        must decrease the measure of the one before.
         """
         me = parent
         while True:
@@ -201,37 +212,29 @@ class DriveSession:
                 case Global(_):  # R3
                     self._emit("R3", e, context, rho)
                     return self.drive_app(e.name, context, rho, me)
-                case CtorApp(k, args) if not context:  # R4
-                    self._emit("R4", e, context, rho)
-                    return CtorApp(k, tuple([self.drive(a, [], rho, me) for a in args]))
+                case CtorApp() | Lambda() if not context:  # R4, R6
+                    self._emit("R4" if type(e) is CtorApp else "R6", e, context, rho)
+                    return rebuild(e, [self.drive(c, [], rho, me) for c in children(e)])
+                case App() | PrimOp() if is_annoying(e):  # R5, an annoying R8
+                    self._emit("R5" if type(e) is App else "R8", e, context, rho)
+                    kids = [self.drive(c, [], rho, me) for c in children(e)]
+                    return plug_r(context, rebuild(e, kids))
                 case App(_, _):
                     head, args = unfold_apps(e)
-                    if isinstance(head, Var):  # R5
-                        self._emit("R5", e, context, rho)
-                        args = [self.drive(a, [], rho, me) for a in args]
-                        return plug_r(context, fold_apps(head, args))
                     if isinstance(head, Lambda):  # R9
                         self._emit("R9", e, context, rho)
                         params, body = unfold_lambdas(head)
                         n = min(len(params), len(args))
                         body = fold_lambdas(params[n:], body)
-                        rest = [("arg", a) for a in reversed(args[n:])]
-                        e = self._fresh_lets(params[:n], args[:n], body, rest)
+                        e = self._fresh_lets(params[:n], args[:n], body, args[n:])
                         continue
                     self._emit("R10", e, context, rho)  # R10
                     e, context = e.fun, context + [("arg", e.arg)]
-                case Lambda(_, _) if not context:  # R6
-                    self._emit("R6", e, context, rho)
-                    params, body = unfold_lambdas(e)
-                    return fold_lambdas(params, self.drive(body, [], rho, me))
                 case PrimOp(op, IntLit(a), IntLit(b)):  # R7
                     self._emit("R7", e, context, rho)
-                    e, context = plug_r(context, IntLit(apply_prim(op, a, b))), []
+                    e, context = _refocus(IntLit(apply_prim(op, a, b)), context)
                 case PrimOp(op, lhs, rhs):  # R8
                     self._emit("R8", e, context, rho)
-                    if is_annoying(e):
-                        lhs = self.drive(lhs, [], rho, me)
-                        return plug_r(context, PrimOp(op, lhs, self.drive(rhs, [], rho, me)))
                     if isinstance(lhs, IntLit) or is_annoying(lhs):
                         e, context = rhs, context + [("prim_r", op, lhs)]
                     else:
@@ -240,9 +243,7 @@ class DriveSession:
                     type(v) is Var and v.name in self.supply.hole_names
                 ):  # R11, R12; a generalization hole is not copied
                     self._emit("R11" if type(v) is IntLit else "R12", e, context, rho)
-                    e = substitute({x: v}, body)
-                    if type(e) is not Let:
-                        e, context = plug_r(context, e), []
+                    e, context = _refocus(substitute({x: v}, body), context)
                 case Let(x, bound, body):  # R13
                     self._emit("R13", e, context, rho)
                     strict, uses = demand(body, x)
@@ -252,26 +253,14 @@ class DriveSession:
                             f"linear={uses <= 1}"
                         )
                     if strict and uses <= 1:
-                        e = substitute({x: bound}, body)
-                        if type(e) is not Let:
-                            e, context = plug_r(context, e), []
+                        e, context = _refocus(substitute({x: bound}, body), context)
                         continue
-                    if any(x in free_vars(plug_r([fr], Var("_"))) for fr in context):
+                    if x in free_vars(plug_r(context, IntLit(0))):
                         x2 = self.supply.var(x)
                         body = substitute({x: Var(x2)}, body)
                         x = x2
                     bound = self.drive(bound, [], rho, me)
-                    return Let(x, bound, self.drive(plug_r(context, body), [], rho, me))
-                case Case(Var(_) as x, alts):  # R15
-                    self._emit("R15", e, context, rho)
-                    new_alts = []
-                    for alt in alts:
-                        pat, rename, value = self._freshen_pattern(alt.pattern)
-                        branch = plug_r(context, substitute(rename, alt.body))
-                        if value is not None:
-                            branch = substitute({x.name: value}, branch)
-                        new_alts.append(Alt(pat, self.drive(branch, [], rho, me)))
-                    return Case(x, tuple(new_alts))
+                    return Let(x, bound, self.drive(*_refocus(body, context), rho, me))
                 case Case(CtorApp(_, args) as scrut, alts) if (
                     alt := select_alt(scrut, alts)
                 ) is not None:  # R16
@@ -280,10 +269,7 @@ class DriveSession:
                         binders, values = alt.pattern.binders, args
                     else:  # a default binds the whole value
                         binders, values = (alt.pattern.binder,), (scrut,)
-                    if binders:
-                        e = self._fresh_lets(binders, values, alt.body, [])
-                    else:
-                        e, context = plug_r(context, alt.body), []
+                    e, context = _refocus(self._fresh_lets(binders, values, alt.body), context)
                 case Case(IntLit() as scrut, alts) if (
                     alt := select_alt(scrut, alts)
                 ) is not None:  # R17
@@ -291,15 +277,20 @@ class DriveSession:
                     body = alt.body
                     if type(alt.pattern) is DefaultPat and alt.pattern.binder is not None:
                         body = substitute({alt.pattern.binder: scrut}, body)
-                    e, context = plug_r(context, body), []
-                case Case(scrut, alts) if is_annoying(scrut):  # R18
-                    self._emit("R18", e, context, rho)
+                    e, context = _refocus(body, context)
+                case Case(scrut, alts) if is_annoying(scrut):  # R15 on a variable, R18
+                    var = type(scrut) is Var
+                    self._emit("R15" if var else "R18", e, context, rho)
                     new_alts = []
                     for alt in alts:
-                        pat, rename, _ = self._freshen_pattern(alt.pattern)
+                        pat, rename, value = self._freshen_pattern(alt.pattern)
                         branch = plug_r(context, substitute(rename, alt.body))
+                        if var and value is not None:
+                            branch = substitute({scrut.name: value}, branch)
                         new_alts.append(Alt(pat, self.drive(branch, [], rho, me)))
-                    return Case(self.drive(scrut, [], rho, me), tuple(new_alts))
+                    if not var:
+                        scrut = self.drive(scrut, [], rho, me)
+                    return Case(scrut, tuple(new_alts))
                 case Case(scrut, alts):  # R19
                     self._emit("R19", e, context, rho)
                     e, context = scrut, context + [("case", alts)]
@@ -310,14 +301,14 @@ class DriveSession:
     # ------------------------------------------------------------------
 
     def _fresh_lets(
-        self, binders: Sequence, values: Sequence, body: Expression, context: list[RFrame]
+        self, binders: Sequence, values: Sequence, body: Expression, args: Sequence = ()
     ) -> Expression:
-        """let b1' = v1 in ... let bn' = vn in context[body], each binder
-        renamed in body to a fresh name (a wildcard None binds a fresh "u").
+        """let b1' = v1 in ... let bn' = vn in body args, each binder renamed
+        in body to a fresh name (a wildcard None binds a fresh "u").
         """
         fresh = [self.supply.var(b if b is not None else "u") for b in binders]
         rename = {b: Var(f) for b, f in zip(binders, fresh) if b is not None}
-        term = plug_r(context, substitute(rename, body))
+        term = fold_apps(substitute(rename, body), args)
         for b, v in reversed(list(zip(fresh, values))):
             term = Let(b, v, term)
         return term
@@ -392,7 +383,7 @@ class DriveSession:
         self._emit("Dapp4", term, context, rho)
         mark = len(self._done_log)
         try:
-            e = self.drive(plug_r(context, v), [], rho + (entry,), me)
+            e = self.drive(*_refocus(v, context), rho + (entry,), me)
         except _Rollback as r:  # (4a) upwards generalization
             if r.owner != h:
                 raise

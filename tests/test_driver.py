@@ -5,13 +5,18 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deforest import (
+    Alt,
+    App,
     Case,
     CtorApp,
     CtorPat,
     IntLit,
     IntPat,
+    Lambda,
     Let,
     PrimOp,
     Var,
@@ -22,7 +27,8 @@ from deforest import (
     program_alpha_eq,
     supercompile,
 )
-from deforest.driver import DriveSession
+from deforest.analysis import is_annoying
+from deforest.driver import DriveSession, _refocus, plug_r
 from deforest.syntax import (
     FreshSupply,
     Global,
@@ -33,7 +39,9 @@ from deforest.syntax import (
     free_vars,
     fun_names,
     pattern_binders,
+    select_alt,
     subterms,
+    unfold_apps,
     unfold_lambdas,
     validate_program,
 )
@@ -42,6 +50,7 @@ from conftest import (
     FIXTURE_NAMES,
     FIXTURES,
     entry_calls_for,
+    expressions,
     fixture_golden,
     fixture_manifest,
     fixture_program,
@@ -284,6 +293,64 @@ def test_case_of_constructor_lets_keep_their_context():
     after = lines[rules.index("R16") + 1]
     assert after.startswith("R12 ") and after.endswith(" depth=1")
     assert program_alpha_eq(residual, parse_program("main y = let t = [] in (y + 1) * 2;"))
+
+
+def decompose(e, context=()):
+    """The focus and the context that R8, R10 and R19 alone take e in
+    context apart into: the reference for where driving goes on.
+    """
+    context = list(context)
+    while True:
+        match e:
+            case App(fun, arg) if not (
+                is_annoying(e) or isinstance(unfold_apps(e)[0], Lambda)
+            ):  # R10
+                e, context = fun, context + [("arg", arg)]
+            case PrimOp(op, lhs, rhs) if not (
+                is_annoying(e) or isinstance(lhs, IntLit) and isinstance(rhs, IntLit)
+            ):  # R8
+                if isinstance(lhs, IntLit) or is_annoying(lhs):
+                    e, context = rhs, context + [("prim_r", op, lhs)]
+                else:
+                    e, context = lhs, context + [("prim_l", op, rhs)]
+            case Case(scrut, alts) if not (
+                is_annoying(scrut)
+                or isinstance(scrut, (IntLit, CtorApp)) and select_alt(scrut, alts) is not None
+            ):  # R19
+                e, context = scrut, context + [("case", alts)]
+            case _:
+                return e, context
+
+
+def _alts(bodies):
+    b1, b2, b3 = bodies
+    return (
+        Alt(CtorPat("Nil", ()), b1),
+        Alt(CtorPat("Cons", ("p", "q")), b2),
+        Alt(IntPat(0), b3),
+    )
+
+
+_OPS = st.sampled_from(["+", "-", "*"])
+_FRAMES = st.one_of(
+    expressions(4).map(lambda a: ("arg", a)),
+    st.tuples(expressions(4), expressions(4), expressions(4)).map(lambda b: ("case", _alts(b))),
+    st.tuples(_OPS, expressions(4)).map(lambda t: ("prim_l", *t)),
+    st.tuples(_OPS, st.sampled_from([IntLit(1), Var("x")])).map(lambda t: ("prim_r", *t)),
+)
+# terms whose decomposition is deep: frames plugged around a term
+_PLUGGED = st.builds(plug_r, st.lists(_FRAMES, max_size=6), expressions())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(expressions(), _PLUGGED), expressions())
+def test_refocus_agrees_with_plugging_and_decomposing(term, result):
+    # driving goes on after a rewrite where it would be had it plugged the
+    # result into the whole context and taken the term apart again
+    _, frames = decompose(term)
+    for i in range(len(frames) + 1):
+        context = frames[:i]
+        assert decompose(plug_r(context, result)) == decompose(*_refocus(result, context))
 
 
 def test_flags_do_not_change_the_residual():
@@ -604,6 +671,49 @@ STRESS_PROGRAMS = [
         "sum xs = case xs of { [] -> 0; (x:xs') -> x + sum xs' };"
         "main n = sum (upto n);",
         "main 4",
+        True,
+    ),
+    (
+        "a lambda value returned into an argument frame",
+        "pick xs z = (case xs of { [] -> \\a -> a; (h:t) -> \\b -> b + h }) z;"
+        "main xs z = pick xs z + pick [5] z + pick [] z;",
+        "main [1] 2",
+        True,
+    ),
+    (
+        "beta reduction with more arguments than parameters",
+        "main y = (\\f -> f) (\\a -> a + 1) y;",
+        "main 3",
+        True,
+    ),
+    (
+        "case of a literal on a default alternative under +",
+        "main y = (case 3 of { 0 -> 1; n -> n * y }) + 1;",
+        "main 2",
+        True,
+    ),
+    (
+        "a kept let in the scrutinee of a case",
+        "main x = case (let z = x * x in z + z) of { 0 -> 1; n -> n + x };",
+        "main 3",
+        True,
+    ),
+    (
+        "a global unfolded under + and under case",
+        "f u = u * 2; main x = case f x of { 0 -> 1 + f x; n -> n + f 1 };",
+        "main 3",
+        True,
+    ),
+    (
+        "a variable applied to two arguments",
+        "main g x = g x (x + 1) + 1;",
+        "main (\\a b -> a * b) 3",
+        True,
+    ),
+    (
+        "nested lambdas in case branches",
+        "main xs = case xs of { [] -> \\a b -> a; (h:t) -> \\a b -> b + h };",
+        "main [1] 2 3",
         True,
     ),
 ]

@@ -16,7 +16,7 @@ from deforest import (
     PrimOp,
     Var,
 )
-from deforest.analysis import is_linear
+from deforest.analysis import demand
 from deforest.syntax import (
     alpha_eq,
     canonical,
@@ -140,6 +140,13 @@ def test_substitute_shares_unchanged_subterms():
     out = substitute({"x": IntLit(1)}, e)
     assert out == App(kept, IntLit(1)) and out.fun is kept
     assert substitute({"x": IntLit(1)}, kept) is kept
+
+
+def is_linear(e, x):
+    """x occurs at most once in e, where a variable may occur once in each of
+    several case branches but never in both the scrutinee and a branch.
+    """
+    return demand(e, x)[1] <= 1
 
 
 def test_is_linear_append_second_parameter():
