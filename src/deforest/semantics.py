@@ -6,7 +6,8 @@ environment (name -> runtime value), frames carry their environment, a lambda
 evaluates to a closure, and constructor values are built once and shared,
 never copied or re-substituted.  A result is read back into a term by
 substituting each closure's read-back environment into its lambda, which
-gives the term the substitution semantics computes.
+gives the term the substitution semantics computes; a result with no closure
+under it is that term already, and is returned as the machine built it.
 
 An atom, a variable or an integer literal, needs no continuation frame: its
 value is a lookup.  Where the machine would push a frame only to evaluate an
@@ -211,12 +212,31 @@ def _close(term: Expression, env: dict, externals: bool, done: dict) -> Expressi
     return substitute(mapping, term)
 
 
-def _read_back(root, externals: bool) -> Expression:
-    """The term a runtime value stands for.
-
-    Iterative, so that long data values cannot exhaust the stack; `done`
-    memoizes by identity, so shared values are read back once.
+def _holds_closure(root) -> bool:
+    """Whether a closure is under the runtime value root; each shared value is
+    looked at once, so a value built by doubling costs its distinct nodes.
     """
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        tv = type(v)
+        if tv is CtorApp:
+            if id(v) not in seen:
+                seen.add(id(v))
+                stack.extend(v.args)
+        elif tv is Closure:
+            return True
+    return False
+
+
+def _read_back(root, externals: bool) -> Expression:
+    """The term a runtime value stands for: the value itself when no closure
+    is under it.  Otherwise iterative, so that long data values cannot exhaust
+    the stack; `done` memoizes by identity, so shared values are read back once.
+    """
+    if not _holds_closure(root):
+        return root
     done: dict[int, Expression] = {}
     stack = [root]
     while stack:

@@ -335,12 +335,35 @@ def _free_vars_into(e: Expression, bound: frozenset[str], out: dict[str, None]) 
     # stack; the inline test for a variable child keeps it as fast as plain
     # recursion.  Module-level, not a recursive closure: a closure that calls
     # itself is a reference cycle, left for the cyclic collector on every call.
+    # A constructor binds nothing, so its arguments are walked directly, with
+    # no scope tuples and no call for an integer or global argument: the
+    # closedness check of an entry call walks its list and tree literals.  The
+    # first argument is tested inline; a loop would double a list cell's cost.
     while True:
-        if type(e) is Var:
+        te = type(e)
+        if te is Var:
             if e.name not in bound:
                 out[e.name] = None
             return
-        scopes_of = _SCOPES.get(type(e))
+        if te is CtorApp:
+            args = e.args
+            n = len(args)
+            if not n:
+                return
+            if n > 1:
+                a = args[0]
+                ta = type(a)
+                if ta is Var:
+                    if a.name not in bound:
+                        out[a.name] = None
+                elif ta is not IntLit and ta is not Global:
+                    _free_vars_into(a, bound, out)
+                if n > 2:
+                    for i in range(1, n - 1):
+                        _free_vars_into(args[i], bound, out)
+            e = args[-1]
+            continue
+        scopes_of = _SCOPES.get(te)
         if scopes_of is None:
             return
         sc = scopes_of(e)

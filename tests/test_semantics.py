@@ -185,7 +185,12 @@ HANDWRITTEN_CALLS = [
     "second",
 ]
 
-# open terms: eval_expr is stuck at a free variable wherever it stands
+# open terms whose free y evaluation never reaches: it is under a lambda, or
+# in a branch not taken
+OPEN_VALUES = ["[\\x -> y]", "Just (case [] of { (h:t) -> y; _ -> 0 })"]
+
+# open terms: eval_program refuses each, wherever y stands; eval_expr is
+# stuck at it unless the term is one of OPEN_VALUES
 OPEN_CALLS = [
     "y",
     "case y of { _ -> 1 }",
@@ -201,6 +206,8 @@ OPEN_CALLS = [
     "shadow y 2",
     "mk 3 y",
     "apply y 1",
+    "[1, 2, y]",
+    *OPEN_VALUES,
 ]
 
 
@@ -298,10 +305,44 @@ def test_fuel_sweep_on_atom_corner_cases():
     assert swept > 100
     for text in OPEN_CALLS:
         call = parse_expression(text, frozenset(program.defs))
-        assert eval_expr(call, program.defs, 1000).reason == "free variable y"
+        out = eval_expr(call, program.defs, 1000)
+        if text in OPEN_VALUES:
+            assert out.kind == "value"
+        else:
+            assert out.reason == "free variable y"
         with pytest.raises(StuckError, match=r"entry call has free variables \['y'\]"):
             eval_program(program, call, 1000)
         _fuel_sweep(partial(eval_expr, call, program.defs), call, program.defs)
+    # the closed literal that binds the y it holds
+    closed = parse_expression("[\\y -> y]", frozenset(program.defs))
+    assert eval_program(program, closed, 1000).value == closed
+
+
+def test_closure_free_result_is_the_machine_value():
+    program = parse_program("main xs = xs;")
+    literal = parse_expression("[1, 2, 3]")
+    out = eval_program(program, App(Global("main"), literal))
+    assert out.value is literal
+
+
+def test_shared_result_reads_back_once():
+    # 2^200 paths through 201 distinct nodes: the read-back must not follow
+    # the paths, and gives back the shared value as the machine built it
+    program = parse_program(
+        "dup n t = case n of { 0 -> t; _ -> dup (n - 1) (Branch t t) };"
+        " main = dup 200 (Leaf 1);"
+    )
+    out = eval_program(program, Global("main"))
+    assert out.kind == "value" and out.value.ctor == "Branch"
+    assert out.value.args[0] is out.value.args[1]
+
+
+def test_closure_inside_data_reads_back_as_the_oracle():
+    program = parse_program("main n = [\\x -> x + n];")
+    call = App(Global("main"), IntLit(5))
+    out = eval_program(program, call)
+    assert out.value == parse_expression("[\\x -> x + 5]")
+    _fuel_sweep(partial(eval_program, program, call), call, _externals_as_identity(program))
 
 
 def test_generated_programs_never_get_stuck():

@@ -335,6 +335,61 @@ def test_free_vars_ordered_first_occurrence():
     assert free_vars_ordered(e) == ["b", "a"]
 
 
+def _free_vars_reference(e, bound=frozenset()) -> list:
+    """Free variables with repeats, left to right, by plain recursion."""
+    t = type(e)
+    if t is Var:
+        return [] if e.name in bound else [e.name]
+    if t is Lambda:
+        return _free_vars_reference(e.body, bound | {e.param})
+    if t is Let:
+        return _free_vars_reference(e.bound, bound) + _free_vars_reference(
+            e.body, bound | {e.binder}
+        )
+    if t is Case:
+        out = _free_vars_reference(e.scrutinee, bound)
+        for alt in e.alts:
+            p = alt.pattern
+            if type(p) is CtorPat:
+                bs = set(p.binders)
+            else:  # a wildcard's binder None names no variable
+                bs = {p.binder} if type(p) is DefaultPat else set()
+            out += _free_vars_reference(alt.body, bound | bs)
+        return out
+    if t is App:
+        kids = (e.fun, e.arg)
+    elif t is PrimOp:
+        kids = (e.lhs, e.rhs)
+    elif t is CtorApp:
+        kids = e.args
+    else:  # an integer or a global
+        kids = ()
+    return [x for c in kids for x in _free_vars_reference(c, bound)]
+
+
+# constructors of every arity from 0 to 4, whose arguments hold lambdas,
+# cases, lets, globals and further constructors, under lambdas that bind
+# some of their variables
+_wide_constructors = st.recursive(
+    scoped_expressions(6),
+    lambda child: st.one_of(
+        st.tuples(st.sampled_from(["K", "Cons", "Leaf"]), st.lists(child, max_size=4)).map(
+            lambda t: CtorApp(t[0], tuple(t[1]))
+        ),
+        st.tuples(st.sampled_from(VAR_NAMES), child).map(lambda t: Lambda(t[0], t[1])),
+    ),
+    max_leaves=16,
+)
+
+
+@given(st.one_of(scoped_expressions(), _wide_constructors))
+@settings(max_examples=300, deadline=None)
+def test_free_vars_ordered_agrees_with_the_reference(e):
+    expected = list(dict.fromkeys(_free_vars_reference(e)))
+    assert free_vars_ordered(e) == expected
+    assert free_vars(e) == set(expected)
+
+
 _ALTS = (
     Alt(CtorPat("K", ("a", "b")), V("a")),
     Alt(IntPat(3), IntLit(30)),
