@@ -25,10 +25,12 @@ iteration does.  So counters, fuel boundaries and stuck reasons are those of
 the small-step semantics.
 
 Counters: `calls` counts (Global) and (App) reductions, `unfolds` the
-(Global) ones among them, `allocs` counts constructor values built from
-not-yet-value arguments, `steps` counts every reduction.  A constructor
-application whose arguments are integers, lambdas, bound variables or such
-constructor applications is already a value: it costs no step and no alloc.
+(Global) ones among them, `steps` counts every reduction, and `allocs` counts
+the constructor applications that a reduction completed: a constructor frame
+records `steps` when it is pushed and allocates when it completes only if
+`steps` has moved, since arguments that are values (integers, lambdas, bound
+variables, such constructor applications) reach their value in no step.  A
+closed data literal, constructors and integers only, is its own value.
 
 `eval_program` runs an entry call against a program whose definitions may use
 unknown external functions (their free variables): a variable bound nowhere
@@ -143,72 +145,46 @@ class Closure:
 
 
 _EMPTY: dict = {}
-_IDENTITY = Lambda("z", Var("z"))  # what an external function stands for
-_EXTERNAL = Closure(_IDENTITY, _EMPTY)
+_EXTERNAL = Closure(Lambda("z", Var("z")), _EMPTY)  # what an external function is
 
 # frame tags; the frames, innermost last:
-#   (_APP_FUN, arg, env)          E e
-#   (_APP_ARG, closure)           v E
-#   (_CTOR, term, done, env)      k v.. E e..
-#   (_PRIM_L, op, rhs, env)       E (+) e
-#   (_PRIM_R, op, n)              n (+) E
-#   (_CASE, alts, env)            case E of
-#   (_LET, x, body, env)          let x = E in e
+#   (_APP_FUN, arg, env)             E e
+#   (_APP_ARG, closure)              v E
+#   (_CTOR, term, done, env, steps)  k v.. E e..   (steps when pushed)
+#   (_PRIM_L, op, rhs, env)          E (+) e
+#   (_PRIM_R, op, n)                 n (+) E
+#   (_CASE, alts, env)               case E of
+#   (_LET, x, body, env)             let x = E in e
 # numbered so that the return loop tests a frame with few comparisons: after
 # _CASE, `tag <= _APP_ARG` picks the application frames and then
 # `tag <= _PRIM_R` the arithmetic ones
 _CASE, _APP_FUN, _APP_ARG, _PRIM_L, _PRIM_R, _CTOR, _LET = range(7)
 
 
-def _ctor_value(e: CtorApp, env: dict, externals: bool):
-    """The value of a constructor application whose leaves are integers,
-    lambdas and bound variables (externals too, in a program), or None when
-    some argument still needs evaluating.  Without variables or lambdas the
-    term is its own value.
+def _is_data(e: CtorApp) -> bool:
+    """Whether e is built of constructors and integer literals only, and so
+    is its own value.
     """
-    nodes = []  # the constructor applications, preorder
     stack = [e]
-    plain = True
     while stack:
-        t = stack.pop()
-        nodes.append(t)
-        for a in t.args:
+        for a in stack.pop().args:
             ta = type(a)
             if ta is CtorApp:
                 stack.append(a)
-            elif ta is Lambda or (ta is Var and (externals or a.name in env)):
-                plain = False
             elif ta is not IntLit:
-                return None
-    if plain:
-        return e
-    built: dict[int, CtorApp] = {}
-    for t in reversed(nodes):
-        args = []
-        for a in t.args:
-            ta = type(a)
-            if ta is CtorApp:
-                a = built[id(a)]
-            elif ta is Var:
-                a = env.get(a.name, _EXTERNAL)
-            elif ta is Lambda:
-                a = Closure(a, env)
-            args.append(a)
-        built[id(t)] = CtorApp(t.ctor, tuple(args))
-    return built[id(e)]
+                return False
+    return True
 
 
-def _close(term: Expression, env: dict, externals: bool, done: dict) -> Expression:
+def _close(term: Expression, env: dict, ext, done: dict) -> Expression:
     """term with its free variables replaced by their read-back values, which
-    must already be in `done`.
+    must already be in `done`; a variable env does not bind stands for ext.
     """
     mapping: dict[str, Expression] = {}
     for x in free_vars(term):
-        v = env.get(x)
+        v = env.get(x, ext)
         if v is not None:
             mapping[x] = done[id(v)]
-        elif externals:
-            mapping[x] = _IDENTITY
     return substitute(mapping, term)
 
 
@@ -230,7 +206,7 @@ def _holds_closure(root) -> bool:
     return False
 
 
-def _read_back(root, externals: bool) -> Expression:
+def _read_back(root, ext) -> Expression:
     """The term a runtime value stands for: the value itself when no closure
     is under it.  Otherwise iterative, so that long data values cannot exhaust
     the stack; `done` memoizes by identity, so shared values are read back once.
@@ -246,7 +222,7 @@ def _read_back(root, externals: bool) -> Expression:
             continue
         tv = type(v)
         if tv is Closure:
-            parts = [v.env[x] for x in free_vars(v.term) if x in v.env]
+            parts = [w for x in free_vars(v.term) if (w := v.env.get(x, ext)) is not None]
         elif tv is CtorApp:
             parts = v.args
         else:
@@ -257,7 +233,7 @@ def _read_back(root, externals: bool) -> Expression:
             continue
         stack.pop()
         if tv is Closure:
-            done[id(v)] = _close(v.term, v.env, externals, done)
+            done[id(v)] = _close(v.term, v.env, ext, done)
         elif tv is CtorApp:
             args = [done[id(a)] for a in v.args]
             same = all(r is a for r, a in zip(args, v.args))
@@ -279,11 +255,11 @@ def _atom(e: Expression, env: dict, ext):
     return None
 
 
-def _run(e: Expression, G: Globals, fuel: int, externals: bool) -> EvalOutcome:
+def _run(e: Expression, G: Globals, fuel: int, ext) -> EvalOutcome:
+    """Evaluate e; a variable bound nowhere is the value ext, or stuck if None."""
     calls = allocs = steps = unfolds = 0
     frames: list[tuple] = []
     focus, env = e, _EMPTY
-    ext = _EXTERNAL if externals else None  # what a free variable is
 
     def out(kind: str, value=None, reason=None) -> EvalOutcome:
         return EvalOutcome(kind, value, reason, calls, allocs, steps, unfolds)
@@ -361,10 +337,10 @@ def _run(e: Expression, G: Globals, fuel: int, externals: bool) -> EvalOutcome:
             i = len(done)
             if i == len(args):
                 v = CtorApp(focus.ctor, tuple(done)) if i else focus
-            elif type(args[i]) not in (CtorApp, Lambda) or (
-                v := _ctor_value(focus, env, externals)
-            ) is None:
-                frames.append((_CTOR, focus, done, env))
+            elif type(args[i]) is CtorApp and _is_data(focus):
+                v = focus
+            else:
+                frames.append((_CTOR, focus, done, env, steps))
                 focus = args[i]
                 continue
         elif t is Var:
@@ -381,7 +357,7 @@ def _run(e: Expression, G: Globals, fuel: int, externals: bool) -> EvalOutcome:
         # hand v to the innermost frames until one yields a new focus
         while True:
             if not frames:
-                return out("value", value=_read_back(v, externals))
+                return out("value", value=_read_back(v, ext))
             fr = frames.pop()
             tag = fr[0]
             if tag == _CASE:
@@ -430,14 +406,15 @@ def _run(e: Expression, G: Globals, fuel: int, externals: bool) -> EvalOutcome:
                 steps += 1
                 continue
             if tag == _CTOR:
-                _, term, done_args, cenv = fr
+                _, term, done_args, cenv, pushed = fr
                 done_args.append(v)
                 if len(done_args) < len(term.args):
                     frames.append(fr)
                     focus, env = term.args[len(done_args)], cenv
                     break
                 v = CtorApp(term.ctor, tuple(done_args))
-                allocs += 1
+                if steps != pushed:  # some argument was no value yet
+                    allocs += 1
                 continue
             # _LET
             if steps >= fuel:
@@ -449,7 +426,7 @@ def _run(e: Expression, G: Globals, fuel: int, externals: bool) -> EvalOutcome:
 
 def eval_expr(e: Expression, G: Globals, fuel: int = 1_000_000) -> EvalOutcome:
     """Evaluate e against the definitions G; a free variable is stuck."""
-    return _run(e, G, fuel, externals=False)
+    return _run(e, G, fuel, None)
 
 
 # ---------------------------------------------------------------------------
@@ -465,4 +442,4 @@ def eval_program(
     missing = free_vars(call)
     if missing:
         raise StuckError(f"entry call has free variables {sorted(missing)}")
-    return _run(call, program.defs, fuel, externals=True)
+    return _run(call, program.defs, fuel, _EXTERNAL)

@@ -367,8 +367,6 @@ def _free_vars_into(e: Expression, bound: frozenset[str], out: dict[str, None]) 
         if scopes_of is None:
             return
         sc = scopes_of(e)
-        if not sc:
-            return
         last = sc[-1]
         for pair in sc:
             if pair is last:  # every pair is a new tuple

@@ -20,6 +20,7 @@ from deforest import (
     Var,
     parse_program,
 )
+from deforest.cli import _read_manifest
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "deforest" / "fixtures"
 
@@ -43,19 +44,8 @@ def fixture_program(name: str) -> Program:
 
 
 def fixture_manifest(name: str) -> dict:
-    entries, golden, fuel = [], None, None
-    for line in (FIXTURES / f"{name}.manifest").read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(":")
-        if key == "entry":
-            entries.append(value.strip())
-        elif key == "golden":
-            golden = value.strip()
-        elif key == "fuel":
-            fuel = int(value)
-    return {"entries": entries, "golden": golden, "fuel": fuel}
+    """{"entries", "golden", "fuel"} of a fixture's manifest, read as `check` reads it."""
+    return _read_manifest(FIXTURES / f"{name}.manifest")
 
 
 def fixture_golden(name: str) -> Program:

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deforest import CtorApp, IntLit, Lambda, Var
+from deforest import CtorApp, DriverError, IntLit, Lambda, Var
+from deforest import cli
 from deforest.cli import _verdict, main, make_arg_parser
 from deforest.semantics import EvalOutcome
 
@@ -298,6 +299,24 @@ def test_deep_input_exits_cleanly(tmp_path, program, entry):
     assert "Traceback" not in out.stderr
     if out.returncode == 2:
         assert out.stderr.startswith("error: ")
+
+
+def test_command_errors_exit_cleanly(monkeypatch, capsys):
+    # a recursion too deep for the stack exits 2, a driver fault exits 3;
+    # neither prints a traceback
+    for exc, exit_code, prefix in [
+        (RecursionError("maximum recursion depth exceeded"), 2, "error: input is nested too deeply"),
+        (DriverError("measure did not decrease"), 3, "internal error: measure did not decrease"),
+    ]:
+
+        def command(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_build", command)
+        code, out, err = run_cli("build", fixture("factorial"), capsys=capsys)
+        assert (code, out) == (exit_code, "")
+        assert err.startswith(prefix)
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

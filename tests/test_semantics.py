@@ -158,6 +158,8 @@ bad x = x + Nil;
 plus x y = x + y;
 second = case Cons 1 (Cons (\\x -> x + 1) Nil) of {
   (h:t) -> case t of { (f:r) -> f h; [] -> 0 }; [] -> 0 };
+nest x = Cons x (Cons (\\y -> y) (Cons (id x) [\\y -> y]));
+id z = z;
 """
 
 HANDWRITTEN_CALLS = [
@@ -183,6 +185,7 @@ HANDWRITTEN_CALLS = [
     "pick 2",
     "apply 1 2",
     "second",
+    "nest 1",
 ]
 
 # open terms whose free y evaluation never reaches: it is under a lambda, or
@@ -292,13 +295,15 @@ def test_eval_agrees_with_step_iteration_on_fixtures(fixture_name):
 def test_fuel_sweep_on_atom_corner_cases():
     # shadowed curried parameters, a global given more arguments than it has
     # lambdas, partial application, functions as arguments, non-integers in
-    # arithmetic, a lambda inside a nested constructor literal, and an
-    # undefined global
+    # arithmetic, a lambda inside a nested constructor literal, constructor
+    # frames that complete with and without a step, and an undefined global
     program = parse_program(HANDWRITTEN)
     calls = [parse_expression(e, frozenset(program.defs)) for e in HANDWRITTEN_CALLS]
     calls += [Global("nope"), App(Global("nope"), IntLit(1))]
     outcomes = [eval_program(program, c, 1000) for c in calls]
     assert [o.value for o in outcomes[:3]] == [IntLit(3), IntLit(12), IntLit(12)]
+    # nest: the three frames around `id x` allocate, `[\\y -> y]` is a value
+    assert outcomes[HANDWRITTEN_CALLS.index("nest 1")].allocs == 3
     assert {o.kind for o in outcomes} == {"value", "stuck"}
     defs = _externals_as_identity(program)
     swept = sum(_fuel_sweep(partial(eval_program, program, c), c, defs) for c in calls)
@@ -338,11 +343,20 @@ def test_shared_result_reads_back_once():
 
 
 def test_closure_inside_data_reads_back_as_the_oracle():
-    program = parse_program("main n = [\\x -> x + n];")
-    call = App(Global("main"), IntLit(5))
-    out = eval_program(program, call)
-    assert out.value == parse_expression("[\\x -> x + 5]")
-    _fuel_sweep(partial(eval_program, program, call), call, _externals_as_identity(program))
+    # a closure under the list twice is read back once, so both elements are
+    # one term; an external reads back through the same closure path
+    for text, entry, value in [
+        ("main n = [\\x -> x + n];", "main 5", "[\\x -> x + 5]"),
+        ("main n = let f = \\x -> x + n in [f, f];", "main 5", "[\\x -> x + 5, \\x -> x + 5]"),
+        ("main = [show, show];", "main", "[\\z -> z, \\z -> z]"),
+    ]:
+        program = parse_program(text)
+        call = parse_expression(entry, frozenset(program.defs))
+        out = eval_program(program, call)
+        assert out.value == parse_expression(value)
+        if len(out.value.args[1].args) == 2:
+            assert out.value.args[0] is out.value.args[1].args[0]
+        _fuel_sweep(partial(eval_program, program, call), call, _externals_as_identity(program))
 
 
 def test_generated_programs_never_get_stuck():
