@@ -20,7 +20,6 @@ from .syntax import (
     Var,
     free_vars,
     pattern_binders,
-    unfold_apps,
 )
 
 
@@ -90,16 +89,16 @@ def is_annoying(e: Expression) -> bool:
     Expressions that would reduce if only their free variables were known.
     An application spine is annoying when its head is.
     """
-    match e:
-        case Var(_):
-            return True
-        case PrimOp(_, l, r):
-            l_ok = isinstance(l, IntLit) or is_annoying(l)
-            r_ok = isinstance(r, IntLit) or is_annoying(r)
-            both_lit = isinstance(l, IntLit) and isinstance(r, IntLit)
-            return l_ok and r_ok and not both_lit
-        case App(_, _):
-            head, _ = unfold_apps(e)
-            return is_annoying(head)
-        case _:
-            return False
+    t = type(e)
+    if t is Var:
+        return True
+    if t is PrimOp:
+        tl, tr = type(e.lhs), type(e.rhs)
+        if tl is IntLit:
+            return tr is Var or tr is not IntLit and is_annoying(e.rhs)
+        return (tl is Var or is_annoying(e.lhs)) and (tr in (IntLit, Var) or is_annoying(e.rhs))
+    if t is App:
+        while type(e) is App:
+            e = e.fun
+        return type(e) is Var or is_annoying(e)
+    return False

@@ -41,6 +41,7 @@ from .syntax import (
     Var,
     all_identifiers,
     canonical,
+    canonical_symbols,
     children,
     fold_apps,
     fold_lambdas,
@@ -74,12 +75,13 @@ class _Rollback(DriverError):
         self.term = term
 
 
-@dataclass(frozen=True)
+@dataclass
 class MemoEntry:
     name: str
     term: Expression
     key: Key  # canonical(term)
-    form: Prepared  # the whistle's form of term
+    order: list  # the whistle's symbols of term's nodes, in preorder
+    form: Optional[Prepared] = None  # built once `_may_embed` first passes
 
     @property
     def params(self) -> tuple[str, ...]:  # fv(term) in first-occurrence order
@@ -119,7 +121,7 @@ def _refocus(e: Expression, context: list[RFrame]) -> tuple[Expression, list[RFr
         head = e
         while type(head) is App:
             head = head.fun
-        if not (type(e) in (IntLit, CtorApp) or type(head) is Lambda or is_annoying(e)):
+        if not (type(e) in (IntLit, CtorApp, Var) or type(head) is Lambda or is_annoying(e)):
             break
         i -= 1
         e = plug_r(context[i : i + 1], e)
@@ -221,12 +223,13 @@ class DriveSession:
                     return plug_r(context, rebuild(e, kids))
                 case App(_, _):
                     head, args = unfold_apps(e)
-                    if isinstance(head, Lambda):  # R9
+                    if isinstance(head, Lambda):  # R9, with R11/R12 on its lets
                         self._emit("R9", e, context, rho)
                         params, body = unfold_lambdas(head)
                         n = min(len(params), len(args))
                         body = fold_lambdas(params[n:], body)
-                        e = self._fresh_lets(params[:n], args[:n], body, args[n:])
+                        lets = self._fresh_lets(params[:n], args[:n], body, args[n:])
+                        e, context = _refocus(lets, context)
                         continue
                     self._emit("R10", e, context, rho)  # R10
                     e, context = e.fun, context + [("arg", e.arg)]
@@ -241,7 +244,8 @@ class DriveSession:
                         e, context = lhs, context + [("prim_l", op, rhs)]
                 case Let(x, IntLit(_) | Var(_) | Global(_) as v, body) if not (
                     type(v) is Var and v.name in self.supply.hole_names
-                ):  # R11, R12; a generalization hole is not copied
+                ):  # R11, R12 on a let R9 or R16 did not make (from the source,
+                    # say); a generalization hole is not copied
                     self._emit("R11" if type(v) is IntLit else "R12", e, context, rho)
                     e, context = _refocus(substitute({x: v}, body), context)
                 case Let(x, bound, body):  # R13
@@ -263,7 +267,7 @@ class DriveSession:
                     return Let(x, bound, self.drive(*_refocus(body, context), rho, me))
                 case Case(CtorApp(_, args) as scrut, alts) if (
                     alt := select_alt(scrut, alts)
-                ) is not None:  # R16
+                ) is not None:  # R16, with R11/R12 on its lets as in R9
                     self._emit("R16", e, context, rho)
                     if type(alt.pattern) is CtorPat:
                         binders, values = alt.pattern.binders, args
@@ -304,13 +308,21 @@ class DriveSession:
         self, binders: Sequence, values: Sequence, body: Expression, args: Sequence = ()
     ) -> Expression:
         """let b1' = v1 in ... let bn' = vn in body args, each binder renamed
-        in body to a fresh name (a wildcard None binds a fresh "u").
+        in body to a fresh name (a wildcard None binds a fresh "u"), except
+        that a value R11/R12 would copy (an integer, a global, a variable but
+        a hole) takes its binder's place in that walk; its name is still minted.
         """
-        fresh = [self.supply.var(b if b is not None else "u") for b in binders]
-        rename = {b: Var(f) for b, f in zip(binders, fresh) if b is not None}
-        term = fold_apps(substitute(rename, body), args)
-        for b, v in reversed(list(zip(fresh, values))):
-            term = Let(b, v, term)
+        holes, m, lets = self.supply.hole_names, {}, []
+        for b, v in zip(binders, values):
+            f = Var(self.supply.var(b if b is not None else "u"))
+            if not (type(v) in (IntLit, Global) or type(v) is Var and v.name not in holes):
+                lets.append((f.name, v))
+                v = f
+            if b is not None:
+                m[b] = v
+        term = fold_apps(substitute(m, body), args)
+        for f, v in reversed(lets):
+            term = Let(f, v, term)
         return term
 
     def _freshen_pattern(self, pat) -> tuple:
@@ -350,7 +362,7 @@ class DriveSession:
         names; that one generalizes instead of returning its result (Dapp4a).
         """
         term = plug_r(context, Global(g))
-        key = canonical(term)
+        key, order = canonical_symbols(term)
 
         # (1) fold: the term is a renaming of an ancestor or of a completed
         # recursive activation, so it becomes a call of that one's definition
@@ -364,10 +376,14 @@ class DriveSession:
 
         # (2) mutual embedding: ask the owning activation to generalize;
         # (3) otherwise generalize downwards against the nearest entry
-        form = prepare(term, self.symbols)
-        below = [entry for entry in reversed(rho) if embeds(entry.form, form)]
+        new = MemoEntry("", term, key, order)  # named at (4)
+        below = [
+            entry
+            for entry in reversed(rho)
+            if _may_embed(entry, new) and embeds(self._form(entry), self._form(new))
+        ]
         for entry in below:
-            if embeds(form, entry.form):
+            if _may_embed(new, entry) and embeds(new.form, entry.form):
                 self._emit("Dapp2", term, context, rho, entry.name)
                 raise _Rollback(entry.name, term)
         if below:
@@ -378,8 +394,8 @@ class DriveSession:
         v = self.G.get(g)
         if v is None:
             raise DriverError(f"undefined function {g} during driving")
-        h = self.supply.fun()
-        entry = MemoEntry(h, term, key, form)
+        h = new.name = self.supply.fun()
+        entry = new
         self._emit("Dapp4", term, context, rho)
         mark = len(self._done_log)
         try:
@@ -404,6 +420,10 @@ class DriveSession:
             return _call(entry, {p: p for p in entry.params})
         return e  # (4c)
 
+    def _form(self, entry: MemoEntry) -> Prepared:
+        entry.form = entry.form or prepare(entry.term, self.symbols)
+        return entry.form
+
     def _generalize(
         self,
         term: Expression,
@@ -419,6 +439,17 @@ class DriveSession:
             r.term = substitute(fill, r.term)
             raise
         return substitute(fill, driven_common)
+
+
+def _may_embed(a: MemoEntry, b: MemoEntry) -> bool:
+    """A test that a's term passes wherever it embeds in b's, made before any
+    form is built (and implying the count test of `embeds`): a's symbols in
+    preorder are a subsequence of b's, as coupling and diving keep order."""
+    rest = iter(b.order)
+    for s in a.order:
+        if s not in rest:
+            return False
+    return True
 
 
 def _table_key(key: Key) -> tuple:

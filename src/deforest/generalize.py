@@ -11,12 +11,13 @@ by ordinary substitution.
 The whistle works on a prepared form of each term (`prepare`): its nodes in
 post-order, each with an interned symbol, its children, its subtree size and
 the bitmask of the symbols in its subtree, plus the symbol counts of the
-whole term.  The driver prepares each term once and keeps the form in its
-memo entry, with one intern table per drive.  An embedding maps the nodes of
-one term one-to-one onto nodes of the other with equal symbols, so a term
-cannot embed where a symbol count, the size or the symbol set is smaller;
-`embeds` refuses such pairs without recursing, and decides the rest as the
-definition does.
+whole term.  An embedding maps the nodes of one term one-to-one onto nodes
+of the other with equal symbols, so a term cannot embed where a symbol
+count, the size or the symbol set is smaller; `embeds` refuses such pairs
+without recursing, and decides the rest as the definition does.  The driver
+first tests a pair on the symbols of the walk that computes the fold key
+(`canonical_symbols`), and prepares a term or a memo entry, once and with
+one intern table per drive, only when a pair with it passes that test.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .syntax import (
     Expression,
     FreshSupply,
     Global,
+    IntLit,
     Let,
     PrimOp,
     Var,
@@ -63,7 +65,7 @@ class Prepared:
     the form was prepared with; `kids`, the child indices; `size`, the
     number of nodes in the subtree; `mask`, the bits of the symbol ids that
     occur in the subtree.  For the whole term: `counts`, symbol id ->
-    occurrences.
+    occurrences.  The driver builds a form only for a pair its tests allow.
     """
 
     __slots__ = ("sym", "kids", "size", "mask", "counts")
@@ -88,16 +90,19 @@ def prepare(e: Expression, symbols: dict) -> Prepared:
     todo: list = [e]  # terms to visit, and (term, arity) to finish
     while todo:
         t = todo.pop()
-        if type(t) is not tuple:
+        tt = type(t)
+        if tt is Var or tt is IntLit:
+            key, ks, n = tt, (), 0
+        elif tt is tuple:
+            t, n = t
+            key = _symbol(t)
+        else:
             ks = children(t)
             if ks:
                 todo.append((t, len(ks)))
                 todo.extend(reversed(ks))
                 continue
-            n = 0
-        else:
-            t, n = t
-        key = _symbol(t)
+            key, n = _symbol(t), 0
         s = symbols.get(key)
         if s is None:
             s = symbols[key] = len(symbols)

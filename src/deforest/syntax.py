@@ -8,10 +8,10 @@ generalization holes are names in `FreshSupply.hole_names`).
 Two traversal kernels carry the syntax: `children`/`rebuild` give a node's
 immediate subterms and put new ones in their place, and `scopes` pairs each
 subterm with the variables the node binds over it (`rebind` renames them).
-Free variables, substitution, the canonical key, strictness and
-generalization are written once over these kernels.  No node binds a function
-name: a source `letrec` is a top-level definition by the time the parser
-returns it.
+Free variables, substitution, strictness and generalization are written once
+over these kernels; the canonical key has its own walk, which also lists the
+whistle's symbols (`canonical_symbols`).  No node binds a function name: a
+source `letrec` is a top-level definition by the time the parser returns it.
 
 "Modulo renaming" (`canonical`, and so `alpha_eq`, `match_keys` and the
 golden comparison) allows a consistent renaming of bound variables and
@@ -203,7 +203,10 @@ def subterms(e: Expression) -> Iterator[Expression]:
 
 # The traversal kernels dispatch on type(e) through tables: a `match` on
 # classes tries each case in turn, and `children` is the driver's hottest
-# function.
+# function.  The driver's hot walks (`substitute`, `_free_vars_into`, the key
+# walk `_canonical_into`) handle a variable, integer or global child inline
+# instead of calling themselves on it; the last two loop on a node's last
+# child, so a long list literal costs them no stack.
 
 _CHILDREN = {
     App: attrgetter("fun", "arg"),
@@ -407,28 +410,55 @@ def substitute(mapping: dict[str, Expression], e: Expression) -> Expression:
     """
     if not mapping:
         return e
-    return _substitute(e, mapping, {x: free_vars(v) for x, v in mapping.items()})
+    return _substitute(e, mapping, {})
+
+
+def _value_fvs(x: str, m: dict[str, Expression], fvs: dict[str, set[str]]) -> set[str]:
+    """free_vars(m[x]), computed once, and only where a binder could capture it."""
+    out = fvs.get(x)
+    if out is None:
+        v = m[x]
+        out = fvs[x] = {v.name} if type(v) is Var else free_vars(v)
+    return out
 
 
 def _substitute(e: Expression, m: dict[str, Expression], fvs: dict[str, set[str]]) -> Expression:
-    """substitute(m, e), given fvs[x] = free_vars(m[x]).  A node none of
+    """substitute(m, e), with fvs the cache of `_value_fvs`.  A node none of
     whose children changes is returned as it is, so only the paths to the
-    replaced variables are rebuilt.
+    replaced variables are rebuilt.  A node that binds nothing skips `scopes`.
     """
-    if type(e) is Var:
+    t = type(e)
+    if t is Var:
         return m.get(e.name, e)
+    if t is Lambda or t is Let or t is Case:
+        return _substitute_scopes(e, m, fvs)
+    kids = []
+    changed = False
+    for c in children(e):
+        t = type(c)
+        leaf = t is IntLit or t is Global
+        k = m.get(c.name, c) if t is Var else c if leaf else _substitute(c, m, fvs)
+        changed = changed or k is not c
+        kids.append(k)
+    return rebuild(e, kids) if changed else e
+
+
+def _substitute_scopes(e: Expression, m: dict, fvs: dict) -> Expression:
+    """`_substitute` on a node that binds variables over some of its children."""
     kids = []
     changed = False
     for i, (c, bs) in enumerate(scopes(e)):
         m2 = m
         if bs:
             m2 = {x: v for x, v in m.items() if x not in bs}
-            if m2 and any(b in fvs[x] for x in m2 for b in bs):
+            if m2 and any(b in _value_fvs(x, m2, fvs) for x in m2 for b in bs):
                 c, new, m2 = _avoid_capture(c, bs, m2, fvs)
                 if new != bs:
                     e = rebind(e, i, new)
                     changed = True
-        k = _substitute(c, m2, fvs) if m2 else c
+        t = type(c)
+        leaf = t is IntLit or t is Global or not m2
+        k = m2.get(c.name, c) if t is Var else c if leaf else _substitute(c, m2, fvs)
         changed = changed or k is not c
         kids.append(k)
     return rebuild(e, kids) if changed else e
@@ -442,7 +472,7 @@ def _avoid_capture(c: Expression, bs: tuple[str, ...], m: dict, fvs: dict) -> tu
     live = {x: v for x, v in m.items() if x in fc}
     value_fvs: set[str] = set()
     for x in live:
-        value_fvs |= fvs[x]
+        value_fvs |= _value_fvs(x, m, fvs)
     if not any(b in value_fvs for b in bs):
         return c, bs, live
     avoid = value_fvs | set(live) | fc | set(bs)
@@ -478,20 +508,15 @@ def canonical(e: Expression) -> Key:
     its binder's level.  Free variables and function symbols become the
     markers "fv" and "fg" and are listed, in order, in `free` and `globals`.
     """
-    out: tuple[list, list[str], list[str]] = ([], [], [])
+    return canonical_symbols(e)[0]
+
+
+def canonical_symbols(e: Expression) -> tuple[Key, list]:
+    """`canonical(e)`, and from the same walk the whistle's symbols of the
+    nodes of e in preorder (those of `generalize._symbol`)."""
+    out: tuple[list, list[str], list[str], list] = ([], [], [], [])
     _canonical_into(e, {}, 0, out)
-    return Key(*map(tuple, out))
-
-
-# the tokens a node puts before its subterms
-_TOKENS = {
-    App: lambda e: ("@",),
-    Lambda: lambda e: ("\\",),
-    CtorApp: lambda e: ("K", e.ctor, len(e.args)),
-    PrimOp: lambda e: ("p", e.op),
-    Case: lambda e: ("case", len(e.alts)),
-    Let: lambda e: ("let",),
-}
+    return Key(tuple(out[0]), tuple(out[1]), tuple(out[2])), out[3]
 
 
 def _pattern_tokens(p: Pattern) -> tuple:
@@ -503,34 +528,74 @@ def _pattern_tokens(p: Pattern) -> tuple:
 
 
 def _canonical_into(e: Expression, vs: dict, depth: int, out: tuple) -> None:
-    shape, free, globals_ = out
-    t = type(e)
-    if t is Var:
-        if e.name in vs:
-            shape += ("v", vs[e.name])
-        else:
-            shape.append("fv")
-            free.append(e.name)
-        return
-    if t is Global:
-        shape.append("fg")
-        globals_.append(e.name)
-        return
-    if t is IntLit:
-        shape += ("i", e.value)
-        return
-    shape += _TOKENS[t](e)
-    for i, (c, bs) in enumerate(scopes(e)):
-        if t is Case and i:
-            p = e.alts[i - 1].pattern
-            shape += _pattern_tokens(p)
-            if type(p) is DefaultPat:
-                bs = (p.binder,)  # one slot whether named or "_"
-        if bs:
-            vs2 = {**vs, **{b: depth + j for j, b in enumerate(bs)}}
-            _canonical_into(c, vs2, depth + len(bs), out)
-        else:
-            _canonical_into(c, vs, depth, out)
+    # Loops on the last child (an application's argument, a list's tail, a
+    # body, the last alternative) and recurses on the others; the others of
+    # an application, a constructor or an operator are written inline when
+    # they are leaves.  `syms` gets each node's whistle symbol.
+    shape, free, globals_, syms = out
+    while True:
+        t = type(e)
+        if t is CtorApp:
+            n = len(e.args)
+            shape += ("K", e.ctor, n)
+            syms.append(("ctor", e.ctor, n))
+            if not n:
+                return
+            *kids, e = e.args
+        elif t is App or t is PrimOp:
+            shape += ("@",) if t is App else ("p", e.op)
+            syms.append(t)
+            *kids, e = children(e)
+        elif t is Lambda or t is Let:
+            shape.append("\\" if t is Lambda else "let")
+            syms.append(t)
+            if t is Let:
+                _canonical_into(e.bound, vs, depth, out)
+            x = e.param if t is Lambda else e.binder
+            vs, depth, e = {**vs, x: depth}, depth + 1, e.body
+            continue
+        elif t is Case:
+            alts = e.alts
+            shape += ("case", len(alts))
+            syms.append(("caseof", len(alts)))
+            _canonical_into(e.scrutinee, vs, depth, out)
+            for i, alt in enumerate(alts):
+                p = alt.pattern
+                shape += _pattern_tokens(p)
+                vs2, depth2 = dict(vs), depth
+                # a default alternative is one slot, named or "_"
+                for b in (p.binder,) if type(p) is DefaultPat else pattern_binders(p):
+                    vs2[b] = depth2
+                    depth2 += 1
+                if i == len(alts) - 1:
+                    vs, depth, e = vs2, depth2, alt.body
+                else:
+                    _canonical_into(alt.body, vs2, depth2, out)
+            if not alts:
+                return
+            continue
+        else:  # a leaf, at the root or last: written as a child
+            kids, e = (e,), None
+        for c in kids:
+            tc = type(c)
+            if tc is Var:
+                if c.name in vs:
+                    shape += ("v", vs[c.name])
+                else:
+                    shape.append("fv")
+                    free.append(c.name)
+                syms.append(Var)
+            elif tc is IntLit:
+                shape += ("i", c.value)
+                syms.append(IntLit)
+            elif tc is Global:
+                shape.append("fg")
+                globals_.append(c.name)
+                syms.append(("global", c.name))
+            else:
+                _canonical_into(c, vs, depth, out)
+        if e is None:
+            return
 
 
 def alpha_eq(e1: Expression, e2: Expression) -> bool:

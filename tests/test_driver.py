@@ -284,14 +284,15 @@ def test_trace_emits_rule_lines():
 
 
 def test_case_of_constructor_lets_keep_their_context():
-    # R16 drives the lets it makes in the context of the case, so R12 sees
-    # the frame `[] * 2` instead of a let wrapped around the plugged context
+    # R16 drives the lets it makes in the context of the case, so R13 sees
+    # the frame `[] * 2` instead of a let wrapped around the plugged context;
+    # y takes h's place in the walk that renames t, so no R12 comes between
     lines = []
     p = parse_program("main y = (case Cons y Nil of { (h:t) -> h + 1 }) * 2;")
     residual = supercompile(p, trace=lines.append)
     rules = [line.split()[0] for line in lines]
     after = lines[rules.index("R16") + 1]
-    assert after.startswith("R12 ") and after.endswith(" depth=1")
+    assert after.startswith("R13 ") and after.endswith(" depth=1")
     assert program_alpha_eq(residual, parse_program("main y = let t = [] in (y + 1) * 2;"))
 
 
@@ -650,6 +651,12 @@ STRESS_PROGRAMS = [
         "let binder free in its context: the kept let is renamed",
         "main x y = (let x = y * y in x + x) + x;",
         "main 3 5",
+        True,
+    ),
+    (
+        "case of a constructor: R16 binds a variable in its renaming walk",
+        "main y = case Cons y Nil of { (h:t) -> h };",
+        "main 1",
         True,
     ),
     (

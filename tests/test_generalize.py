@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,17 @@ from deforest import (
     Var,
     parse_expression,
 )
+from deforest.driver import DriveSession, MemoEntry, _may_embed
 from deforest.generalize import _symbol, embeds, msg, prepare, split
-from deforest.syntax import FreshSupply, alpha_eq, children, rebuild, substitute, subterms
+from deforest.syntax import (
+    FreshSupply,
+    alpha_eq,
+    canonical_symbols,
+    children,
+    rebuild,
+    substitute,
+    subterms,
+)
 
 from conftest import expressions, scoped_expressions
 
@@ -269,6 +279,33 @@ def test_prepared_form_numbers_nodes_in_post_order():
     assert form.sym[1] == form.sym[3] == symbols[Var]
     assert form.mask[-1] == (1 << len(symbols)) - 1
     assert form.counts[symbols[Var]] == 2
+
+
+@given(expressions(12))
+@settings(max_examples=200, deadline=None)
+def test_key_walk_counts_are_the_prepared_forms_counts(e):
+    symbols: dict = {}
+    form = prepare(e, symbols)
+    order = canonical_symbols(e)[1]
+    assert {symbols[s]: n for s, n in Counter(order).items()} == form.counts
+    # the key walk lists the symbols in preorder
+    assert order == [_symbol(t) for t in subterms(e)]
+
+
+@given(st.lists(expressions(8), min_size=2, max_size=5), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_lazily_built_forms_whistle_as_eager_forms(terms, rng):
+    # the driver's way: tests on the key walk's symbols, then forms built on
+    # demand into one intern table, in whatever order the pairs come
+    session = DriveSession(FreshSupply(set()), {})
+    entries = []
+    for i, t in enumerate(terms):
+        entries.append(MemoEntry(f"h{i}", t, *canonical_symbols(t)))
+    pairs = list(itertools.product(entries, repeat=2))
+    rng.shuffle(pairs)
+    for a, b in pairs:
+        lazy = _may_embed(a, b) and embeds(session._form(a), session._form(b))
+        assert lazy == embeds(a.term, b.term), (a.term, b.term)
 
 
 def test_prepared_form_of_a_long_list_builds_at_the_default_recursion_limit():

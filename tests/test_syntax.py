@@ -20,12 +20,15 @@ from deforest.analysis import demand
 from deforest.syntax import (
     alpha_eq,
     canonical,
+    canonical_symbols,
     children,
     fold_lambdas,
     free_vars,
     free_vars_ordered,
     fun_names,
     match_keys,
+    pattern_binders,
+    rebind,
     rebuild,
     scopes,
     select_alt,
@@ -34,6 +37,8 @@ from deforest.syntax import (
 )
 
 from conftest import VAR_NAMES, expressions, scoped_expressions
+
+import sys
 
 import pytest
 
@@ -472,3 +477,135 @@ def test_scopes(term, expected):
     assert rebuild(term, children(term)) == term
     kids = tuple(IntLit(10 + i) for i in range(len(expected)))
     assert scopes(rebuild(term, kids)) == tuple(zip(kids, (bs for _, bs in expected)))
+
+
+# ---------------------------------------------------------------------------
+# the kernels against plain reference versions
+
+
+def _eager_substitute(m, e, fvs=None):
+    """Capture-avoiding substitution as it was written before the free
+    variables of the values were computed lazily: every value's, up front.
+    The oracle for `substitute`.
+    """
+    if fvs is None:
+        fvs = {x: free_vars(v) for x, v in m.items()}
+    if type(e) is Var:
+        return m.get(e.name, e)
+    kids, changed = [], False
+    for i, (c, bs) in enumerate(scopes(e)):
+        m2 = m
+        if bs:
+            m2 = {x: v for x, v in m.items() if x not in bs}
+            fc = free_vars(c)
+            live = {x: v for x, v in m2.items() if x in fc}
+            value_fvs = set().union(*[fvs[x] for x in live])
+            if any(b in value_fvs for b in bs):
+                avoid = value_fvs | set(live) | fc | set(bs)
+                ren = {}
+                for b in bs:
+                    if b in value_fvs:
+                        b2, n = b + "'", 1
+                        while b2 in avoid:
+                            b2, n = f"{b}'{n}", n + 1
+                        avoid.add(b2)
+                        ren[b] = Var(b2)
+                new = tuple(ren[b].name if b in ren else b for b in bs)
+                c, m2 = _eager_substitute(ren, c), live
+                e, changed = rebind(e, i, new), True
+        k = _eager_substitute(m2, c, fvs) if m2 else c
+        changed = changed or k is not c
+        kids.append(k)
+    return rebuild(e, kids) if changed else e
+
+
+@given(
+    scoped_expressions(),
+    st.dictionaries(
+        st.sampled_from(VAR_NAMES),
+        st.sampled_from(VAR_NAMES).map(Var) | scoped_expressions(6),
+        max_size=3,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_substitute_agrees_with_the_eager_oracle(e, m):
+    # the values are over VAR_NAMES, the names the lambda, let and pattern
+    # binders of e use, so binders capture and are renamed
+    out = substitute(m, e)
+    assert alpha_eq(out, _eager_substitute(m, e))
+    assert out == _eager_substitute(m, e)  # the same renamed binders, too
+
+
+def test_substitute_renames_each_kind_of_capturing_binder():
+    m = {"x": PrimOp("+", V("y"), V("z"))}
+    for e in (
+        Lambda("y", V("x")),
+        Let("y", V("x"), App(V("x"), V("y"))),
+        Case(V("w"), (Alt(CtorPat("Cons", ("y", "t")), V("x")), Alt(DefaultPat("z"), V("x")))),
+    ):
+        out = substitute(m, e)
+        assert out == _eager_substitute(m, e) and free_vars(out) == free_vars(e) - {"x"} | {"y", "z"}
+
+
+def _canonical_reference(e, vs=None, depth=0, out=None):
+    """The key by plain recursion over `scopes`, one call per node."""
+    if out is None:
+        out = ([], [], [])
+        _canonical_reference(e, {}, 0, out)
+        return tuple(map(tuple, out))
+    shape, free, globals_ = out
+    t = type(e)
+    if t is Var:
+        shape.extend(("v", vs[e.name]) if e.name in vs else ("fv",))
+        if e.name not in vs:
+            free.append(e.name)
+        return
+    if t is Global or t is IntLit:
+        shape.extend(("fg",) if t is Global else ("i", e.value))
+        if t is Global:
+            globals_.append(e.name)
+        return
+    shape.extend(
+        {
+            App: lambda: ("@",),
+            Lambda: lambda: ("\\",),
+            CtorApp: lambda: ("K", e.ctor, len(e.args)),
+            PrimOp: lambda: ("p", e.op),
+            Case: lambda: ("case", len(e.alts)),
+            Let: lambda: ("let",),
+        }[t]()
+    )
+    for i, (c, bs) in enumerate(scopes(e)):
+        if t is Case and i:
+            p = e.alts[i - 1].pattern
+            shape.extend(
+                ("ip", p.value) if type(p) is IntPat
+                else ("cp", p.ctor, len(p.binders)) if type(p) is CtorPat
+                else ("dp",)
+            )
+            if type(p) is DefaultPat:
+                bs = (p.binder,)
+        levels = {b: depth + j for j, b in enumerate(bs)}
+        _canonical_reference(c, {**vs, **levels}, depth + len(bs), out)
+
+
+@given(expressions() | scoped_expressions())
+@settings(max_examples=300, deadline=None)
+def test_canonical_agrees_with_the_reference(e):
+    assert tuple(canonical(e)) == _canonical_reference(e)
+    assert canonical_symbols(e)[0] == canonical(e)
+
+
+def test_key_walk_of_a_long_list_fits_a_low_recursion_limit():
+    lst = CtorApp("Nil", ())
+    for i in range(5000):
+        lst = CtorApp("Cons", (App(Global("f"), IntLit(i)), lst))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        key, order = canonical_symbols(lst)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert key.globals == ("f",) * 5000
+    assert order[:4] == [("ctor", "Cons", 2), App, ("global", "f"), IntLit]
+    assert len(order) == 4 * 5000 + 1
