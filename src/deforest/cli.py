@@ -34,13 +34,15 @@ class UsageError(Exception):
     """An error in the command's files or arguments that has no source position."""
 
 
-def _load_program(path: str) -> Program:
+def _load_program(path: str, validate: bool = True) -> Program:
+    """The parsed program; `build` leaves validation to `supercompile`."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}")
     program = parse_program(text)
-    validate_program(program)
+    if validate:
+        validate_program(program)
     return program
 
 
@@ -67,7 +69,7 @@ def _render_outcome(outcome: EvalOutcome) -> str:
 
 
 def cmd_build(args) -> int:
-    program = _load_program(args.file)
+    program = _load_program(args.file, validate=False)
     trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     explain = (
         (lambda line: print(line, file=sys.stderr)) if args.explain_strict else None

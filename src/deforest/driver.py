@@ -39,7 +39,6 @@ from .syntax import (
     Program,
     SyntaxError_,
     Var,
-    all_identifiers,
     canonical,
     canonical_symbols,
     children,
@@ -80,7 +79,8 @@ class MemoEntry:
     name: str
     term: Expression
     key: Key  # canonical(term)
-    order: list  # the whistle's symbols of term's nodes, in preorder
+    pre: list  # the whistle's symbols of term's nodes, in preorder
+    post: list  # the same, in postorder
     form: Optional[Prepared] = None  # built once `_may_embed` first passes
 
     @property
@@ -106,6 +106,13 @@ def plug_r(context: list[RFrame], e: Expression) -> Expression:
             case ("prim_r", op, lhs):
                 e = PrimOp(op, lhs, e)
     return e
+
+
+def _substitute_frame(m: dict[str, Expression], fr: RFrame) -> RFrame:
+    """fr with m substituted into its terms, as if into plug_r([fr], e)."""
+    if fr[0] == "case":
+        return ("case", substitute(m, Case(IntLit(0), fr[1])).alts)
+    return (*fr[:-1], substitute(m, fr[-1]))
 
 
 def _refocus(e: Expression, context: list[RFrame]) -> tuple[Expression, list[RFrame]]:
@@ -207,100 +214,105 @@ class DriveSession:
                 if me is not None and not m < me:
                     raise DriverError(f"measure did not decrease at drive: {me} -> {m}")
                 me = m
-            match e:
-                case IntLit(_) | Var(_):  # R1, R2
-                    self._emit("R1" if type(e) is IntLit else "R2", e, context, rho)
-                    return plug_r(context, e)
-                case Global(_):  # R3
-                    self._emit("R3", e, context, rho)
-                    return self.drive_app(e.name, context, rho, me)
-                case CtorApp() | Lambda() if not context:  # R4, R6
-                    self._emit("R4" if type(e) is CtorApp else "R6", e, context, rho)
-                    return rebuild(e, [self.drive(c, [], rho, me) for c in children(e)])
-                case App() | PrimOp() if is_annoying(e):  # R5, an annoying R8
-                    self._emit("R5" if type(e) is App else "R8", e, context, rho)
-                    kids = [self.drive(c, [], rho, me) for c in children(e)]
-                    return plug_r(context, rebuild(e, kids))
-                case App(_, _):
-                    head, args = unfold_apps(e)
-                    if isinstance(head, Lambda):  # R9, with R11/R12 on its lets
-                        self._emit("R9", e, context, rho)
-                        params, body = unfold_lambdas(head)
-                        n = min(len(params), len(args))
-                        body = fold_lambdas(params[n:], body)
-                        lets = self._fresh_lets(params[:n], args[:n], body, args[n:])
-                        e, context = _refocus(lets, context)
-                        continue
-                    self._emit("R10", e, context, rho)  # R10
-                    e, context = e.fun, context + [("arg", e.arg)]
-                case PrimOp(op, IntLit(a), IntLit(b)):  # R7
+            t = type(e)
+            if t is IntLit or t is Var:  # R1, R2
+                self._emit("R1" if t is IntLit else "R2", e, context, rho)
+                return plug_r(context, e)
+            if t is Global:  # R3
+                self._emit("R3", e, context, rho)
+                return self.drive_app(e.name, context, rho, me)
+            if (t is App or t is PrimOp) and is_annoying(e):  # R5, an annoying R8
+                self._emit("R5" if t is App else "R8", e, context, rho)
+                return plug_r(context, rebuild(e, [self.drive(c, [], rho, me) for c in children(e)]))
+            if t is App:
+                head, args = unfold_apps(e)
+                if type(head) is Lambda:  # R9, with R11/R12 on its lets
+                    self._emit("R9", e, context, rho)
+                    params, body = unfold_lambdas(head)
+                    n = min(len(params), len(args))
+                    body = fold_lambdas(params[n:], body)
+                    lets = self._fresh_lets(params[:n], args[:n], body, args[n:])
+                    e, context = _refocus(lets, context)
+                    continue
+                self._emit("R10", e, context, rho)  # R10
+                e, context = e.fun, context + [("arg", e.arg)]
+            elif t is PrimOp:
+                op, lhs, rhs = e.op, e.lhs, e.rhs
+                if type(lhs) is IntLit and type(rhs) is IntLit:  # R7
                     self._emit("R7", e, context, rho)
-                    e, context = _refocus(IntLit(apply_prim(op, a, b)), context)
-                case PrimOp(op, lhs, rhs):  # R8
-                    self._emit("R8", e, context, rho)
-                    if isinstance(lhs, IntLit) or is_annoying(lhs):
-                        e, context = rhs, context + [("prim_r", op, lhs)]
-                    else:
-                        e, context = lhs, context + [("prim_l", op, rhs)]
-                case Let(x, IntLit(_) | Var(_) | Global(_) as v, body) if not (
-                    type(v) is Var and v.name in self.supply.hole_names
-                ):  # R11, R12 on a let R9 or R16 did not make (from the source,
-                    # say); a generalization hole is not copied
-                    self._emit("R11" if type(v) is IntLit else "R12", e, context, rho)
+                    e, context = _refocus(IntLit(apply_prim(op, lhs.value, rhs.value)), context)
+                    continue
+                self._emit("R8", e, context, rho)  # R8
+                if type(lhs) is IntLit or is_annoying(lhs):
+                    e, context = rhs, context + [("prim_r", op, lhs)]
+                else:
+                    e, context = lhs, context + [("prim_l", op, rhs)]
+            elif t is Let:
+                x, v, body = e.binder, e.bound, e.body
+                tv = type(v)
+                if tv is IntLit or tv is Global or tv is Var and v.name not in self.supply.hole_names:
+                    # R11, R12 on a let R9 or R16 did not make (from the
+                    # source, say); a generalization hole is not copied
+                    self._emit("R11" if tv is IntLit else "R12", e, context, rho)
                     e, context = _refocus(substitute({x: v}, body), context)
-                case Let(x, bound, body):  # R13
-                    self._emit("R13", e, context, rho)
-                    strict, uses = demand(body, x)
-                    if self.explain_strict is not None:
-                        self.explain_strict(
-                            f"let {x}: strict={{{', '.join(sorted(strict_vars(body)))}}} "
-                            f"linear={uses <= 1}"
-                        )
-                    if strict and uses <= 1:
-                        e, context = _refocus(substitute({x: bound}, body), context)
-                        continue
-                    if x in free_vars(plug_r(context, IntLit(0))):
-                        x2 = self.supply.var(x)
-                        body = substitute({x: Var(x2)}, body)
-                        x = x2
-                    bound = self.drive(bound, [], rho, me)
-                    return Let(x, bound, self.drive(*_refocus(body, context), rho, me))
-                case Case(CtorApp(_, args) as scrut, alts) if (
-                    alt := select_alt(scrut, alts)
-                ) is not None:  # R16, with R11/R12 on its lets as in R9
+                    continue
+                self._emit("R13", e, context, rho)  # R13
+                strict, uses = demand(body, x)
+                if self.explain_strict is not None:
+                    self.explain_strict(
+                        f"let {x}: strict={{{', '.join(sorted(strict_vars(body)))}}} "
+                        f"linear={uses <= 1}"
+                    )
+                if strict and uses <= 1:
+                    e, context = _refocus(substitute({x: v}, body), context)
+                    continue
+                if x in free_vars(plug_r(context, IntLit(0))):
+                    x2 = self.supply.var(x)
+                    body = substitute({x: Var(x2)}, body)
+                    x = x2
+                bound = self.drive(v, [], rho, me)
+                return Let(x, bound, self.drive(*_refocus(body, context), rho, me))
+            elif t is Case:
+                scrut, alts = e.scrutinee, e.alts
+                ts = type(scrut)
+                alt = select_alt(scrut, alts)
+                if alt is not None and ts is CtorApp:  # R16, with R11/R12 on its lets as in R9
                     self._emit("R16", e, context, rho)
                     if type(alt.pattern) is CtorPat:
-                        binders, values = alt.pattern.binders, args
+                        binders, values = alt.pattern.binders, scrut.args
                     else:  # a default binds the whole value
                         binders, values = (alt.pattern.binder,), (scrut,)
                     e, context = _refocus(self._fresh_lets(binders, values, alt.body), context)
-                case Case(IntLit() as scrut, alts) if (
-                    alt := select_alt(scrut, alts)
-                ) is not None:  # R17
+                elif alt is not None:  # R17
                     self._emit("R17", e, context, rho)
                     body = alt.body
                     if type(alt.pattern) is DefaultPat and alt.pattern.binder is not None:
                         body = substitute({alt.pattern.binder: scrut}, body)
                     e, context = _refocus(body, context)
-                case Case(scrut, alts) if is_annoying(scrut):  # R15 on a variable, R18
-                    var = type(scrut) is Var
+                elif is_annoying(scrut):  # R15 on a variable, R18
+                    var = ts is Var
                     self._emit("R15" if var else "R18", e, context, rho)
                     new_alts = []
                     for alt in alts:
                         pat, rename, value = self._freshen_pattern(alt.pattern)
-                        branch = plug_r(context, substitute(rename, alt.body))
-                        if var and value is not None:
-                            branch = substitute({scrut.name: value}, branch)
+                        frames = context
+                        if var and value is not None:  # R15's positive information
+                            frames = [_substitute_frame({scrut.name: value}, fr) for fr in context]
+                            rename = {scrut.name: value, **rename}  # a shadowing binder wins
+                        branch = plug_r(frames, substitute(rename, alt.body))
                         new_alts.append(Alt(pat, self.drive(branch, [], rho, me)))
                     if not var:
                         scrut = self.drive(scrut, [], rho, me)
                     return Case(scrut, tuple(new_alts))
-                case Case(scrut, alts):  # R19
+                else:  # R19
                     self._emit("R19", e, context, rho)
                     e, context = scrut, context + [("case", alts)]
-                case _:  # R20, and R4 or R6 in a context
-                    self._emit("R20", e, context, rho)
-                    return plug_r(context, e)
+            elif (t is CtorApp or t is Lambda) and not context:  # R4, R6
+                self._emit("R4" if t is CtorApp else "R6", e, context, rho)
+                return rebuild(e, [self.drive(c, [], rho, me) for c in children(e)])
+            else:  # R20, and R4 or R6 in a context
+                self._emit("R20", e, context, rho)
+                return plug_r(context, e)
 
     # ------------------------------------------------------------------
 
@@ -362,7 +374,7 @@ class DriveSession:
         names; that one generalizes instead of returning its result (Dapp4a).
         """
         term = plug_r(context, Global(g))
-        key, order = canonical_symbols(term)
+        key, pre, post = canonical_symbols(term)
 
         # (1) fold: the term is a renaming of an ancestor or of a completed
         # recursive activation, so it becomes a call of that one's definition
@@ -376,7 +388,7 @@ class DriveSession:
 
         # (2) mutual embedding: ask the owning activation to generalize;
         # (3) otherwise generalize downwards against the nearest entry
-        new = MemoEntry("", term, key, order)  # named at (4)
+        new = MemoEntry("", term, key, pre, post)  # named at (4)
         below = [
             entry
             for entry in reversed(rho)
@@ -443,12 +455,15 @@ class DriveSession:
 
 def _may_embed(a: MemoEntry, b: MemoEntry) -> bool:
     """A test that a's term passes wherever it embeds in b's, made before any
-    form is built (and implying the count test of `embeds`): a's symbols in
-    preorder are a subsequence of b's, as coupling and diving keep order."""
-    rest = iter(b.order)
-    for s in a.order:
-        if s not in rest:
-            return False
+    form is built (and implying the count test of `embeds`): a's symbols are
+    a subsequence of b's in preorder and in postorder.  An embedding keeps
+    both ancestor order (coupling and diving) and left-to-right order
+    (coupling pairs children in order), and so both orders of the nodes."""
+    for xs, ys in ((a.pre, b.pre), (a.post, b.post)):
+        rest = iter(ys)
+        for s in xs:
+            if s not in rest:
+                return False
     return True
 
 
@@ -486,14 +501,11 @@ def supercompile(
     definitions, then the session's table, then the new entry, keeping those
     that the entry reaches.
     """
-    validate_program(program)
+    identifiers, source_callees = validate_program(program)
     if program.entry not in program.defs:
         raise SyntaxError_(f"no entry definition {program.entry!r}")
-    reserved: set[str] = set(program.defs)
-    for body in program.defs.values():
-        reserved |= all_identifiers(body)
     session = DriveSession(
-        FreshSupply(reserved),
+        FreshSupply(identifiers | program.defs.keys()),
         program.defs,
         trace=trace,
         assert_measure=assert_measure,
@@ -505,7 +517,7 @@ def supercompile(
     defs = {**program.defs, **session.defs}
     del defs[program.entry]
     defs[program.entry] = fold_lambdas(params, residual)
-    callees = {n: session.callees[n] if n in session.callees else fun_names(e) for n, e in defs.items()}
+    callees = {**source_callees, **session.callees, program.entry: fun_names(defs[program.entry])}
     keep = reachable([program.entry], callees)
     if unknown := keep - set(defs):
         raise DriverError(f"residual references unknown functions {sorted(unknown)}")

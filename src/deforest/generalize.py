@@ -15,9 +15,9 @@ whole term.  An embedding maps the nodes of one term one-to-one onto nodes
 of the other with equal symbols, so a term cannot embed where a symbol
 count, the size or the symbol set is smaller; `embeds` refuses such pairs
 without recursing, and decides the rest as the definition does.  The driver
-first tests a pair on the symbols of the walk that computes the fold key
-(`canonical_symbols`), and prepares a term or a memo entry, once and with
-one intern table per drive, only when a pair with it passes that test.
+first tests a pair on the symbols that the fold-key walk (`canonical_symbols`)
+lists in preorder and in postorder, and prepares a term or a memo entry, once
+and with one intern table per drive, only when a pair with it passes.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ immediate subterms and put new ones in their place, and `scopes` pairs each
 subterm with the variables the node binds over it (`rebind` renames them).
 Free variables, substitution, strictness and generalization are written once
 over these kernels; the canonical key has its own walk, which also lists the
-whistle's symbols (`canonical_symbols`).  No node binds a function name: a
+whistle's symbols in preorder and postorder (`canonical_symbols`).  No node binds a function name: a
 source `letrec` is a top-level definition by the time the parser returns it.
 
 "Modulo renaming" (`canonical`, and so `alpha_eq`, `match_keys` and the
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 class Expression:
     __slots__ = ()
@@ -192,20 +192,14 @@ def fold_apps(head: Expression, args: Iterable[Expression]) -> Expression:
     return head
 
 
-def subterms(e: Expression) -> Iterator[Expression]:
-    """All subterms of e, preorder, including e itself."""
-    stack = [e]
-    while stack:
-        t = stack.pop()
-        yield t
-        stack.extend(reversed(children(t)))
-
-
 # The traversal kernels dispatch on type(e) through tables: a `match` on
-# classes tries each case in turn, and `children` is the driver's hottest
-# function.  The driver's hot walks (`substitute`, `_free_vars_into`, the key
-# walk `_canonical_into`) handle a variable, integer or global child inline
-# instead of calling themselves on it; the last two loop on a node's last
+# classes tries each case in turn.  The driver's hot walks branch on type(e)
+# themselves and read a node's fields: `_substitute` on an application,
+# operator or constructor (`_substitute_scopes` keeps `scopes` for binders),
+# the key walk `_canonical_into` on every node and `_free_vars_into` on a
+# constructor; `DriveSession.drive` picks its rule the same way.  The walks
+# handle a variable, integer or global child inline instead of calling
+# themselves on it; the key walk and `_free_vars_into` loop on a node's last
 # child, so a long list literal costs them no stack.
 
 _CHILDREN = {
@@ -422,25 +416,38 @@ def _value_fvs(x: str, m: dict[str, Expression], fvs: dict[str, set[str]]) -> se
     return out
 
 
+_CLOSED_LEAVES = (IntLit, Global)  # the leaves that no substitution changes
+
+
 def _substitute(e: Expression, m: dict[str, Expression], fvs: dict[str, set[str]]) -> Expression:
     """substitute(m, e), with fvs the cache of `_value_fvs`.  A node none of
     whose children changes is returned as it is, so only the paths to the
-    replaced variables are rebuilt.  A node that binds nothing skips `scopes`.
+    replaced variables are rebuilt.  A node that binds nothing is rebuilt
+    from its fields, with a variable, integer or global child done inline.
     """
     t = type(e)
     if t is Var:
         return m.get(e.name, e)
+    if t is App or t is PrimOp:
+        a, b = (e.fun, e.arg) if t is App else (e.lhs, e.rhs)
+        ta, tb = type(a), type(b)
+        a2 = m.get(a.name, a) if ta is Var else a if ta in _CLOSED_LEAVES else _substitute(a, m, fvs)
+        b2 = m.get(b.name, b) if tb is Var else b if tb in _CLOSED_LEAVES else _substitute(b, m, fvs)
+        if a2 is a and b2 is b:
+            return e
+        return App(a2, b2) if t is App else PrimOp(e.op, a2, b2)
+    if t is CtorApp:
+        kids = []
+        changed = False
+        for c in e.args:
+            tc = type(c)
+            k = m.get(c.name, c) if tc is Var else c if tc in _CLOSED_LEAVES else _substitute(c, m, fvs)
+            changed = changed or k is not c
+            kids.append(k)
+        return CtorApp(e.ctor, tuple(kids)) if changed else e
     if t is Lambda or t is Let or t is Case:
         return _substitute_scopes(e, m, fvs)
-    kids = []
-    changed = False
-    for c in children(e):
-        t = type(c)
-        leaf = t is IntLit or t is Global
-        k = m.get(c.name, c) if t is Var else c if leaf else _substitute(c, m, fvs)
-        changed = changed or k is not c
-        kids.append(k)
-    return rebuild(e, kids) if changed else e
+    return e
 
 
 def _substitute_scopes(e: Expression, m: dict, fvs: dict) -> Expression:
@@ -511,12 +518,12 @@ def canonical(e: Expression) -> Key:
     return canonical_symbols(e)[0]
 
 
-def canonical_symbols(e: Expression) -> tuple[Key, list]:
+def canonical_symbols(e: Expression) -> tuple[Key, list, list]:
     """`canonical(e)`, and from the same walk the whistle's symbols of the
-    nodes of e in preorder (those of `generalize._symbol`)."""
-    out: tuple[list, list[str], list[str], list] = ([], [], [], [])
+    nodes of e (those of `generalize._symbol`) in preorder and in postorder."""
+    out: tuple[list, list[str], list[str], list, list] = ([], [], [], [], [])
     _canonical_into(e, {}, 0, out)
-    return Key(tuple(out[0]), tuple(out[1]), tuple(out[2])), out[3]
+    return Key(tuple(out[0]), tuple(out[1]), tuple(out[2])), out[3], out[4]
 
 
 def _pattern_tokens(p: Pattern) -> tuple:
@@ -531,24 +538,37 @@ def _canonical_into(e: Expression, vs: dict, depth: int, out: tuple) -> None:
     # Loops on the last child (an application's argument, a list's tail, a
     # body, the last alternative) and recurses on the others; the others of
     # an application, a constructor or an operator are written inline when
-    # they are leaves.  `syms` gets each node's whistle symbol.
-    shape, free, globals_, syms = out
-    while True:
+    # they are leaves.  `pre` gets each node's whistle symbol on entry;
+    # `pending` holds those of the nodes whose last child is being walked,
+    # which go to `post` when the loop ends, innermost first.
+    shape, free, globals_, pre, post = out
+    pending = []
+    while e is not None:
         t = type(e)
-        if t is CtorApp:
-            n = len(e.args)
+        if t is App:
+            shape.append("@")
+            pre.append(App)
+            pending.append(App)
+            kids, e = (e.fun,), e.arg
+        elif t is CtorApp:
+            args = e.args
+            n = len(args)
             shape += ("K", e.ctor, n)
-            syms.append(("ctor", e.ctor, n))
+            s = ("ctor", e.ctor, n)
+            pre.append(s)
+            pending.append(s)
             if not n:
-                return
-            *kids, e = e.args
-        elif t is App or t is PrimOp:
-            shape += ("@",) if t is App else ("p", e.op)
-            syms.append(t)
-            *kids, e = children(e)
+                break
+            kids, e = args[:-1], args[-1]
+        elif t is PrimOp:
+            shape += ("p", e.op)
+            pre.append(PrimOp)
+            pending.append(PrimOp)
+            kids, e = (e.lhs,), e.rhs
         elif t is Lambda or t is Let:
             shape.append("\\" if t is Lambda else "let")
-            syms.append(t)
+            pre.append(t)
+            pending.append(t)
             if t is Let:
                 _canonical_into(e.bound, vs, depth, out)
             x = e.param if t is Lambda else e.binder
@@ -557,7 +577,9 @@ def _canonical_into(e: Expression, vs: dict, depth: int, out: tuple) -> None:
         elif t is Case:
             alts = e.alts
             shape += ("case", len(alts))
-            syms.append(("caseof", len(alts)))
+            s = ("caseof", len(alts))
+            pre.append(s)
+            pending.append(s)
             _canonical_into(e.scrutinee, vs, depth, out)
             for i, alt in enumerate(alts):
                 p = alt.pattern
@@ -572,7 +594,7 @@ def _canonical_into(e: Expression, vs: dict, depth: int, out: tuple) -> None:
                 else:
                     _canonical_into(alt.body, vs2, depth2, out)
             if not alts:
-                return
+                break
             continue
         else:  # a leaf, at the root or last: written as a child
             kids, e = (e,), None
@@ -584,18 +606,21 @@ def _canonical_into(e: Expression, vs: dict, depth: int, out: tuple) -> None:
                 else:
                     shape.append("fv")
                     free.append(c.name)
-                syms.append(Var)
+                s = Var
             elif tc is IntLit:
                 shape += ("i", c.value)
-                syms.append(IntLit)
+                s = IntLit
             elif tc is Global:
                 shape.append("fg")
                 globals_.append(c.name)
-                syms.append(("global", c.name))
+                s = ("global", c.name)
             else:
                 _canonical_into(c, vs, depth, out)
-        if e is None:
-            return
+                continue
+            pre.append(s)
+            post.append(s)
+    pending.reverse()
+    post += pending
 
 
 def alpha_eq(e1: Expression, e2: Expression) -> bool:
@@ -642,49 +667,58 @@ def weight(e: Expression, holes: set[str] | frozenset[str]) -> int:
     return total
 
 
-def all_identifiers(e: Expression) -> set[str]:
-    """Every variable name (free or bound) and function symbol occurring in e."""
-    out: set[str] = set()
-    stack = [e]
-    while stack:
-        t = stack.pop()
-        if type(t) is Var or type(t) is Global:
-            out.add(t.name)
-        for c, bs in scopes(t):
-            out.update(bs)
-            stack.append(c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # programs
 
 
-def validate_program(program: Program) -> None:
+def validate_program(program: Program) -> tuple[set[str], dict[str, set[str]]]:
+    """Check each definition in one walk: undefined functions first, then its
+    first bad case in preorder.  Returns every identifier that occurs
+    (variable, binder or function symbol) and each definition's callees."""
+    names: set[str] = set()
+    callees: dict[str, set[str]] = {}
     for name, body in program.defs.items():
-        unknown = fun_names(body) - set(program.defs)
+        calls: set[str] = set()
+        bad = None
+        stack = [body]
+        while stack:
+            t = stack.pop()
+            tt = type(t)
+            if tt is Var:
+                names.add(t.name)
+            elif tt is Global:
+                calls.add(t.name)
+            elif tt in _SCOPES:
+                if tt is Case and bad is None:
+                    bad = _case_error(t)
+                for c, bs in reversed(_SCOPES[tt](t)):
+                    names.update(bs)
+                    stack.append(c)
+        unknown = calls - program.defs.keys()
         if unknown:
             raise SyntaxError_(f"{name}: undefined functions {sorted(unknown)}")
-        _validate_expr(body, name)
+        if bad is not None:
+            raise SyntaxError_(f"{name}: {bad}")
+        names |= calls
+        callees[name] = calls
+    return names, callees
 
 
-def _validate_expr(e: Expression, where: str) -> None:
-    for t in subterms(e):
-        if type(t) is not Case:
-            continue
-        heads: set = set()
-        for i, alt in enumerate(t.alts):
-            match alt.pattern:
-                case IntPat(n):
-                    key = ("int", n)
-                case CtorPat(k, binders):
-                    key = ("ctor", k)
-                    if len(set(binders)) != len(binders):
-                        raise SyntaxError_(f"{where}: repeated pattern variable in {k}")
-                case DefaultPat(_):
-                    key = ("default",)
-                    if i != len(t.alts) - 1:
-                        raise SyntaxError_(f"{where}: default alternative must come last")
-            if key in heads:
-                raise SyntaxError_(f"{where}: duplicate case alternative")
-            heads.add(key)
+def _case_error(t: Case) -> Optional[str]:
+    heads: set = set()
+    for i, alt in enumerate(t.alts):
+        match alt.pattern:
+            case IntPat(n):
+                key = ("int", n)
+            case CtorPat(k, binders):
+                key = ("ctor", k)
+                if len(set(binders)) != len(binders):
+                    return f"repeated pattern variable in {k}"
+            case DefaultPat(_):
+                key = ("default",)
+                if i != len(t.alts) - 1:
+                    return "default alternative must come last"
+        if key in heads:
+            return "duplicate case alternative"
+        heads.add(key)
+    return None

@@ -21,6 +21,32 @@ from deforest import (
     parse_program,
 )
 from deforest.cli import _read_manifest
+from deforest.syntax import children, scopes
+
+def subterms(e):
+    """All subterms of e, preorder, including e itself."""
+    stack = [e]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(reversed(children(t)))
+
+
+def all_identifiers(e) -> set[str]:
+    """Every variable name (free or bound) and function symbol occurring in
+    e: the reference for the identifiers `validate_program` returns.
+    """
+    out: set[str] = set()
+    stack = [e]
+    while stack:
+        t = stack.pop()
+        if type(t) is Var or type(t) is Global:
+            out.add(t.name)
+        for c, bs in scopes(t):
+            out.update(bs)
+            stack.append(c)
+    return out
+
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "deforest" / "fixtures"
 

@@ -4,20 +4,20 @@ from deforest import App, Case, Global, Lambda, Var, parse_expression
 from deforest.analysis import demand, is_annoying, strict_vars
 from deforest.semantics import eval_expr
 from deforest.syntax import (
-    all_identifiers,
     free_vars,
     scopes,
     substitute,
-    subterms,
     unfold_lambdas,
 )
 
 from conftest import (
     FIXTURE_NAMES,
     VAR_NAMES,
+    all_identifiers,
     expressions,
     fixture_program,
     scoped_expressions,
+    subterms,
 )
 from small_step import _decompose_ex
 

@@ -40,7 +40,7 @@ from deforest.syntax import (
     fun_names,
     pattern_binders,
     select_alt,
-    subterms,
+    substitute,
     unfold_apps,
     unfold_lambdas,
     validate_program,
@@ -54,7 +54,9 @@ from conftest import (
     fixture_golden,
     fixture_manifest,
     fixture_program,
+    all_identifiers,
     generate_programs,
+    subterms,
 )
 
 
@@ -450,6 +452,25 @@ def test_append_chain_definitions_differ_modulo_renaming():
     assert eval_program(residual, call).value == parse_expression("[1, 2, 3, 4, 5, 6, 7, 8]")
 
 
+def test_chains_build_no_whistle_form(monkeypatch):
+    # the key walk's symbols in preorder and in postorder refuse every
+    # whistle pair on the append and alternating map chains, so no prepared
+    # form is built; the control program shows that a form is counted
+    built = []
+    form = DriveSession._form
+    monkeypatch.setattr(DriveSession, "_form", lambda self, entry: built.append(entry) or form(self, entry))
+    for k in range(2, 8):
+        supercompile(parse_program(append_chain(k)))
+    for k in range(4, 13):
+        mapped = "xs"
+        for i in range(k):
+            mapped = f"map {('inc', 'dbl')[i % 2]} ({mapped})"
+        supercompile(parse_program(MAP + f"main xs = {mapped};"))
+    assert built == []
+    supercompile(fixture_program("rev_accum"))
+    assert built
+
+
 def test_definitions_of_an_abandoned_drive_leave_the_table():
     # h1 = f xs xs completes g t, whose definition calls h1; then f t z
     # unwinds the drive to h1 (Dapp2), which is never defined.  The
@@ -569,6 +590,53 @@ def test_undefined_function_rejected():
     p = Program({"main": Global("nope")})
     with pytest.raises(SyntaxError_, match=r"main: undefined functions \['nope'\]"):
         supercompile(p)
+
+
+def test_validate_program_lists_identifiers_and_callees():
+    programs = [fixture_program(n) for n in FIXTURE_NAMES] + generate_programs(200, 0)
+    for p in programs:
+        names, callees = validate_program(p)
+        assert names == set().union(*map(all_identifiers, p.defs.values()))
+        assert callees == {n: fun_names(e) for n, e in p.defs.items()}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # undefined functions come before a case error of the same definition
+        ("main x = nope (case x of { 0 -> 1; 0 -> 2 });", r"main: undefined functions \['nope'\]"),
+        # a definition's errors come before those of the next one
+        ("f x = case x of { y -> 1; 0 -> 2 }; main x = nope x;", "f: default alternative"),
+        # the first bad case in preorder: an outer case before its scrutinee
+        ("main x = case (case x of { 0 -> 1; 0 -> 2 }) of { y -> 1; 0 -> 2 };", "main: default"),
+        ("main x = case x of { y -> case x of { 0 -> 1; 0 -> 2 }; 0 -> 2 };", "main: default"),
+        # and a left argument before a right one
+        ("main x = P (case x of { Q a a -> 1 }) (case x of { 0 -> 1; 0 -> 2 });", "main: repeated"),
+        ("main x = P (case x of { 0 -> 1; 0 -> 2 }) (case x of { Q a a -> 1 });", "main: duplicate"),
+    ],
+)
+def test_validate_program_reports_errors_in_order(text, message):
+    p = parse_program(text)
+    if "nope" in text:  # the parser reads an unknown name as a variable
+        p = Program({n: substitute({"nope": Global("nope")}, e) for n, e in p.defs.items()})
+    with pytest.raises(SyntaxError_, match=message):
+        validate_program(p)
+
+
+def test_positive_information_reaches_the_context_and_yields_to_binders():
+    # R15 substitutes the pattern's value into the context frames as well as
+    # the branch, in the walk that renames the pattern binders; a binder
+    # that shadows the scrutinee variable keeps its renaming
+    cases = [
+        ("main xs = (case xs of { [] -> \\y -> y; (h:t) -> \\y -> y }) xs;",
+         "main xs = case xs of { [] -> []; (h1 : t1) -> h1 : t1 };\n"),
+        ("main xs = case xs of { (xs:t) -> xs; [] -> 0 };",
+         "main xs = case xs of { (xs1 : t1) -> xs1; [] -> 0 };\n"),
+        ("main n = (case n of { 0 -> \\y -> y + n; m -> \\y -> y * m }) n;",
+         "main n = case n of { 0 -> 0; m1 -> m1 * m1 };\n"),
+    ]
+    for text, residual in cases:
+        assert pretty_program(supercompile(parse_program(text))) == residual
 
 
 def test_upward_generalization_request_names_the_filled_holes():

@@ -25,10 +25,9 @@ from deforest.syntax import (
     children,
     rebuild,
     substitute,
-    subterms,
 )
 
-from conftest import expressions, scoped_expressions
+from conftest import expressions, scoped_expressions, subterms
 
 
 def pe(text):
@@ -286,20 +285,38 @@ def test_prepared_form_numbers_nodes_in_post_order():
 def test_key_walk_counts_are_the_prepared_forms_counts(e):
     symbols: dict = {}
     form = prepare(e, symbols)
-    order = canonical_symbols(e)[1]
+    _, order, post = canonical_symbols(e)
     assert {symbols[s]: n for s, n in Counter(order).items()} == form.counts
     # the key walk lists the symbols in preorder
     assert order == [_symbol(t) for t in subterms(e)]
+    # and in postorder, the order of the prepared form's nodes
+    assert [symbols[s] for s in post] == form.sym
 
 
-@given(st.lists(expressions(8), min_size=2, max_size=5), st.randoms(use_true_random=False))
+def _postorder(e):
+    """The whistle's symbols of e's nodes in postorder, by plain recursion."""
+    return [s for c in children(e) for s in _postorder(c)] + [_symbol(e)]
+
+
+@given(expressions() | scoped_expressions())
+@settings(max_examples=300, deadline=None)
+def test_key_walk_postorder_agrees_with_the_reference(e):
+    assert canonical_symbols(e)[2] == _postorder(e)
+
+
+@given(
+    st.lists(expressions(8), min_size=2, max_size=5),
+    whistle_pairs(),
+    st.randoms(use_true_random=False),
+)
 @settings(max_examples=150, deadline=None)
-def test_lazily_built_forms_whistle_as_eager_forms(terms, rng):
+def test_lazily_built_forms_whistle_as_eager_forms(terms, pair, rng):
     # the driver's way: tests on the key walk's symbols, then forms built on
-    # demand into one intern table, in whatever order the pairs come
+    # demand into one intern table, in whatever order the pairs come; the
+    # whistle pairs make embedded pairs, which the pre-test must not refuse
     session = DriveSession(FreshSupply(set()), {})
     entries = []
-    for i, t in enumerate(terms):
+    for i, t in enumerate(terms + list(pair)):
         entries.append(MemoEntry(f"h{i}", t, *canonical_symbols(t)))
     pairs = list(itertools.product(entries, repeat=2))
     rng.shuffle(pairs)

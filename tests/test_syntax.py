@@ -603,9 +603,14 @@ def test_key_walk_of_a_long_list_fits_a_low_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        key, order = canonical_symbols(lst)
+        key, order, post = canonical_symbols(lst)
     finally:
         sys.setrecursionlimit(limit)
     assert key.globals == ("f",) * 5000
     assert order[:4] == [("ctor", "Cons", 2), App, ("global", "f"), IntLit]
     assert len(order) == 4 * 5000 + 1
+    # postorder: each cell's application first, the Nil, then the cells innermost first
+    assert post[:3] == [("global", "f"), IntLit, App]
+    last_cell = [("global", "f"), IntLit, App, ("ctor", "Nil", 0)]
+    assert post[3 * 5000 - 3 :] == last_cell + [("ctor", "Cons", 2)] * 5000
+    assert len(post) == 4 * 5000 + 1
