@@ -34,13 +34,18 @@ class UsageError(Exception):
     """An error in the command's files or arguments that has no source position."""
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"cannot read {path}: not UTF-8 text") from None
+
+
 def _load_program(path: str, validate: bool = True) -> Program:
     """The parsed program; `build` leaves validation to `supercompile`."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror}")
-    program = parse_program(text)
+    program = parse_program(_read_text(path))
     if validate:
         validate_program(program)
     return program
@@ -82,7 +87,10 @@ def cmd_build(args) -> int:
     )
     text = pretty_program(residual)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -102,7 +110,7 @@ def _read_manifest(path: Path) -> dict:
     entries = []
     golden = None
     fuel = None
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .analysis import demand, is_annoying, strict_vars
-from .generalize import Prepared, embeds, prepare, split
+from .generalize import embeds, split
 from .semantics import apply_prim
 from .syntax import (
     Alt,
@@ -79,9 +79,8 @@ class MemoEntry:
     name: str
     term: Expression
     key: Key  # canonical(term)
-    pre: list  # the whistle's symbols of term's nodes, in preorder
+    pre: list  # the whistle's symbols of term's nodes, in preorder, for `_may_embed`
     post: list  # the same, in postorder
-    form: Optional[Prepared] = None  # built once `_may_embed` first passes
 
     @property
     def params(self) -> tuple[str, ...]:  # fv(term) in first-occurrence order
@@ -166,7 +165,6 @@ class DriveSession:
         self.callees: dict[str, set[str]] = {}
         self.done: dict[tuple, list[MemoEntry]] = {}
         self._done_log: list[MemoEntry] = []
-        self.symbols: dict = {}  # the whistle's intern table
 
     # ------------------------------------------------------------------
 
@@ -392,10 +390,10 @@ class DriveSession:
         below = [
             entry
             for entry in reversed(rho)
-            if _may_embed(entry, new) and embeds(self._form(entry), self._form(new))
+            if _may_embed(entry, new) and embeds(entry.term, term)
         ]
         for entry in below:
-            if _may_embed(new, entry) and embeds(new.form, entry.form):
+            if _may_embed(new, entry) and embeds(term, entry.term):
                 self._emit("Dapp2", term, context, rho, entry.name)
                 raise _Rollback(entry.name, term)
         if below:
@@ -432,10 +430,6 @@ class DriveSession:
             return _call(entry, {p: p for p in entry.params})
         return e  # (4c)
 
-    def _form(self, entry: MemoEntry) -> Prepared:
-        entry.form = entry.form or prepare(entry.term, self.symbols)
-        return entry.form
-
     def _generalize(
         self,
         term: Expression,
@@ -454,11 +448,11 @@ class DriveSession:
 
 
 def _may_embed(a: MemoEntry, b: MemoEntry) -> bool:
-    """A test that a's term passes wherever it embeds in b's, made before any
-    form is built (and implying the count test of `embeds`): a's symbols are
-    a subsequence of b's in preorder and in postorder.  An embedding keeps
-    both ancestor order (coupling and diving) and left-to-right order
-    (coupling pairs children in order), and so both orders of the nodes."""
+    """A test that a's term passes wherever it embeds in b's, made before
+    `embeds`: a's symbols are a subsequence of b's in preorder and in
+    postorder.  An embedding keeps both ancestor order (coupling and diving)
+    and left-to-right order (coupling pairs children in order), and so both
+    orders of the nodes."""
     for xs, ys in ((a.pre, b.pre), (a.post, b.post)):
         rest = iter(ys)
         for s in xs:

@@ -8,21 +8,14 @@ stricter: operators and case shapes must agree, and generalization never
 descends below a binder, so the common term is always rebuilt from its parts
 by ordinary substitution.
 
-The whistle works on a prepared form of each term (`prepare`): its nodes in
-post-order, each with an interned symbol, its children, its subtree size and
-the bitmask of the symbols in its subtree, plus the symbol counts of the
-whole term.  An embedding maps the nodes of one term one-to-one onto nodes
-of the other with equal symbols, so a term cannot embed where a symbol
-count, the size or the symbol set is smaller; `embeds` refuses such pairs
-without recursing, and decides the rest as the definition does.  The driver
-first tests a pair on the symbols that the fold-key walk (`canonical_symbols`)
-lists in preorder and in postorder, and prepares a term or a memo entry, once
-and with one intern table per drive, only when a pair with it passes.
+`embeds` decides the whistle by its definition on terms.  The driver first
+tests each pair on the symbols that the fold-key walk (`canonical_symbols`)
+lists in preorder and in postorder, which refuses almost every pair that does
+not embed, so `embeds` mostly meets pairs that do.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +26,6 @@ from .syntax import (
     Expression,
     FreshSupply,
     Global,
-    IntLit,
     Let,
     PrimOp,
     Var,
@@ -58,119 +50,43 @@ def _symbol(e: Expression):
     return t
 
 
-class Prepared:
-    """The whistle's form of a term.  Its nodes are numbered in post-order,
-    so the root is the last node and the subtree of node j is the range
-    (j - size[j], j].  Per node: `sym`, the symbol's id in the intern table
-    the form was prepared with; `kids`, the child indices; `size`, the
-    number of nodes in the subtree; `mask`, the bits of the symbol ids that
-    occur in the subtree.  For the whole term: `counts`, symbol id ->
-    occurrences.  The driver builds a form only for a pair its tests allow.
+def embeds(a: Expression, b: Expression) -> bool:
+    """The whistle: a is homeomorphically embedded in b, either with equal
+    symbols and each child of a embedded in the matching child of b
+    (coupling) or in a child of b (diving).  Symbols erase variable names,
+    integer values, binders, operators and patterns, so a variable embeds in
+    any variable and an integer in any integer.
+
+    The recursion is memoized on pairs of subterm objects and tries coupling
+    first: the driver's pre-test leaves mostly pairs that embed, and most of
+    those couple at the root, so diving first would search every subterm of
+    b before finding it.
     """
-
-    __slots__ = ("sym", "kids", "size", "mask", "counts")
-
-    def __init__(self, sym: list, kids: list, size: list, mask: list):
-        self.sym = sym
-        self.kids = kids
-        self.size = size
-        self.mask = mask
-        self.counts = Counter(sym)
+    return _embeds(a, b, {})
 
 
-def prepare(e: Expression, symbols: dict) -> Prepared:
-    """The prepared form of e, interning new symbols into `symbols`.  Built
-    with an explicit stack, so a term of any depth can be prepared.
-    """
-    sym: list[int] = []
-    kids: list[tuple[int, ...]] = []
-    size: list[int] = []
-    mask: list[int] = []
-    done: list[int] = []  # finished nodes whose parent is not finished yet
-    todo: list = [e]  # terms to visit, and (term, arity) to finish
-    while todo:
-        t = todo.pop()
-        tt = type(t)
-        if tt is Var or tt is IntLit:
-            key, ks, n = tt, (), 0
-        elif tt is tuple:
-            t, n = t
-            key = _symbol(t)
-        else:
-            ks = children(t)
-            if ks:
-                todo.append((t, len(ks)))
-                todo.extend(reversed(ks))
-                continue
-            key, n = _symbol(t), 0
-        s = symbols.get(key)
-        if s is None:
-            s = symbols[key] = len(symbols)
-        m = 1 << s
-        sz = 1
-        if n:
-            ks = tuple(done[-n:])
-            del done[-n:]
-            for c in ks:
-                sz += size[c]
-                m |= mask[c]
-        done.append(len(sym))
-        sym.append(s)
-        kids.append(ks)
-        size.append(sz)
-        mask.append(m)
-    return Prepared(sym, kids, size, mask)
-
-
-def embeds(a: Expression | Prepared, b: Expression | Prepared) -> bool:
-    """The whistle: a is homeomorphically embedded in b, either in a child
-    of b (diving) or with equal symbols and each child of a embedded in the
-    matching child of b (coupling).  Symbols erase variable names, integer
-    values, binders, operators and patterns, so a variable embeds in any
-    variable and an integer in any integer.
-
-    a and b are both terms, or both forms prepared with one intern table.
-    The recursion is memoized on pairs of node indices.  An embedding maps
-    the nodes of a one-to-one onto nodes of b with the same symbols, and
-    the subtree of each node into the subtree of its image.  So a pair of
-    whole terms can only embed when b has every symbol at least as often as
-    a, and a pair of nodes only when b's subtree is at least as large as
-    a's and has every symbol that a's has.  Pairs that fail these tests are
-    refused without recursing; the tests are necessary conditions only, so
-    every answer is the definition's.
-    """
-    if not isinstance(a, Prepared):
-        symbols: dict = {}
-        a, b = prepare(a, symbols), prepare(b, symbols)
-    counts = b.counts
-    for s, n in a.counts.items():
-        if counts[s] < n:
-            return False
-    return _embeds(a, b, len(a.sym) - 1, len(b.sym) - 1, {})
-
-
-def _embeds(a: Prepared, b: Prepared, i: int, j: int, memo: dict) -> bool:
+def _embeds(a: Expression, b: Expression, memo: dict) -> bool:
     # a module-level function, not a closure: a recursive closure is a
     # reference cycle, and it would keep the memo alive until the cyclic
     # garbage collector runs.  Plain loops, not any/all over generators,
     # take one Python frame per level of b.
-    key = (i, j)
+    key = (id(a), id(b))
     hit = memo.get(key)
     if hit is not None:
         return hit
     out = False
-    if a.size[i] <= b.size[j] and not a.mask[i] & ~b.mask[j]:
-        for c in b.kids[j]:
-            if _embeds(a, b, i, c, memo):
-                out = True
+    kids = children(b)
+    if _symbol(a) == _symbol(b):
+        for x, y in zip(children(a), kids):
+            if not _embeds(x, y, memo):
                 break
         else:
-            if a.sym[i] == b.sym[j]:
-                for x, y in zip(a.kids[i], b.kids[j]):
-                    if not _embeds(a, b, x, y, memo):
-                        break
-                else:
-                    out = True
+            out = True
+    if not out:
+        for c in kids:
+            if _embeds(a, c, memo):
+                out = True
+                break
     memo[key] = out
     return out
 

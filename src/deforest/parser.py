@@ -106,7 +106,7 @@ class Tokens:
     kinds: list[str]
     texts: list[str]
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # the benchmark's and parse_curve.py's token count
         return len(self.texts)
 
 

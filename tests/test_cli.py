@@ -187,17 +187,47 @@ def test_check_detects_golden_mismatch(tmp_path, capsys):
         ("fuel: 0\nentry: main 1\n", "manifest fuel must be at least 1, got 0"),
         ("entries: main 1\n", "unknown manifest key 'entries'"),
         (None, "no manifest at {d}/p.manifest"),
+        ("golden: latin1.core\n", "cannot read {d}/latin1.core: not UTF-8 text"),
+        (b"entry: main \xff\n", "cannot read {d}/p.manifest: not UTF-8 text"),
+        (IsADirectoryError, "cannot read {d}/p.manifest: Is a directory"),
     ],
     ids=["bad-fuel", "free-variable-entry", "missing-golden", "negative-fuel", "zero-fuel",
-         "unknown-key", "no-manifest"],
+         "unknown-key", "no-manifest", "golden-not-utf8", "manifest-not-utf8",
+         "manifest-is-a-directory"],
 )
 def test_check_bad_manifest_exits_2(tmp_path, capsys, manifest, message):
     # none of these errors has a source position, and none prints one
     prog = tmp_path / "p.core"
     prog.write_text("main x = x + 1;")
-    if manifest is not None:
-        (tmp_path / "p.manifest").write_text(manifest)
+    (tmp_path / "latin1.core").write_bytes(b"main = \xff;")
+    path = tmp_path / "p.manifest"
+    if manifest is IsADirectoryError:
+        path.mkdir()
+    elif isinstance(manifest, bytes):
+        path.write_bytes(manifest)
+    elif manifest is not None:
+        path.write_text(manifest)
     code, out, err = run_cli("check", str(prog), capsys=capsys)
+    assert (code, out, err) == (2, "", f"error: {message.format(d=tmp_path)}\n")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["build", "{d}/latin1.core"], "cannot read {d}/latin1.core: not UTF-8 text"),
+        (["eval", "{d}/latin1.core", "-e", "main 1"], "cannot read {d}/latin1.core: not UTF-8 text"),
+        (["strict", "{d}/latin1.core"], "cannot read {d}/latin1.core: not UTF-8 text"),
+        (
+            ["build", "{d}/p.core", "-o", "{d}/missing/out.core"],
+            "cannot write {d}/missing/out.core: No such file or directory",
+        ),
+    ],
+    ids=["build-not-utf8", "eval-not-utf8", "strict-not-utf8", "build-output-dir-missing"],
+)
+def test_unreadable_or_unwritable_file_exits_2(tmp_path, capsys, args, message):
+    (tmp_path / "latin1.core").write_bytes(b"main x = \xff x;")
+    (tmp_path / "p.core").write_text("main x = x + 1;")
+    code, out, err = run_cli(*(a.format(d=tmp_path) for a in args), capsys=capsys)
     assert (code, out, err) == (2, "", f"error: {message.format(d=tmp_path)}\n")
 
 

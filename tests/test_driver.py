@@ -27,8 +27,10 @@ from deforest import (
     program_alpha_eq,
     supercompile,
 )
+from deforest import driver
 from deforest.analysis import is_annoying
 from deforest.driver import DriveSession, _refocus, plug_r
+from deforest.generalize import embeds
 from deforest.syntax import (
     FreshSupply,
     Global,
@@ -454,11 +456,10 @@ def test_append_chain_definitions_differ_modulo_renaming():
 
 def test_chains_build_no_whistle_form(monkeypatch):
     # the key walk's symbols in preorder and in postorder refuse every
-    # whistle pair on the append and alternating map chains, so no prepared
-    # form is built; the control program shows that a form is counted
+    # whistle pair on the append and alternating map chains, so `embeds` is
+    # never called; the control program shows that a call is counted
     built = []
-    form = DriveSession._form
-    monkeypatch.setattr(DriveSession, "_form", lambda self, entry: built.append(entry) or form(self, entry))
+    monkeypatch.setattr(driver, "embeds", lambda a, b: built.append((a, b)) or embeds(a, b))
     for k in range(2, 8):
         supercompile(parse_program(append_chain(k)))
     for k in range(4, 13):

@@ -1,7 +1,5 @@
 import itertools
 import random
-import sys
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +14,8 @@ from deforest import (
     Var,
     parse_expression,
 )
-from deforest.driver import DriveSession, MemoEntry, _may_embed
-from deforest.generalize import _symbol, embeds, msg, prepare, split
+from deforest.driver import MemoEntry, _may_embed
+from deforest.generalize import _symbol, embeds, msg, split
 from deforest.syntax import (
     FreshSupply,
     alpha_eq,
@@ -228,8 +226,9 @@ def test_whistle_pairs_draw_both_answers():
 _SHARED = pe("sum xs")
 
 
-# (name, a, b, expected): the cases where a pruning test decides or could
-# wrongly decide; every row is also checked against the reference
+# (name, a, b, expected): pairs that a shortcut on symbol counts, subtree
+# sizes, symbol sets or shared subterms could decide wrongly; every row is
+# also checked against the reference
 PRUNING_CASES = [
     ("a-larger-than-b", pe("sum (sum xs)"), pe("sum xs"), False),
     ("b-larger-than-a", pe("sum xs"), pe("sum (sum xs)"), True),
@@ -264,33 +263,14 @@ PRUNING_CASES = [
 def test_embeds_pruning_cases(a, b, expected):
     assert reference_embeds(a, b) == expected
     assert embeds(a, b) == expected
-    symbols: dict = {}
-    assert embeds(prepare(a, symbols), prepare(b, symbols)) == expected
-
-
-def test_prepared_form_numbers_nodes_in_post_order():
-    symbols: dict = {}
-    form = prepare(pe("Cons (sum x) y"), symbols)
-    # post-order: sum, x, the application, y, the Cons node
-    assert form.kids == [(), (), (0, 1), (), (2, 3)]
-    assert form.size == [1, 1, 3, 1, 5]
-    assert form.sym[0] == symbols[("global", "sum")]
-    assert form.sym[1] == form.sym[3] == symbols[Var]
-    assert form.mask[-1] == (1 << len(symbols)) - 1
-    assert form.counts[symbols[Var]] == 2
 
 
 @given(expressions(12))
 @settings(max_examples=200, deadline=None)
 def test_key_walk_counts_are_the_prepared_forms_counts(e):
-    symbols: dict = {}
-    form = prepare(e, symbols)
-    _, order, post = canonical_symbols(e)
-    assert {symbols[s]: n for s, n in Counter(order).items()} == form.counts
-    # the key walk lists the symbols in preorder
-    assert order == [_symbol(t) for t in subterms(e)]
-    # and in postorder, the order of the prepared form's nodes
-    assert [symbols[s] for s in post] == form.sym
+    # the key walk lists the symbols in preorder; the postorder is checked
+    # by the test below
+    assert canonical_symbols(e)[1] == [_symbol(t) for t in subterms(e)]
 
 
 def _postorder(e):
@@ -311,35 +291,17 @@ def test_key_walk_postorder_agrees_with_the_reference(e):
 )
 @settings(max_examples=150, deadline=None)
 def test_lazily_built_forms_whistle_as_eager_forms(terms, pair, rng):
-    # the driver's way: tests on the key walk's symbols, then forms built on
-    # demand into one intern table, in whatever order the pairs come; the
-    # whistle pairs make embedded pairs, which the pre-test must not refuse
-    session = DriveSession(FreshSupply(set()), {})
+    # the driver's whistle: the pre-test on the key walk's symbols, then
+    # `embeds`, in whatever order the pairs come, is the reference whistle;
+    # the whistle pairs make embedded pairs, which the pre-test must not refuse
     entries = []
     for i, t in enumerate(terms + list(pair)):
         entries.append(MemoEntry(f"h{i}", t, *canonical_symbols(t)))
     pairs = list(itertools.product(entries, repeat=2))
     rng.shuffle(pairs)
     for a, b in pairs:
-        lazy = _may_embed(a, b) and embeds(session._form(a), session._form(b))
-        assert lazy == embeds(a.term, b.term), (a.term, b.term)
-
-
-def test_prepared_form_of_a_long_list_builds_at_the_default_recursion_limit():
-    lst = CtorApp("Nil", ())
-    for i in range(5000):
-        lst = CtorApp("Cons", (IntLit(i), lst))
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        symbols: dict = {}
-        form = prepare(lst, symbols)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert len(form.sym) == form.size[-1] == 10001
-    assert form.counts[symbols[("ctor", "Cons", 2)]] == 5000
-    # the head of the outermost cell comes first, its tail ends just before it
-    assert form.kids[-1] == (0, 9999)
+        driver = _may_embed(a, b) and embeds(a.term, b.term)
+        assert driver == reference_embeds(a.term, b.term), (a.term, b.term)
 
 
 @given(expressions(10))

@@ -269,6 +269,7 @@ def test_tokenize_agrees_with_the_reference(text):
         assert str(got.value) == str(exc)
         return
     assert positioned_tokens(text) == expected
+    assert len(tokenize(text)) == len(expected)  # the bench's token count
 
 
 def test_end_of_input_after_a_trailing_comment_is_at_the_comment():
