@@ -1,6 +1,7 @@
 """Interpreter throughput of the eval_lists fixtures as the input grows.
 
     python3 scripts/eval_curve.py --src src --out BENCH_eval.json --side change
+    python3 scripts/eval_curve.py --src src --parent-src PARENT/src --out BENCH_cases.json
 
 For each fixture of the benchmark's `eval_lists` workload it evaluates the
 entry call on the original program and on its residual, with lists of
@@ -8,21 +9,21 @@ LIST_LENGTHS elements (every list argument has that length) or, for
 `flip_tree`, full trees of TREE_DEPTHS levels.  It records the steps the
 call takes and the steps per second of the median of REPEATS timed runs.
 The inputs are built as terms, not parsed, so that no parser limit bounds
-them; their elements come from a fixed seed.  The collector is off inside
-each timed run.  The flags `--src`, `--out` and `--side` are those of
+them; their elements come from a fixed seed.  The runs of the sides take
+turns (`curve_harness.alternate`), with the collector off inside each one,
+and every side and the residual must give the original's value.  The flags
+`--src`, `--parent-src`, `--out` and `--side` are those of
 `curve_harness.run`.
 """
 
 from __future__ import annotations
 
-import gc
 import random
 import statistics
 import sys
-import time
-from pathlib import Path
+from functools import partial
 
-from curve_harness import run
+from curve_harness import alternate, run
 
 FIXTURES = ("double_append", "sum_map_square", "vecdot", "rev_accum", "flip_tree")
 LIST_ARGS = {"double_append": 3, "sum_map_square": 1, "vecdot": 2, "rev_accum": 1}
@@ -59,58 +60,65 @@ def entry_call(api, name: str, size: int):
     return call
 
 
-def flat(api, v) -> list:
+def flat(v) -> tuple:
     """A data value as its preorder of constructors and integers, read
     without recursion: long lists are too deep for `==` on terms.
     """
     out, stack = [], [v]
     while stack:
         t = stack.pop()
-        if isinstance(t, api.CtorApp):
+        if hasattr(t, "ctor"):
             out.append(t.ctor)
             stack.extend(reversed(t.args))
         else:
             out.append(t.value)
-    return out
+    return tuple(out)
 
 
-def measure(api, program, call) -> tuple[dict, list]:
-    """Steps of one evaluation and the steps per second of the median run."""
-    times = []
-    for _ in range(REPEATS):
-        gc.collect()
-        gc.disable()
-        t0 = time.perf_counter()
-        out = api.eval_program(program, call, FUEL)
-        times.append(time.perf_counter() - t0)
-        gc.enable()
-    if out.kind != "value":
-        raise SystemExit(f"eval_curve: {out.kind} {out.reason or ''}")
-    median = statistics.median(times)
-    return {"steps": out.steps, "ms": median * 1e3, "steps_per_s": out.steps / median}, flat(api, out.value)
+def measure(runs: dict) -> tuple[dict, set]:
+    """Per side, the steps of one evaluation and the steps per second of the
+    median run; and the set of the values the sides give.
+    """
+    times, outs = alternate(runs, REPEATS)
+    rows = {}
+    for side, out in outs.items():
+        if out.kind != "value":
+            raise SystemExit(f"eval_curve: {side}: {out.kind} {out.reason or ''}")
+        median = statistics.median(times[side])
+        rows[side] = {"steps": out.steps, "ms": median * 1e3, "steps_per_s": out.steps / median}
+    return rows, {flat(out.value) for out in outs.values()}
 
 
-def curve(api, fixtures: Path, name: str) -> list[dict]:
-    original = api.parse_program((fixtures / f"{name}.core").read_text())
-    residual = api.supercompile(original)
-    rows = []
+def curve(sides: dict, name: str) -> dict[str, list[dict]]:
+    programs = {}
+    for side, (api, src) in sides.items():
+        original = api.parse_program((src / "deforest" / "fixtures" / f"{name}.core").read_text())
+        programs[side] = (api, original, api.supercompile(original))
+    rows: dict[str, list[dict]] = {side: [] for side in sides}
     for size in TREE_DEPTHS if name == "flip_tree" else LIST_LENGTHS:
-        call = entry_call(api, name, size)
-        orig, value = measure(api, original, call)
-        resid, resid_value = measure(api, residual, call)
-        if resid_value != value:
-            raise SystemExit(f"eval_curve: {name} at {size}: residual gives another value")
-        rows.append({"size": size, "orig": orig, "resid": resid})
-        print(f"{name} {size}: {orig['steps_per_s'] / 1e3:.0f}k / "
-              f"{resid['steps_per_s'] / 1e3:.0f}k steps/s", file=sys.stderr)
+        calls = {side: entry_call(api, name, size) for side, (api, _, _) in programs.items()}
+        orig, values = measure({side: partial(api.eval_program, original, calls[side], FUEL)
+                                for side, (api, original, _) in programs.items()})
+        resid, resid_values = measure({side: partial(api.eval_program, residual, calls[side], FUEL)
+                                       for side, (api, _, residual) in programs.items()})
+        if len(values | resid_values) != 1:
+            raise SystemExit(f"eval_curve: {name} at {size}: the values differ")
+        for side in sides:
+            rows[side].append({"size": size, "orig": orig[side], "resid": resid[side]})
+            print(f"{side} {name} {size}: {orig[side]['steps_per_s'] / 1e3:.0f}k / "
+                  f"{resid[side]['steps_per_s'] / 1e3:.0f}k steps/s", file=sys.stderr)
     return rows
 
 
-def curves(api, src: Path) -> dict:
+def curves(sides: dict) -> dict:
+    fixtures = {name: curve(sides, name) for name in FIXTURES}
     return {
-        "repeats": REPEATS,
-        "size": "elements per list argument; tree depth for flip_tree",
-        "fixtures": {name: curve(api, src / "deforest" / "fixtures", name) for name in FIXTURES},
+        side: {
+            "repeats": REPEATS,
+            "size": "elements per list argument; tree depth for flip_tree",
+            "fixtures": {name: fixtures[name][side] for name in FIXTURES},
+        }
+        for side in sides
     }
 
 

@@ -11,7 +11,9 @@ over REPEATS runs, in ms.  The size curve parses the first n of SIZE_PROGRAMS
 generated programs (seed SIZE_SEED), each with its function names suffixed
 so that they do not clash, concatenated into one text.  The texts come from
 this checkout's `tests/conftest.py`, whatever checkout `--src` names.  The
-flags `--src`, `--out` and `--side` are those of `curve_harness.run`.
+flags `--src`, `--parent-src`, `--out` and `--side` are those of
+`curve_harness.run`; with `--parent-src` the sides are measured one after the
+other, not in turns.
 """
 
 from __future__ import annotations
@@ -41,22 +43,31 @@ def median_ms(fn, text: str) -> float:
     return statistics.median(times)
 
 
-def corpus_texts(api, conftest) -> list[tuple[str, str]]:
+def corpus_texts(conftest, pretty_program) -> list[tuple[str, str]]:
     texts = [
         (name, (conftest.FIXTURES / f"{name}.core").read_text())
         for name in conftest.FIXTURE_NAMES
     ]
     programs = conftest.generate_programs(GENERATED, seed=PROGRAM_SEED)
-    texts += [(f"gen{i}", api.pretty_program(p)) for i, p in enumerate(programs)]
+    texts += [(f"gen{i}", pretty_program(p)) for i, p in enumerate(programs)]
     return texts
 
 
-def corpus(api, conftest) -> dict:
+def size_texts(conftest, pretty_program) -> list[str]:
+    programs = conftest.generate_programs(max(SIZE_PROGRAMS), seed=SIZE_SEED)
+    # function names are f0..f4 and main; no variable is named like them
+    return [
+        re.sub(r"\b(f\d|main)\b", rf"\1_{i}", pretty_program(p))
+        for i, p in enumerate(programs)
+    ]
+
+
+def corpus(api, texts: list[tuple[str, str]]) -> dict:
     def build(text):
         api.pretty_program(api.supercompile(api.parse_program(text)))
 
     rows = []
-    for name, text in corpus_texts(api, conftest):
+    for name, text in texts:
         rows.append({
             "name": name,
             "chars": len(text),
@@ -77,13 +88,7 @@ def corpus(api, conftest) -> dict:
     }
 
 
-def sizes(api, conftest) -> list[dict]:
-    programs = conftest.generate_programs(max(SIZE_PROGRAMS), seed=SIZE_SEED)
-    # function names are f0..f4 and main; no variable is named like them
-    texts = [
-        re.sub(r"\b(f\d|main)\b", rf"\1_{i}", api.pretty_program(p))
-        for i, p in enumerate(programs)
-    ]
+def sizes(api, texts: list[str]) -> list[dict]:
     rows = []
     for n in SIZE_PROGRAMS:
         text = "".join(texts[:n])
@@ -97,14 +102,19 @@ def sizes(api, conftest) -> list[dict]:
     return rows
 
 
-def curves(api, src: Path) -> dict:
+def curves(sides: dict) -> dict:
     sys.path.insert(1, str(ROOT / "tests"))
     import conftest
+    from deforest import pretty_program  # the --src package, which conftest builds with
 
+    texts, programs = corpus_texts(conftest, pretty_program), size_texts(conftest, pretty_program)
     return {
-        "repeats": REPEATS,
-        "corpus": corpus(api, conftest),
-        "sizes": sizes(api, conftest),
+        side: {
+            "repeats": REPEATS,
+            "corpus": corpus(api, texts),
+            "sizes": sizes(api, programs),
+        }
+        for side, (api, _) in sides.items()
     }
 
 

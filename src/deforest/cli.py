@@ -1,11 +1,14 @@
 """Command line front end.
 
-Exit codes: 0 ok, 1 check failure, 2 usage/parse error, 3 internal assertion.
+Exit codes: 0 ok, 1 check failure, 2 usage/parse error or output that cannot
+be written (a standard output whose reader has gone included, which exits
+without a message), 3 internal assertion.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import threading
 from pathlib import Path
@@ -278,7 +281,16 @@ def _run(argv) -> int:
     ap = make_arg_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of standard output has gone: what is still buffered goes
+        # to the null device, so that the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except (ParseError, SyntaxError_, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

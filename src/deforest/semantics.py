@@ -12,7 +12,9 @@ under it is that term already, and is returned as the machine built it.
 An atom, a variable or an integer literal, needs no continuation frame: its
 value is a lookup.  Where the machine would push a frame only to evaluate an
 atom, it looks the atom up in place and hands the frame its value in the same
-turn of its loop.  A case on a variable selects its branch; a function value
+turn of its loop.  A case on an atom selects its branch (or runs out of fuel,
+or gets stuck) at once, and a `_CASE` frame hands the value of its scrutinee
+back to its case, so that one piece of code selects; a function value
 meeting an atom argument binds it, a lambda in function position without
 becoming a closure, so that a call of a global on atoms is its (Global) step
 and its (App) steps in one turn; arithmetic uses atom operands directly; the
@@ -23,6 +25,14 @@ variable or a value of the wrong kind, the machine takes the frame path
 instead, which runs out of fuel or gets stuck exactly where literal step
 iteration does.  So counters, fuel boundaries and stuck reasons are those of
 the small-step semantics.
+
+Case selection is one table lookup.  The first time a run meets an `alts`
+tuple it builds its dispatch table (`_case_table`): constructor name and
+arity, or integer, to the first alternative with that pattern, and the first
+default alternative.  A data value selects its key's entry or else the
+default, which is `syntax.select_alt`'s choice; a closure selects nothing.
+The tables live for one run, keyed by `id(alts)`.  `select_alt` itself
+serves the driver (R16/R17) and the small-step oracle.
 
 Counters: `calls` counts (Global) and (App) reductions, `unfolds` the
 (Global) ones among them, `steps` counts every reduction, and `allocs` counts
@@ -48,17 +58,16 @@ from .syntax import (
     Case,
     CtorApp,
     CtorPat,
-    DefaultPat,
     Expression,
     Global,
     IntLit,
+    IntPat,
     Lambda,
     Let,
     PrimOp,
     Program,
     Var,
     free_vars,
-    select_alt,
     substitute,
 )
 
@@ -98,22 +107,24 @@ def apply_prim(op: str, a: int, b: int) -> int:
     raise StuckError(f"unknown operator {op!r}")
 
 
-def _branch(v, alts: tuple, env: dict):
-    """(KCase)/(NCase): the body of the branch the value v selects and the
-    environment it runs in, or None when no branch matches.
+def _case_table(alts: tuple) -> dict:
+    """The dispatch table of a case: (constructor, arity) or integer -> (body,
+    pattern binders, None) for the first alternative with that pattern, and
+    None -> (body, (), binder) for the first default alternative, or None.
+    A data value selects its key's entry, else the default; this is
+    `select_alt`'s choice.
     """
-    alt = select_alt(v, alts)
-    if alt is None:
-        return None
-    p = alt.pattern
-    if type(p) is CtorPat:
-        if p.binders:
-            env = env.copy()
-            for x, w in zip(p.binders, v.args):
-                env[x] = w
-    elif type(p) is DefaultPat and p.binder is not None:
-        env = {**env, p.binder: v}
-    return alt.body, env
+    table: dict = {None: None}
+    for alt in alts:
+        p = alt.pattern
+        tp = type(p)
+        if tp is CtorPat:
+            table.setdefault((p.ctor, len(p.binders)), (alt.body, p.binders, None))
+        elif tp is IntPat:
+            table.setdefault(p.value, (alt.body, (), None))
+        elif table[None] is None:
+            table[None] = (alt.body, (), p.binder)
+    return table
 
 
 def _no_match(v) -> str:
@@ -153,7 +164,7 @@ _EXTERNAL = Closure(Lambda("z", Var("z")), _EMPTY)  # what an external function 
 #   (_CTOR, term, done, env, steps)  k v.. E e..   (steps when pushed)
 #   (_PRIM_L, op, rhs, env)          E (+) e
 #   (_PRIM_R, op, n)                 n (+) E
-#   (_CASE, alts, env)               case E of
+#   (_CASE, case, env)               case E of   (the Case node itself)
 #   (_LET, x, body, env)             let x = E in e
 # numbered so that the return loop tests a frame with few comparisons: after
 # _CASE, `tag <= _APP_ARG` picks the application frames and then
@@ -243,23 +254,15 @@ def _read_back(root, ext) -> Expression:
     return done[id(root)]
 
 
-def _atom(e: Expression, env: dict, ext):
-    """The value of an atom (an integer literal, or a variable bound in env or
-    standing for `ext`), or None when e is no atom or cannot be looked up.
-    """
-    t = type(e)
-    if t is IntLit:
-        return e
-    if t is Var:
-        return env.get(e.name, ext)
-    return None
-
-
 def _run(e: Expression, G: Globals, fuel: int, ext) -> EvalOutcome:
     """Evaluate e; a variable bound nowhere is the value ext, or stuck if None."""
     calls = allocs = steps = unfolds = 0
     frames: list[tuple] = []
     focus, env = e, _EMPTY
+    # id(alts) -> _case_table(alts); every alts is part of e or of G, which
+    # outlive the run, so no id is reused for another tuple
+    tables: dict[int, dict] = {}
+    pending = None  # the value of the scrutinee of the case in focus, if known
 
     def out(kind: str, value=None, reason=None) -> EvalOutcome:
         return EvalOutcome(kind, value, reason, calls, allocs, steps, unfolds)
@@ -291,7 +294,9 @@ def _run(e: Expression, G: Globals, fuel: int, ext) -> EvalOutcome:
                 fr = frames[-1]
                 if fr[0] != _APP_FUN:
                     break
-                a = _atom(fr[1], fr[2], ext)
+                a = fr[1]
+                ta = type(a)
+                a = a if ta is IntLit else fr[2].get(a.name, ext) if ta is Var else None
                 if a is None:
                     break
                 frames.pop()
@@ -308,12 +313,43 @@ def _run(e: Expression, G: Globals, fuel: int, ext) -> EvalOutcome:
         if t is Lambda:
             v = Closure(focus, env)
         elif t is Case:
-            v = _atom(focus.scrutinee, env, ext)
-            if v is None or steps >= fuel or (b := _branch(v, focus.alts, env)) is None:
-                frames.append((_CASE, focus.alts, env))
-                focus = focus.scrutinee
-                continue
-            focus, env = b
+            if pending is None:
+                v = focus.scrutinee
+                tv = type(v)
+                if tv is Var:
+                    v = env.get(v.name, ext)
+                    if v is None:
+                        return out("stuck", reason=f"free variable {focus.scrutinee.name}")
+                elif tv is not IntLit:
+                    frames.append((_CASE, focus, env))
+                    focus = v
+                    continue
+            else:
+                v, pending = pending, None
+            # (KCase)/(NCase): look v up in the table of alts
+            if steps >= fuel:
+                return out("out_of_fuel")
+            alts = focus.alts
+            table = tables.get(id(alts)) or tables.setdefault(id(alts), _case_table(alts))
+            tv = type(v)
+            if tv is CtorApp:
+                hit = table.get((v.ctor, len(v.args))) or table[None]
+            elif tv is IntLit:
+                hit = table.get(v.value) or table[None]
+            else:
+                hit = None
+            if hit is None:
+                return out("stuck", reason=_no_match(v))
+            focus, binders, whole = hit
+            if len(binders) == 2:
+                x, y = binders
+                a, b = v.args
+                env = {**env, x: a, y: b}
+            elif binders:
+                env = env.copy()
+                env.update(zip(binders, v.args))
+            elif whole is not None:
+                env = {**env, whole: v}
             steps += 1
             continue
         elif t is PrimOp or t is Let:
@@ -323,14 +359,16 @@ def _run(e: Expression, G: Globals, fuel: int, ext) -> EvalOutcome:
             else:
                 frames.append((_LET, focus.binder, focus.body, env))
                 focus = focus.bound
-            v = _atom(focus, env, ext)
+            t = type(focus)
+            v = focus if t is IntLit else env.get(focus.name, ext) if t is Var else None
             if v is None:
                 continue
         elif t is CtorApp:
             args = focus.args
             done = []  # the leading atoms are finished arguments
             for a in args:
-                a = _atom(a, env, ext)
+                ta = type(a)
+                a = a if ta is IntLit else env.get(a.name, ext) if ta is Var else None
                 if a is None:
                     break
                 done.append(a)
@@ -360,14 +398,8 @@ def _run(e: Expression, G: Globals, fuel: int, ext) -> EvalOutcome:
                 return out("value", value=_read_back(v, ext))
             fr = frames.pop()
             tag = fr[0]
-            if tag == _CASE:
-                if steps >= fuel:
-                    return out("out_of_fuel")
-                b = _branch(v, fr[1], fr[2])
-                if b is None:
-                    return out("stuck", reason=_no_match(v))
-                focus, env = b
-                steps += 1
+            if tag == _CASE:  # the case selects in the evaluation turn
+                focus, env, pending = fr[1], fr[2], v
                 break
             if tag <= _APP_ARG:
                 if tag == _APP_ARG:
@@ -375,7 +407,9 @@ def _run(e: Expression, G: Globals, fuel: int, ext) -> EvalOutcome:
                 elif type(v) is not Closure:
                     return out("stuck", reason="application of a non-function value")
                 else:
-                    a = _atom(fr[1], fr[2], ext)
+                    a = fr[1]
+                    ta = type(a)
+                    a = a if ta is IntLit else fr[2].get(a.name, ext) if ta is Var else None
                     if a is None:
                         frames.append((_APP_ARG, v))
                         focus, env = fr[1], fr[2]
@@ -394,7 +428,9 @@ def _run(e: Expression, G: Globals, fuel: int, ext) -> EvalOutcome:
                 if tag == _PRIM_R:
                     n = fr[2]
                 else:
-                    r = _atom(fr[2], fr[3], ext)
+                    r = fr[2]
+                    if type(r) is Var:
+                        r = fr[3].get(r.name, ext)
                     if type(r) is not IntLit:
                         frames.append((_PRIM_R, fr[1], v.value))
                         focus, env = fr[2], fr[3]
@@ -402,7 +438,9 @@ def _run(e: Expression, G: Globals, fuel: int, ext) -> EvalOutcome:
                     n, v = v.value, r
                 if steps >= fuel:
                     return out("out_of_fuel")
-                v = IntLit(apply_prim(fr[1], n, v.value))
+                op, m = fr[1], v.value
+                v = IntLit(n + m if op == "+" else n - m if op == "-" else n * m if op == "*"
+                           else apply_prim(op, n, m))  # which raises: no such operator
                 steps += 1
                 continue
             if tag == _CTOR:

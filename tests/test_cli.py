@@ -331,6 +331,31 @@ def test_deep_input_exits_cleanly(tmp_path, program, entry):
         assert out.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # a 20,000-element list: the print itself meets the closed pipe
+        ["eval", "{prog}", "-e", "main 20000"],
+        # a few lines that stay buffered until the flush at the end
+        ["check", fixture("factorial")],
+    ],
+    ids=["eval-long-output", "check-short-output"],
+)
+def test_closed_stdout_exits_2_quietly(tmp_path, args):
+    prog = tmp_path / "r.core"
+    prog.write_text("build n = case n of { 0 -> []; _ -> n : build (n - 1) };\nmain n = build n;\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deforest.cli", *[a.format(prog=prog) for a in args]],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=FIXTURES.parents[1],
+    )
+    proc.stdout.close()  # the reader goes before the command writes
+    stderr = proc.stderr.read().decode()
+    assert proc.wait() == 2
+    assert stderr == ""
+
+
 def test_command_errors_exit_cleanly(monkeypatch, capsys):
     # a recursion too deep for the stack exits 2, a driver fault exits 3;
     # neither prints a traceback

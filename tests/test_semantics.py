@@ -3,13 +3,21 @@ from functools import partial
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deforest import (
+    Alt,
     App,
+    Case,
+    CtorApp,
+    CtorPat,
+    DefaultPat,
     EvalOutcome,
     Global,
     IntLit,
+    IntPat,
     Lambda,
+    Let,
     PrimOp,
     Var,
     eval_program,
@@ -18,7 +26,7 @@ from deforest import (
     supercompile,
 )
 from deforest.semantics import StuckError, eval_expr
-from deforest.syntax import alpha_eq, free_vars, substitute
+from deforest.syntax import alpha_eq, free_vars, select_alt, substitute
 
 from conftest import (
     entry_calls_for,
@@ -321,6 +329,117 @@ def test_fuel_sweep_on_atom_corner_cases():
     # the closed literal that binds the y it holds
     closed = parse_expression("[\\y -> y]", frozenset(program.defs))
     assert eval_program(program, closed, 1000).value == closed
+
+
+# Case selection: the machine looks a value up in a table built per alts
+# tuple; it must pick select_alt's alternative and bind what it binds.  The
+# alternatives below are terms, not source: validate_program would refuse the
+# repeated and non-final ones, but the machine takes any alts tuple.
+
+PATTERN_SPECS = st.one_of(
+    st.tuples(st.just("ctor"), st.sampled_from("AB"), st.integers(0, 2)),
+    st.tuples(st.just("int"), st.integers(0, 2)),
+    st.tuples(st.just("default"), st.booleans()),  # named or wildcard
+)
+
+SCRUTINEE_VALUES = st.one_of(
+    st.integers(0, 2).map(IntLit),
+    st.tuples(st.sampled_from("AB"), st.lists(st.integers(0, 9), max_size=2)).map(
+        lambda t: CtorApp(t[0], tuple(map(IntLit, t[1])))
+    ),
+    st.just(Lambda("z", Var("z"))),
+)
+
+
+def _alts(specs) -> tuple:
+    """Alternative i returns R i and the values its pattern binds."""
+    alts = []
+    for i, spec in enumerate(specs):
+        if spec[0] == "ctor":
+            binders = tuple(f"x{i}_{j}" for j in range(spec[2]))
+            pattern = CtorPat(spec[1], binders)
+        elif spec[0] == "int":
+            binders, pattern = (), IntPat(spec[1])
+        else:
+            binders = (f"d{i}",) if spec[1] else ()
+            pattern = DefaultPat(binders[0] if binders else None)
+        alts.append(Alt(pattern, CtorApp("R", (IntLit(i), *map(Var, binders)))))
+    return tuple(alts)
+
+
+@given(SCRUTINEE_VALUES, st.lists(PATTERN_SPECS, min_size=1, max_size=5).map(_alts))
+@settings(max_examples=300, deadline=None)
+def test_case_selection_agrees_with_select_alt(v, alts):
+    alt = select_alt(v, alts)
+    if alt is None:
+        expected = None
+    else:
+        p = alt.pattern
+        bound = v.args if type(p) is CtorPat else (v,) if type(p) is DefaultPat and p.binder else ()
+        expected = CtorApp("R", (IntLit(alts.index(alt)), *bound))
+    # a case on an atom, and a case whose scrutinee needs a frame
+    for term in (Let("s", v, Case(Var("s"), alts)), Case(Let("s", v, Var("s")), alts)):
+        out = eval_expr(term, {}, 100)
+        if expected is None:
+            assert out.kind == "stuck"
+            if type(v) is Lambda:  # a default matches no closure
+                assert out.reason == "case scrutinee is not a data value"
+        else:
+            assert out.kind == "value" and out.value == expected
+        _fuel_sweep(partial(eval_expr, term, {}), term, {})
+
+
+CASE_SHAPES = """
+arity x = case x of { A -> 0; A a -> a; A a b -> a + b; _ -> 9 };
+first x = case x of { B a -> a; B b -> b + 100; 1 -> 1; 1 -> 2; _ -> 3 };
+named x = case x of { 0 -> 0; n -> n * 2 };
+wild x = case x of { A -> 1; _ -> 2 };
+none x = case x of { A -> 1; 2 -> 2 };
+late x = case x of { y -> y; A -> 1 };
+fun = \\y -> y;
+"""
+
+CASE_SHAPE_CALLS = [
+    "arity A", "arity (A 1)", "arity (A 1 2)", "arity (A 1 2 3)", "arity 5",
+    "arity fun", "first (B 1)", "first (B 1 2)", "first 1", "first 2",
+    "named 0", "named 7", "named (A 1)", "named fun", "named (\\y -> y)",
+    "wild fun", "wild (A 1)", "none (A 1)", "none 2", "none 3", "none B",
+    "none fun", "late A", "late 4", "late fun", "case fun of { _ -> 0 }",
+    "case wild (A 1) of { 2 -> arity (A (1 + 1) 3); _ -> 0 }",
+]
+
+
+def test_fuel_sweep_on_case_shapes():
+    # constructors that share a name at several arities, repeated patterns,
+    # integer patterns, named and wildcard defaults, a default before a
+    # constructor pattern, and closures meeting every kind of case; the
+    # program is parsed but not validated, since it repeats alternatives
+    program = parse_program(CASE_SHAPES)
+    calls = [parse_expression(e, frozenset(program.defs)) for e in CASE_SHAPE_CALLS]
+    outcomes = {e: eval_program(program, c, 1000) for e, c in zip(CASE_SHAPE_CALLS, calls)}
+    values = {e: o.value.value for e, o in outcomes.items() if o.kind == "value"}
+    assert values == {
+        "arity A": 0, "arity (A 1)": 1, "arity (A 1 2)": 3, "arity (A 1 2 3)": 9,
+        "arity 5": 9, "first (B 1)": 1, "first (B 1 2)": 3, "first 1": 1,
+        "first 2": 3, "named 0": 0, "named 7": 14, "wild (A 1)": 2,
+        "none 2": 2, "late A": 1, "late 4": 4, "case wild (A 1) of { 2 -> arity (A (1 + 1) 3); _ -> 0 }": 5,
+    }
+    reasons = {e: o.reason for e, o in outcomes.items() if o.kind == "stuck"}
+    assert reasons == {
+        "arity fun": "case scrutinee is not a data value",
+        "named (A 1)": "arithmetic on a non-integer",
+        "named fun": "case scrutinee is not a data value",
+        "named (\\y -> y)": "case scrutinee is not a data value",
+        "wild fun": "case scrutinee is not a data value",
+        "none (A 1)": "no alternative matches constructor A",
+        "none 3": "no alternative matches 3",
+        "none B": "no alternative matches constructor B",
+        "none fun": "case scrutinee is not a data value",
+        "late fun": "case scrutinee is not a data value",
+        "case fun of { _ -> 0 }": "case scrutinee is not a data value",
+    }
+    for call in calls:
+        _fuel_sweep(partial(eval_program, program, call), call, program.defs)
 
 
 def test_closure_free_result_is_the_machine_value():

@@ -8,14 +8,17 @@ from deforest import (
     CtorApp,
     CtorPat,
     DefaultPat,
+    Expression,
     Global,
     IntLit,
     IntPat,
     Lambda,
     Let,
+    Pattern,
     PrimOp,
     Var,
 )
+from deforest import syntax
 from deforest.analysis import demand
 from deforest.syntax import (
     alpha_eq,
@@ -38,6 +41,8 @@ from deforest.syntax import (
 
 from conftest import VAR_NAMES, expressions, scoped_expressions
 
+import dataclasses
+import inspect
 import sys
 
 import pytest
@@ -614,3 +619,43 @@ def test_key_walk_of_a_long_list_fits_a_low_recursion_limit():
     last_cell = [("global", "f"), IntLit, App, ("ctor", "Nil", 0)]
     assert post[3 * 5000 - 3 :] == last_cell + [("ctor", "Cons", 2)] * 5000
     assert len(post) == 4 * 5000 + 1
+
+
+# Node classes keep the generated dataclass behaviour but have their own
+# __init__; compare each with a plain frozen slotted dataclass of its fields.
+# (They are read from the module: `__subclasses__` would also list the
+# classes that `dataclass(slots=True)` replaced.)
+NODE_CLASSES = [
+    c for c in vars(syntax).values()
+    if isinstance(c, type) and issubclass(c, (Expression, Pattern, Alt)) and c not in (Expression, Pattern)
+]
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_node_class_behaves_as_its_dataclass(cls):
+    names = [f.name for f in dataclasses.fields(cls)]
+    plain = dataclasses.make_dataclass(
+        cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)], frozen=True, slots=True
+    )
+    assert [(f.name, f.type) for f in dataclasses.fields(plain)] == [
+        (f.name, f.type) for f in dataclasses.fields(cls)
+    ]
+    assert inspect.signature(cls) == inspect.signature(plain)
+    assert cls.__match_args__ == plain.__match_args__ == tuple(names)
+    values = [f"a{i}" for i in range(len(names))]
+    node = cls(*values)
+    by_keyword = cls(**dict(zip(reversed(names), reversed(values))))
+    assert [getattr(node, n) for n in names] == values
+    assert node == by_keyword and hash(node) == hash(by_keyword)
+    assert hash(node) == hash(plain(*values)) == hash(tuple(values))
+    assert node != cls(*values[:-1], "other") and node != plain(*values)
+    assert repr(node) == repr(plain(*values))
+    assert not hasattr(node, "__dict__")
+    for n in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, n, "b")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, n)
+    with pytest.raises(TypeError):
+        cls(*values, "extra")
+    assert [getattr(node, n) for n in names] == values
