@@ -4,7 +4,7 @@ top-level definition in the session's table when it completes; `supercompile`
 assembles the residual program from the definitions that its entry reaches.
 A source letrec needs no rule: the parser has made it a top-level definition.
 
-A term folds into an ancestor activation (the memo `rho`) and, failing that,
+A term folds into an ancestor activation (the memo stack `rho`) and, failing that,
 into any completed recursive activation: the global memo of Bolingbroke &
 Peyton Jones, "Supercompilation by evaluation" (2010).  Under call-by-value,
 a call of a completed definition on variables behaves as the term it was
@@ -14,7 +14,7 @@ again in every case branch that meets it.  The whistle looks at `rho` only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .analysis import demand, is_annoying, strict_vars
@@ -81,6 +81,8 @@ class MemoEntry:
     key: Key  # canonical(term)
     pre: list  # the whistle's symbols of term's nodes, in preorder, for `_may_embed`
     post: list  # the same, in postorder
+    body: Optional[Expression] = None  # the residual definition, set by Dapp4b
+    callees: set[str] = field(default_factory=set)  # the function symbols of body
 
     @property
     def params(self) -> tuple[str, ...]:  # fv(term) in first-occurrence order
@@ -90,7 +92,6 @@ class MemoEntry:
 # driving context R ::= [] | R e | case R of alts | R (+) e | e (+) R,
 # innermost frame last
 RFrame = tuple
-Rho = tuple[MemoEntry, ...]
 
 
 def plug_r(context: list[RFrame], e: Expression) -> Expression:
@@ -138,14 +139,16 @@ Measure = tuple[int, int, int]
 
 
 class DriveSession:
-    """One drive of an entry definition.  `G` holds the program's
-    definitions, which Dapp4 unfolds and nothing changes.  `defs` is the
-    table of residual definitions written so far, in the order their
-    activations completed, and `callees` holds the function symbols of each;
-    neither is ever rewritten.  `done` indexes the memo entries of those
-    definitions by their key's (shape, globals), for the global fold;
-    `_done_log` lists them in the order they were added, so that an
-    abandoned drive can take its own out.
+    """One drive of an entry definition, and the one record of it.  `G`
+    holds the program's definitions, which Dapp4 unfolds and nothing
+    changes.  `rho` is the memo stack of the activations being driven,
+    innermost last; Dapp4 pushes and pops it.  `table` maps the name of each finished
+    recursive activation to its memo entry, whose `body` is the residual
+    definition, in the order they completed; `done` indexes the same
+    entries by their key's (shape, globals), for the global fold.  A
+    rollback takes the entries of the abandoned drive out of both.  `holes`
+    names the generalization holes, which R11/R12 do not copy and the
+    measure weighs 1.
     """
 
     def __init__(
@@ -161,43 +164,31 @@ class DriveSession:
         self.trace = trace
         self.assert_measure = assert_measure
         self.explain_strict = explain_strict
-        self.defs: Globals = {}
-        self.callees: dict[str, set[str]] = {}
+        self.rho: list[MemoEntry] = []
+        self.table: dict[str, MemoEntry] = {}
         self.done: dict[tuple, list[MemoEntry]] = {}
-        self._done_log: list[MemoEntry] = []
+        self.holes: set[str] = set()
 
     # ------------------------------------------------------------------
 
-    def _measure(self, e: Expression, context: list[RFrame], rho: Rho) -> Measure:
-        holes = self.supply.hole_names
-        return (-len(rho), weight(plug_r(context, e), holes), weight(e, holes))
+    def _measure(self, e: Expression, context: list[RFrame]) -> Measure:
+        holes = self.holes
+        return (-len(self.rho), weight(plug_r(context, e), holes), weight(e, holes))
 
-    def _emit(
-        self,
-        rule: str,
-        e: Expression,
-        context: list[RFrame],
-        rho: Rho,
-        hit: str = "",
-        where: str = "rho",
-    ) -> None:
+    def _emit(self, rule: str, e: Expression, context: list[RFrame], hit="", where="rho") -> None:
         """One `--trace` line: the rule, the focus's weight, the memo depth
         and the context depth, then the memo entry that a fold or a whistle
         hit and where it was found, as `-> h4 (table)` or `-> h1 (rho)`.
         """
         if self.trace is not None:
-            w = weight(e, self.supply.hole_names)
+            w = weight(e, self.holes)
             via = f" -> {hit} ({where})" if hit else ""
-            self.trace(f"{rule} w={w} rho={len(rho)} depth={len(context)}{via}")
+            self.trace(f"{rule} w={w} rho={len(self.rho)} depth={len(context)}{via}")
 
     # ------------------------------------------------------------------
 
     def drive(
-        self,
-        e: Expression,
-        context: list[RFrame],
-        rho: Rho,
-        parent: Optional[Measure] = None,
+        self, e: Expression, context: list[RFrame], parent: Optional[Measure] = None
     ) -> Expression:
         """The residual of plug_r(context, e).  A rule that rewrites the focus
         goes round the loop in the context that `_refocus` leaves it; only
@@ -208,53 +199,52 @@ class DriveSession:
         me = parent
         while True:
             if self.assert_measure:
-                m = self._measure(e, context, rho)
+                m = self._measure(e, context)
                 if me is not None and not m < me:
                     raise DriverError(f"measure did not decrease at drive: {me} -> {m}")
                 me = m
             t = type(e)
             if t is IntLit or t is Var:  # R1, R2
-                self._emit("R1" if t is IntLit else "R2", e, context, rho)
+                self._emit("R1" if t is IntLit else "R2", e, context)
                 return plug_r(context, e)
             if t is Global:  # R3
-                self._emit("R3", e, context, rho)
-                return self.drive_app(e.name, context, rho, me)
+                self._emit("R3", e, context)
+                return self.drive_app(e.name, context, me)
             if (t is App or t is PrimOp) and is_annoying(e):  # R5, an annoying R8
-                self._emit("R5" if t is App else "R8", e, context, rho)
-                return plug_r(context, rebuild(e, [self.drive(c, [], rho, me) for c in children(e)]))
+                self._emit("R5" if t is App else "R8", e, context)
+                return plug_r(context, rebuild(e, [self.drive(c, [], me) for c in children(e)]))
             if t is App:
                 head, args = unfold_apps(e)
                 if type(head) is Lambda:  # R9, with R11/R12 on its lets
-                    self._emit("R9", e, context, rho)
+                    self._emit("R9", e, context)
                     params, body = unfold_lambdas(head)
                     n = min(len(params), len(args))
                     body = fold_lambdas(params[n:], body)
                     lets = self._fresh_lets(params[:n], args[:n], body, args[n:])
                     e, context = _refocus(lets, context)
                     continue
-                self._emit("R10", e, context, rho)  # R10
+                self._emit("R10", e, context)  # R10
                 e, context = e.fun, context + [("arg", e.arg)]
             elif t is PrimOp:
                 op, lhs, rhs = e.op, e.lhs, e.rhs
                 if type(lhs) is IntLit and type(rhs) is IntLit:  # R7
-                    self._emit("R7", e, context, rho)
+                    self._emit("R7", e, context)
                     e, context = _refocus(IntLit(apply_prim(op, lhs.value, rhs.value)), context)
                     continue
-                self._emit("R8", e, context, rho)  # R8
+                self._emit("R8", e, context)  # R8
                 if type(lhs) is IntLit or is_annoying(lhs):
                     e, context = rhs, context + [("prim_r", op, lhs)]
                 else:
                     e, context = lhs, context + [("prim_l", op, rhs)]
             elif t is Let:
                 x, v, body = e.binder, e.bound, e.body
-                tv = type(v)
-                if tv is IntLit or tv is Global or tv is Var and v.name not in self.supply.hole_names:
+                if self._copied(v):
                     # R11, R12 on a let R9 or R16 did not make (from the
-                    # source, say); a generalization hole is not copied
-                    self._emit("R11" if tv is IntLit else "R12", e, context, rho)
+                    # source, say)
+                    self._emit("R11" if type(v) is IntLit else "R12", e, context)
                     e, context = _refocus(substitute({x: v}, body), context)
                     continue
-                self._emit("R13", e, context, rho)  # R13
+                self._emit("R13", e, context)  # R13
                 strict, uses = demand(body, x)
                 if self.explain_strict is not None:
                     self.explain_strict(
@@ -268,28 +258,28 @@ class DriveSession:
                     x2 = self.supply.var(x)
                     body = substitute({x: Var(x2)}, body)
                     x = x2
-                bound = self.drive(v, [], rho, me)
-                return Let(x, bound, self.drive(*_refocus(body, context), rho, me))
+                bound = self.drive(v, [], me)
+                return Let(x, bound, self.drive(*_refocus(body, context), me))
             elif t is Case:
                 scrut, alts = e.scrutinee, e.alts
                 ts = type(scrut)
                 alt = select_alt(scrut, alts)
                 if alt is not None and ts is CtorApp:  # R16, with R11/R12 on its lets as in R9
-                    self._emit("R16", e, context, rho)
+                    self._emit("R16", e, context)
                     if type(alt.pattern) is CtorPat:
                         binders, values = alt.pattern.binders, scrut.args
                     else:  # a default binds the whole value
                         binders, values = (alt.pattern.binder,), (scrut,)
                     e, context = _refocus(self._fresh_lets(binders, values, alt.body), context)
                 elif alt is not None:  # R17
-                    self._emit("R17", e, context, rho)
+                    self._emit("R17", e, context)
                     body = alt.body
                     if type(alt.pattern) is DefaultPat and alt.pattern.binder is not None:
                         body = substitute({alt.pattern.binder: scrut}, body)
                     e, context = _refocus(body, context)
                 elif is_annoying(scrut):  # R15 on a variable, R18
                     var = ts is Var
-                    self._emit("R15" if var else "R18", e, context, rho)
+                    self._emit("R15" if var else "R18", e, context)
                     new_alts = []
                     for alt in alts:
                         pat, rename, value = self._freshen_pattern(alt.pattern)
@@ -298,34 +288,41 @@ class DriveSession:
                             frames = [_substitute_frame({scrut.name: value}, fr) for fr in context]
                             rename = {scrut.name: value, **rename}  # a shadowing binder wins
                         branch = plug_r(frames, substitute(rename, alt.body))
-                        new_alts.append(Alt(pat, self.drive(branch, [], rho, me)))
+                        new_alts.append(Alt(pat, self.drive(branch, [], me)))
                     if not var:
-                        scrut = self.drive(scrut, [], rho, me)
+                        scrut = self.drive(scrut, [], me)
                     return Case(scrut, tuple(new_alts))
                 else:  # R19
-                    self._emit("R19", e, context, rho)
+                    self._emit("R19", e, context)
                     e, context = scrut, context + [("case", alts)]
             elif (t is CtorApp or t is Lambda) and not context:  # R4, R6
-                self._emit("R4" if t is CtorApp else "R6", e, context, rho)
-                return rebuild(e, [self.drive(c, [], rho, me) for c in children(e)])
+                self._emit("R4" if t is CtorApp else "R6", e, context)
+                return rebuild(e, [self.drive(c, [], me) for c in children(e)])
             else:  # R20, and R4 or R6 in a context
-                self._emit("R20", e, context, rho)
+                self._emit("R20", e, context)
                 return plug_r(context, e)
 
     # ------------------------------------------------------------------
+
+    def _copied(self, v: Expression) -> bool:
+        """R11/R12's test: a let's body takes v in place of its binder.  A
+        generalization hole is not copied, so its filling is not duplicated.
+        """
+        t = type(v)
+        return t is IntLit or t is Global or t is Var and v.name not in self.holes
 
     def _fresh_lets(
         self, binders: Sequence, values: Sequence, body: Expression, args: Sequence = ()
     ) -> Expression:
         """let b1' = v1 in ... let bn' = vn in body args, each binder renamed
         in body to a fresh name (a wildcard None binds a fresh "u"), except
-        that a value R11/R12 would copy (an integer, a global, a variable but
-        a hole) takes its binder's place in that walk; its name is still minted.
+        that a value R11/R12 would copy (`_copied`) takes its binder's place
+        in that walk; its name is still minted.
         """
-        holes, m, lets = self.supply.hole_names, {}, []
+        m, lets = {}, []
         for b, v in zip(binders, values):
             f = Var(self.supply.var(b if b is not None else "u"))
-            if not (type(v) in (IntLit, Global) or type(v) is Var and v.name not in holes):
+            if not self._copied(v):
                 lets.append((f.name, v))
                 v = f
             if b is not None:
@@ -356,13 +353,7 @@ class DriveSession:
 
     # ------------------------------------------------------------------
 
-    def drive_app(
-        self,
-        g: str,
-        context: list[RFrame],
-        rho: Rho,
-        me: Optional[Measure],
-    ) -> Expression:
+    def drive_app(self, g: str, context: list[RFrame], me: Optional[Measure]) -> Expression:
         """Rules Dapp1-Dapp4 for a call of g in context, tried in this order:
         fold into an ancestor in rho (Dapp1), fold into a completed
         definition of the table `done` (Dapp1, the global fold), the whistle
@@ -377,11 +368,11 @@ class DriveSession:
         # (1) fold: the term is a renaming of an ancestor or of a completed
         # recursive activation, so it becomes a call of that one's definition
         table = self.done.get(_table_key(key), ())
-        for entries, where in ((reversed(rho), "rho"), (table, "table")):
+        for entries, where in ((reversed(self.rho), "rho"), (table, "table")):
             for entry in entries:
                 sigma = match_keys(entry.key, key)
                 if sigma is not None:
-                    self._emit("Dapp1", term, context, rho, entry.name, where)
+                    self._emit("Dapp1", term, context, entry.name, where)
                     return _call(entry, sigma)
 
         # (2) mutual embedding: ask the owning activation to generalize;
@@ -389,58 +380,56 @@ class DriveSession:
         new = MemoEntry("", term, key, pre, post)  # named at (4)
         below = [
             entry
-            for entry in reversed(rho)
+            for entry in reversed(self.rho)
             if _may_embed(entry, new) and embeds(entry.term, term)
         ]
         for entry in below:
             if _may_embed(new, entry) and embeds(term, entry.term):
-                self._emit("Dapp2", term, context, rho, entry.name)
+                self._emit("Dapp2", term, context, entry.name)
                 raise _Rollback(entry.name, term)
         if below:
-            self._emit("Dapp3", term, context, rho, below[0].name)
-            return self._generalize(term, below[0].term, rho, me)
+            self._emit("Dapp3", term, context, below[0].name)
+            return self._generalize(term, below[0].term, me)
 
         # (4) memoize, unfold and drive
         v = self.G.get(g)
         if v is None:
             raise DriverError(f"undefined function {g} during driving")
         h = new.name = self.supply.fun()
-        entry = new
-        self._emit("Dapp4", term, context, rho)
-        mark = len(self._done_log)
+        self._emit("Dapp4", term, context)
+        mark = len(self.table)
+        self.rho.append(new)
         try:
-            e = self.drive(*_refocus(v, context), rho + (entry,), me)
+            e = self.drive(*_refocus(v, context), me)
         except _Rollback as r:  # (4a) upwards generalization
+            self.rho.pop()
             if r.owner != h:
                 raise
             # definitions completed in the abandoned drive may call it
-            for done in self._done_log[mark:]:
+            while len(self.table) > mark:
+                _, done = self.table.popitem()
                 self.done[_table_key(done.key)].remove(done)
-            del self._done_log[mark:]
-            self._emit("Dapp4a", term, context, rho, h)
-            return self._generalize(term, r.term, rho, me)
+            self._emit("Dapp4a", term, context, h)
+            return self._generalize(term, r.term, me)
+        self.rho.pop()
         called = fun_names(e)
-        if h in reachable(called, self.callees):  # (4b)
-            self._emit("Dapp4b", term, context, rho)
-            lam_params = list(entry.params) or [self.supply.var("u")]
-            self.defs[h] = fold_lambdas(lam_params, e)
-            self.callees[h] = called
-            self.done.setdefault(_table_key(key), []).append(entry)
-            self._done_log.append(entry)
-            return _call(entry, {p: p for p in entry.params})
+        if h in reachable(called, self.table):  # (4b)
+            self._emit("Dapp4b", term, context)
+            new.body = fold_lambdas(list(new.params) or [self.supply.var("u")], e)
+            new.callees = called
+            self.table[h] = new
+            self.done.setdefault(_table_key(key), []).append(new)
+            return _call(new, {p: p for p in new.params})
         return e  # (4c)
 
     def _generalize(
-        self,
-        term: Expression,
-        against: Expression,
-        rho: Rho,
-        me: Optional[Measure],
+        self, term: Expression, against: Expression, me: Optional[Measure]
     ) -> Expression:
         common, parts, holes = split(term, against, self.supply)
-        fill = dict(zip(holes, [self.drive(p, [], rho, me) for p in parts]))
+        self.holes.update(holes)
+        fill = dict(zip(holes, [self.drive(p, [], me) for p in parts]))
         try:
-            driven_common = self.drive(common, [], rho, me)
+            driven_common = self.drive(common, [], me)
         except _Rollback as r:  # a request from the common term may name holes
             r.term = substitute(fill, r.term)
             raise
@@ -471,9 +460,10 @@ def _call(entry: MemoEntry, sigma: dict[str, str]) -> Expression:
     return fold_apps(Global(entry.name), [Var(sigma[p]) for p in entry.params] or [IntLit(0)])
 
 
-def reachable(names: Iterable[str], callees: dict[str, set[str]]) -> set[str]:
+def reachable(names: Iterable[str], table: dict[str, MemoEntry], source: dict = {}) -> set[str]:
     """The function symbols in names and those they call, through the
-    definitions whose function symbols callees lists.
+    residual definitions of table and the definitions whose function
+    symbols source lists.
     """
     out: set[str] = set()
     stack = list(names)
@@ -481,7 +471,8 @@ def reachable(names: Iterable[str], callees: dict[str, set[str]]) -> set[str]:
         n = stack.pop()
         if n not in out:
             out.add(n)
-            stack.extend(callees.get(n, ()))
+            entry = table.get(n)
+            stack.extend(source.get(n, ()) if entry is None else entry.callees)
     return out
 
 
@@ -506,13 +497,13 @@ def supercompile(
         explain_strict=explain_strict,
     )
     params, body = unfold_lambdas(program.defs[program.entry])
-    residual = session.drive(body, [], ())
+    residual = session.drive(body, [])
 
-    defs = {**program.defs, **session.defs}
+    defs = {**program.defs, **{h: entry.body for h, entry in session.table.items()}}
     del defs[program.entry]
     defs[program.entry] = fold_lambdas(params, residual)
-    callees = {**source_callees, **session.callees, program.entry: fun_names(defs[program.entry])}
-    keep = reachable([program.entry], callees)
+    source_callees[program.entry] = fun_names(defs[program.entry])
+    keep = reachable([program.entry], session.table, source_callees)
     if unknown := keep - set(defs):
         raise DriverError(f"residual references unknown functions {sorted(unknown)}")
     return Program({n: e for n, e in defs.items() if n in keep}, program.entry)

@@ -190,7 +190,7 @@ def _render_pairs(tree, varmap: dict[str, set[str]], supply: FreshSupply) -> Gen
 def _hole(a: Expression, b: Expression, st: _Msg) -> Var:
     v = st.holes.get((a, b))
     if v is None:
-        v = st.supply.fresh_var()
+        v = Var(st.supply.var("z"))
         st.holes[(a, b)] = v
         st.theta1[v.name] = a
         st.theta2[v.name] = b
@@ -241,5 +241,5 @@ def split(
     if not parts:
         # atoms and binder-headed terms have no splittable children
         return t1, [], []
-    hs = [supply.fresh_var() for _ in parts]
+    hs = [Var(supply.var("z")) for _ in parts]
     return rebuild(t1, hs + list(kids[len(parts):])), parts, [h.name for h in hs]

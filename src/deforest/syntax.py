@@ -3,7 +3,7 @@
 Expressions are immutable; all functions here return fresh terms and never
 mutate their arguments.  The nodes are those of the source language, which
 residual programs share; the driver keeps its bookkeeping out of them (the
-generalization holes are names in `FreshSupply.hole_names`).
+generalization holes are names that its session records).
 
 Two traversal kernels carry the syntax: `children`/`rebuild` give a node's
 immediate subterms and put new ones in their place, and `scopes` pairs each
@@ -317,9 +317,8 @@ class FreshSupply:
     def __init__(self, reserved: set[str]):
         self.reserved = set(reserved)
         self.counters: dict[str, int] = {}
-        self.hole_names: set[str] = set()
 
-    def _mint(self, base: str) -> str:
+    def var(self, base: str = "v") -> str:
         n = self.counters.get(base, 0)
         while True:
             n += 1
@@ -329,19 +328,8 @@ class FreshSupply:
                 self.reserved.add(name)
                 return name
 
-    def var(self, base: str = "v") -> str:
-        return self._mint(base)
-
-    def fresh_var(self, base: str = "z") -> Var:
-        """A generalization hole, recorded in `hole_names`: the driver's rule
-        R12 does not copy it, and the termination measure weighs it 1.
-        """
-        name = self._mint(base)
-        self.hole_names.add(name)
-        return Var(name)
-
     def fun(self) -> str:
-        return self._mint("h")
+        return self.var("h")
 
 
 # ---------------------------------------------------------------------------

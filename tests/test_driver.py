@@ -29,7 +29,7 @@ from deforest import (
 )
 from deforest import driver
 from deforest.analysis import is_annoying
-from deforest.driver import DriveSession, _refocus, plug_r
+from deforest.driver import DriveSession, _refocus, plug_r, reachable
 from deforest.generalize import embeds
 from deforest.syntax import (
     FreshSupply,
@@ -151,18 +151,25 @@ def test_fresh_supply_distinct_and_reserved():
     assert a != b
     assert a not in ("v1", "h1") and b not in ("v1", "h1")
     assert supply.fun() != "h1"
-    hole = supply.fresh_var()
-    assert supply.hole_names == {hole.name}
+    hole = supply.var("z")
+    assert hole not in ("v1", "h1", a, b) and hole.startswith("z")
+    # generalization holes are the session's, not the supply's
+    assert not hasattr(supply, "hole_names") and not hasattr(supply, "fresh_var")
 
 
 def test_generalization_hole_is_not_copied():
     # R12 would make both uses of x a copy of the hole, and so duplicate the
     # driven part that fills it
     supply = FreshSupply({"x"})
-    hole = supply.fresh_var()
-    term = Let("x", Var(hole.name), PrimOp("+", Var("x"), Var("x")))
-    out = DriveSession(supply, {}).drive(term, [], ())
-    assert out == term
+    hole = supply.var("z")
+    term = Let("x", Var(hole), PrimOp("+", Var("x"), Var("x")))
+    session = DriveSession(supply, {})
+    session.holes.add(hole)
+    assert session.drive(term, []) == term
+    # the same variable, not a hole, is copied
+    assert DriveSession(FreshSupply({"x", hole}), {}).drive(term, []) == PrimOp(
+        "+", Var(hole), Var(hole)
+    )
 
 
 def test_fresh_supply_deterministic():
@@ -491,6 +498,30 @@ def test_definitions_of_an_abandoned_drive_leave_the_table():
     residual = supercompile(p, trace=lines.append)
     assert any(line.startswith("Dapp4a ") for line in lines)
     assert program_alpha_eq(residual, expected), pretty_program(residual)
+
+
+def test_session_holds_one_record_of_the_drive():
+    # the program above rolls back through Dapp4a: afterwards the memo stack
+    # is empty, and the table and the fold index hold the same entries, none
+    # of them from the abandoned drive, each with its residual definition
+    p = parse_program(
+        "f xs ys = case xs of { [] -> 0; (a:t) -> P (g t) (f t ys) };\n"
+        "g zs = case zs of { [] -> 1; (b:u) -> P (g u) (f u u) };\n"
+        "main xs = f xs xs;"
+    )
+    names = set(p.defs).union(*map(all_identifiers, p.defs.values()))
+    lines = []
+    session = DriveSession(FreshSupply(names), p.defs, trace=lines.append)
+    residual = session.drive(unfold_lambdas(p.defs["main"])[1], [])
+    assert any(line.startswith("Dapp4a ") for line in lines)
+    assert session.rho == []
+    assert list(session.table) == ["h4", "h3"]
+    indexed = [entry for entries in session.done.values() for entry in entries]
+    assert sorted(e.name for e in indexed) == ["h3", "h4"]
+    assert all(session.table[e.name] is e for e in indexed)
+    for entry in indexed:
+        assert entry.callees == fun_names(entry.body)
+    assert reachable(fun_names(residual), session.table) == {"h3", "h4"}
 
 
 def test_letrec_in_source_is_driven():
