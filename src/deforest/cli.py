@@ -19,6 +19,7 @@ from .parser import ParseError, parse_expression, parse_program
 from .pretty import pretty_expr, pretty_program
 from .semantics import EvalOutcome, eval_program
 from .syntax import (
+    CtorApp,
     Expression,
     Lambda,
     Program,
@@ -137,18 +138,34 @@ def _read_manifest(path: Path) -> dict:
 PASSING = ("both-value-equal", "both-function", "both-stuck", "both-out-of-fuel")
 
 
+def _same_value(a: Expression, b: Expression) -> bool:
+    """a and b are equal data that hold functions in the same places.  Two
+    functions are not compared (alpha equivalence cannot decide extensional
+    equality), at any depth.
+    """
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is Lambda or type(b) is Lambda:
+            if type(a) is not type(b):
+                return False
+        elif type(a) is type(b) is CtorApp and a.ctor == b.ctor and len(a.args) == len(b.args):
+            stack.extend(zip(a.args, b.args))
+        elif not alpha_eq(a, b):
+            return False
+    return True
+
+
 def _verdict(before: EvalOutcome, after: EvalOutcome) -> str:
-    """Compare the original's outcome with the residual's.  Two functions
-    are not compared (alpha equivalence cannot decide extensional equality);
-    only their calls are.
+    """Compare the original's outcome with the residual's: values by
+    `_same_value`, and then their calls.
     """
     if before.kind == after.kind == "value":
-        functions = isinstance(before.value, Lambda) and isinstance(after.value, Lambda)
-        if not functions and not alpha_eq(before.value, after.value):
+        if not _same_value(before.value, after.value):
             return "MISMATCH"
         if after.calls > before.calls:
             return "IMPROVEMENT-VIOLATION"
-        return "both-function" if functions else "both-value-equal"
+        return "both-function" if type(before.value) is Lambda else "both-value-equal"
     if before.kind == after.kind == "stuck":
         return "both-stuck"
     if before.kind == after.kind == "out_of_fuel":

@@ -141,14 +141,15 @@ Measure = tuple[int, int, int]
 class DriveSession:
     """One drive of an entry definition, and the one record of it.  `G`
     holds the program's definitions, which Dapp4 unfolds and nothing
-    changes.  `rho` is the memo stack of the activations being driven,
-    innermost last; Dapp4 pushes and pops it.  `table` maps the name of each finished
-    recursive activation to its memo entry, whose `body` is the residual
-    definition, in the order they completed; `done` indexes the same
-    entries by their key's (shape, globals), for the global fold.  A
-    rollback takes the entries of the abandoned drive out of both.  `holes`
-    names the generalization holes, which R11/R12 do not copy and the
-    measure weighs 1.
+    changes; `externals` holds their free variables, which no binder that
+    driving emits may capture (`supercompile` fills it).  `rho` is the memo
+    stack of the activations being driven, innermost last; Dapp4 pushes and
+    pops it.  `table` maps the name of each finished recursive activation to
+    its memo entry, whose `body` is the residual definition, in the order
+    they completed; `done` indexes the same entries by their key's (shape,
+    globals), for the global fold.  A rollback takes the entries of the
+    abandoned drive out of both.  `holes` names the generalization holes,
+    which R11/R12 do not copy and the measure weighs 1.
     """
 
     def __init__(
@@ -164,6 +165,7 @@ class DriveSession:
         self.trace = trace
         self.assert_measure = assert_measure
         self.explain_strict = explain_strict
+        self.externals: set[str] = set()
         self.rho: list[MemoEntry] = []
         self.table: dict[str, MemoEntry] = {}
         self.done: dict[tuple, list[MemoEntry]] = {}
@@ -254,10 +256,7 @@ class DriveSession:
                 if strict and uses <= 1:
                     e, context = _refocus(substitute({x: v}, body), context)
                     continue
-                if x in free_vars(plug_r(context, IntLit(0))):
-                    x2 = self.supply.var(x)
-                    body = substitute({x: Var(x2)}, body)
-                    x = x2
+                x, body = self._rebind(x, body, free_vars(plug_r(context, IntLit(0))))
                 bound = self.drive(v, [], me)
                 return Let(x, bound, self.drive(*_refocus(body, context), me))
             elif t is Case:
@@ -295,9 +294,13 @@ class DriveSession:
                 else:  # R19
                     self._emit("R19", e, context)
                     e, context = scrut, context + [("case", alts)]
-            elif (t is CtorApp or t is Lambda) and not context:  # R4, R6
-                self._emit("R4" if t is CtorApp else "R6", e, context)
+            elif t is CtorApp and not context:  # R4
+                self._emit("R4", e, context)
                 return rebuild(e, [self.drive(c, [], me) for c in children(e)])
+            elif t is Lambda and not context:  # R6
+                self._emit("R6", e, context)
+                x, body = self._rebind(e.param, e.body)
+                return Lambda(x, self.drive(body, [], me))
             else:  # R20, and R4 or R6 in a context
                 self._emit("R20", e, context)
                 return plug_r(context, e)
@@ -310,6 +313,16 @@ class DriveSession:
         """
         t = type(v)
         return t is IntLit or t is Global or t is Var and v.name not in self.holes
+
+    def _rebind(self, x: str, body: Expression, clash=()) -> tuple[str, Expression]:
+        """A binder x over body as driving emits it: renamed to a fresh name
+        if it would capture an external, which an unfolding may put under
+        it, or a name in clash.
+        """
+        if x in self.externals or x in clash:
+            x2 = self.supply.var(x)
+            return x2, substitute({x: Var(x2)}, body)
+        return x, body
 
     def _fresh_lets(
         self, binders: Sequence, values: Sequence, body: Expression, args: Sequence = ()
@@ -486,7 +499,7 @@ def supercompile(
     definitions, then the session's table, then the new entry, keeping those
     that the entry reaches.
     """
-    identifiers, source_callees = validate_program(program)
+    identifiers, source_callees, externals = validate_program(program)
     if program.entry not in program.defs:
         raise SyntaxError_(f"no entry definition {program.entry!r}")
     session = DriveSession(
@@ -496,7 +509,10 @@ def supercompile(
         assert_measure=assert_measure,
         explain_strict=explain_strict,
     )
+    session.externals = externals
     params, body = unfold_lambdas(program.defs[program.entry])
+    for i, x in enumerate(params):
+        params[i], body = session._rebind(x, body)
     residual = session.drive(body, [])
 
     defs = {**program.defs, **{h: entry.body for h, entry in session.table.items()}}

@@ -439,8 +439,11 @@ def _run(e: Expression, G: Globals, fuel: int, ext) -> EvalOutcome:
                 if steps >= fuel:
                     return out("out_of_fuel")
                 op, m = fr[1], v.value
-                v = IntLit(n + m if op == "+" else n - m if op == "-" else n * m if op == "*"
-                           else apply_prim(op, n, m))  # which raises: no such operator
+                try:
+                    v = IntLit(n + m if op == "+" else n - m if op == "-" else n * m if op == "*"
+                               else apply_prim(op, n, m))  # which raises: no such operator
+                except StuckError as e:
+                    return out("stuck", reason=e.reason)
                 steps += 1
                 continue
             if tag == _CTOR:

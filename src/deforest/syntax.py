@@ -692,29 +692,39 @@ def weight(e: Expression, holes: set[str] | frozenset[str]) -> int:
 # programs
 
 
-def validate_program(program: Program) -> tuple[set[str], dict[str, set[str]]]:
+def validate_program(program: Program) -> tuple[set[str], dict[str, set[str]], set[str]]:
     """Check each definition in one walk: undefined functions first, then its
-    first bad case in preorder.  Returns every identifier that occurs
-    (variable, binder or function symbol) and each definition's callees."""
+    first bad case or unknown operator in preorder.  Returns every identifier that occurs
+    (variable, binder or function symbol), each definition's callees, and
+    the program's externals: the free variables of its definitions."""
     names: set[str] = set()
     callees: dict[str, set[str]] = {}
+    externals: set[str] = set()
     for name, body in program.defs.items():
         calls: set[str] = set()
         bad = None
-        stack = [body]
+        stack = [(body, frozenset())]
         while stack:
-            t = stack.pop()
+            t, bound = stack.pop()
             tt = type(t)
             if tt is Var:
                 names.add(t.name)
+                if t.name not in bound:
+                    externals.add(t.name)
             elif tt is Global:
                 calls.add(t.name)
             elif tt in _SCOPES:
-                if tt is Case and bad is None:
-                    bad = _case_error(t)
+                if bad is None:
+                    if tt is Case:
+                        bad = _case_error(t)
+                    elif tt is PrimOp and t.op not in ARITH_OPS:
+                        bad = f"unknown operator {t.op!r}"
                 for c, bs in reversed(_SCOPES[tt](t)):
-                    names.update(bs)
-                    stack.append(c)
+                    if bs:
+                        names.update(bs)
+                        stack.append((c, bound.union(bs)))
+                    else:
+                        stack.append((c, bound))
         unknown = calls - program.defs.keys()
         if unknown:
             raise SyntaxError_(f"{name}: undefined functions {sorted(unknown)}")
@@ -722,7 +732,7 @@ def validate_program(program: Program) -> tuple[set[str], dict[str, set[str]]]:
             raise SyntaxError_(f"{name}: {bad}")
         names |= calls
         callees[name] = calls
-    return names, callees
+    return names, callees, externals
 
 
 def _case_error(t: Case) -> Optional[str]:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deforest import CtorApp, DriverError, IntLit, Lambda, Var
+from deforest import App, CtorApp, DriverError, Global, IntLit, Lambda, PrimOp, Var
 from deforest import cli
 from deforest.cli import _verdict, main, make_arg_parser
 from deforest.semantics import EvalOutcome
@@ -246,6 +246,10 @@ def test_invalid_program_exits_2(tmp_path, capsys, program, message):
     assert run_cli("build", str(prog), capsys=capsys) == (2, "", f"error: {message}\n")
 
 
+def _k(*args):
+    return CtorApp("K", args)
+
+
 def _value(e, calls=3):
     return EvalOutcome("value", e, None, calls, 0, calls, 0)
 
@@ -268,6 +272,15 @@ STUCK = EvalOutcome("stuck", None, "free variable y", 1, 0, 1, 0)
          "IMPROVEMENT-VIOLATION"),
         (_value(IntLit(1)), _value(IntLit(1), calls=2), "both-value-equal"),
         (OUT_OF_FUEL, OUT_OF_FUEL, "both-out-of-fuel"),
+        # a function inside a value matches any function, and only a function
+        (_value(_k(Lambda("y", App(Global("inc"), Var("y"))), IntLit(3))),
+         _value(_k(Lambda("y", PrimOp("+", Var("y"), IntLit(1))), IntLit(3))), "both-value-equal"),
+        (_value(_k(Lambda("y", Var("y")), IntLit(3))),
+         _value(_k(Lambda("y", Var("y")), IntLit(4))), "MISMATCH"),
+        (_value(_k(Lambda("y", Var("y")), IntLit(3))),
+         _value(_k(CtorApp("Nil", ()), IntLit(3))), "MISMATCH"),
+        (_value(_k(CtorApp("Nil", ()), IntLit(3))),
+         _value(_k(Lambda("y", Var("y")), IntLit(3))), "MISMATCH"),
     ],
 )
 def test_verdict(before, after, verdict):

@@ -627,9 +627,10 @@ def test_undefined_function_rejected():
 def test_validate_program_lists_identifiers_and_callees():
     programs = [fixture_program(n) for n in FIXTURE_NAMES] + generate_programs(200, 0)
     for p in programs:
-        names, callees = validate_program(p)
+        names, callees, externals = validate_program(p)
         assert names == set().union(*map(all_identifiers, p.defs.values()))
         assert callees == {n: fun_names(e) for n, e in p.defs.items()}
+        assert externals == set().union(*map(free_vars, p.defs.values()))
 
 
 @pytest.mark.parametrize(
@@ -821,6 +822,26 @@ STRESS_PROGRAMS = [
         "nested lambdas in case branches",
         "main xs = case xs of { [] -> \\a b -> a; (h:t) -> \\a b -> b + h };",
         "main [1] 2 3",
+        True,
+    ),
+    # an unfolding puts the external y of f under a binder named y, which
+    # driving must rename so as not to capture it
+    (
+        "an external under an entry parameter of its name",
+        "f x = y x; main y = f 1;",
+        "main 5",
+        True,
+    ),
+    (
+        "an external under a lambda of its name",
+        "f x = y x; main a = \\y -> f 1;",
+        "main 0 7",
+        True,
+    ),
+    (
+        "an external under a kept let of its name",
+        "f x = y x; main a = let y = a + 1 in K (f 1) y y;",
+        "main 3",
         True,
     ),
 ]

@@ -26,7 +26,7 @@ from deforest import (
     supercompile,
 )
 from deforest.semantics import StuckError, eval_expr
-from deforest.syntax import alpha_eq, free_vars, select_alt, substitute
+from deforest.syntax import Program, SyntaxError_, alpha_eq, free_vars, select_alt, substitute
 
 from conftest import (
     entry_calls_for,
@@ -329,6 +329,22 @@ def test_fuel_sweep_on_atom_corner_cases():
     # the closed literal that binds the y it holds
     closed = parse_expression("[\\y -> y]", frozenset(program.defs))
     assert eval_program(program, closed, 1000).value == closed
+
+
+def test_unknown_operator_is_stuck_as_in_the_oracle():
+    # the parser makes no such operator, but a hand-built term can hold one;
+    # the machine gets stuck where step iteration does, at every fuel, and
+    # validation refuses the program before driving
+    div = PrimOp("/", IntLit(1), IntLit(2))
+    f = Lambda("x", PrimOp("%", PrimOp("*", Var("x"), IntLit(3)), IntLit(2)))
+    defs = {"f": f}
+    calls = [div, PrimOp("+", IntLit(1), div), App(Global("f"), PrimOp("-", IntLit(4), IntLit(1)))]
+    for call in calls:
+        assert eval_expr(call, defs, 100).reason in ("unknown operator '/'", "unknown operator '%'")
+        _fuel_sweep(partial(eval_expr, call, defs), call, defs)
+    for main in (div, App(f, IntLit(1))):
+        with pytest.raises(SyntaxError_, match="main: unknown operator"):
+            supercompile(Program({"main": main}, "main"))
 
 
 # Case selection: the machine looks a value up in a table built per alts
