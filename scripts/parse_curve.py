@@ -7,13 +7,14 @@ The corpus texts are those of the benchmark's `corpus` workload: the 11
 fixtures and the GENERATED programs of the test suite's generator (seed
 PROGRAM_SEED), printed.  For each text it records the number of tokens, the
 median parse time and the median build time (parse, supercompile and print)
-over REPEATS runs, in ms.  The size curve parses the first n of SIZE_PROGRAMS
-generated programs (seed SIZE_SEED), each with its function names suffixed
-so that they do not clash, concatenated into one text.  The texts come from
-this checkout's `tests/conftest.py`, whatever checkout `--src` names.  The
-flags `--src`, `--parent-src`, `--out` and `--side` are those of
-`curve_harness.run`; with `--parent-src` the sides are measured one after the
-other, not in turns.
+over REPEATS runs, in ms.  The size curve parses the first n of
+SIZE_PROGRAMS generated programs (seed SIZE_SEED), each with its function
+names suffixed so that they do not clash, concatenated into one text.  The
+texts come from this checkout's `tests/conftest.py`, whatever checkout
+`--src` names.  The flags `--src`, `--parent-src`, `--out` and `--side` are
+those of `curve_harness.run`; with `--parent-src` the sides take turns at
+every measurement (`curve_harness.alternate`), with the collector off inside
+each run.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from __future__ import annotations
 import re
 import statistics
 import sys
-import time
+from functools import partial
 from pathlib import Path
 
-from curve_harness import run
+from curve_harness import alternate, run
 
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 11
@@ -34,13 +35,18 @@ SIZE_PROGRAMS = (1, 4, 16, 64, 256, 1024)
 SIZE_SEED = 7
 
 
-def median_ms(fn, text: str) -> float:
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn(text)
-        times.append((time.perf_counter() - t0) * 1e3)
-    return statistics.median(times)
+def parse(api, text: str) -> None:
+    api.parse_program(text)
+
+
+def build(api, text: str) -> None:
+    api.pretty_program(api.supercompile(api.parse_program(text)))
+
+
+def median_ms(sides: dict, fn, text: str) -> dict[str, float]:
+    """Each side's median time of fn(api, text) over REPEATS calls, in ms."""
+    times, _ = alternate({side: partial(fn, api, text) for side, (api, _) in sides.items()}, REPEATS)
+    return {side: statistics.median(ts) * 1e3 for side, ts in times.items()}
 
 
 def corpus_texts(conftest, pretty_program) -> list[tuple[str, str]]:
@@ -62,43 +68,47 @@ def size_texts(conftest, pretty_program) -> list[str]:
     ]
 
 
-def corpus(api, texts: list[tuple[str, str]]) -> dict:
-    def build(text):
-        api.pretty_program(api.supercompile(api.parse_program(text)))
-
-    rows = []
+def corpus(sides: dict, texts: list[tuple[str, str]]) -> dict[str, dict]:
+    rows: dict[str, list[dict]] = {side: [] for side in sides}
     for name, text in texts:
-        rows.append({
-            "name": name,
-            "chars": len(text),
-            "tokens": len(api.parser.tokenize(text)),
-            "parse_ms": median_ms(api.parse_program, text),
-            "build_ms": median_ms(build, text),
-        })
-    parse = sum(r["parse_ms"] for r in rows)
-    total = sum(r["build_ms"] for r in rows)
-    print(f"corpus: parse {parse:.1f} ms of build {total:.1f} ms", file=sys.stderr)
-    return {
-        "parse_ms_sum": parse,
-        "build_ms_sum": total,
-        "parse_share": parse / total,
-        "parse_ms_p50": statistics.median(r["parse_ms"] for r in rows),
-        "build_ms_p50": statistics.median(r["build_ms"] for r in rows),
-        "programs": rows,
-    }
+        parse_ms, build_ms = median_ms(sides, parse, text), median_ms(sides, build, text)
+        for side, (api, _) in sides.items():
+            rows[side].append({
+                "name": name,
+                "chars": len(text),
+                "tokens": len(api.parser.tokenize(text)),
+                "parse_ms": parse_ms[side],
+                "build_ms": build_ms[side],
+            })
+    out = {}
+    for side, rs in rows.items():
+        parse_sum = sum(r["parse_ms"] for r in rs)
+        total = sum(r["build_ms"] for r in rs)
+        print(f"{side} corpus: parse {parse_sum:.1f} ms of build {total:.1f} ms", file=sys.stderr)
+        out[side] = {
+            "parse_ms_sum": parse_sum,
+            "build_ms_sum": total,
+            "parse_share": parse_sum / total,
+            "parse_ms_p50": statistics.median(r["parse_ms"] for r in rs),
+            "build_ms_p50": statistics.median(r["build_ms"] for r in rs),
+            "programs": rs,
+        }
+    return out
 
 
-def sizes(api, texts: list[str]) -> list[dict]:
-    rows = []
+def sizes(sides: dict, texts: list[str]) -> dict[str, list[dict]]:
+    rows: dict[str, list[dict]] = {side: [] for side in sides}
     for n in SIZE_PROGRAMS:
         text = "".join(texts[:n])
-        rows.append({
-            "programs": n,
-            "chars": len(text),
-            "tokens": len(api.parser.tokenize(text)),
-            "parse_ms": median_ms(api.parse_program, text),
-        })
-        print(f"{n} programs: {rows[-1]['parse_ms']:.2f} ms", file=sys.stderr)
+        parse_ms = median_ms(sides, parse, text)
+        for side, (api, _) in sides.items():
+            rows[side].append({
+                "programs": n,
+                "chars": len(text),
+                "tokens": len(api.parser.tokenize(text)),
+                "parse_ms": parse_ms[side],
+            })
+            print(f"{side} {n} programs: {parse_ms[side]:.2f} ms", file=sys.stderr)
     return rows
 
 
@@ -108,13 +118,10 @@ def curves(sides: dict) -> dict:
     from deforest import pretty_program  # the --src package, which conftest builds with
 
     texts, programs = corpus_texts(conftest, pretty_program), size_texts(conftest, pretty_program)
+    by_text, by_size = corpus(sides, texts), sizes(sides, programs)
     return {
-        side: {
-            "repeats": REPEATS,
-            "corpus": corpus(api, texts),
-            "sizes": sizes(api, programs),
-        }
-        for side, (api, _) in sides.items()
+        side: {"repeats": REPEATS, "corpus": by_text[side], "sizes": by_size[side]}
+        for side in sides
     }
 
 
