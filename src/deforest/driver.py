@@ -14,8 +14,8 @@ again in every case branch that meets it.  The whistle looks at `rho` only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .analysis import demand, is_annoying, strict_vars
 from .generalize import embeds, split
@@ -82,7 +82,7 @@ class MemoEntry:
     pre: list  # the whistle's symbols of term's nodes, in preorder, for `_may_embed`
     post: list  # the same, in postorder
     body: Optional[Expression] = None  # the residual definition, set by Dapp4b
-    callees: set[str] = field(default_factory=set)  # the function symbols of body
+    callees: Collection[str] = ()  # the function symbols of body
 
     @property
     def params(self) -> tuple[str, ...]:  # fv(term) in first-occurrence order
@@ -174,8 +174,7 @@ class DriveSession:
     # ------------------------------------------------------------------
 
     def _measure(self, e: Expression, context: list[RFrame]) -> Measure:
-        holes = self.holes
-        return (-len(self.rho), weight(plug_r(context, e), holes), weight(e, holes))
+        return (-len(self.rho), weight(plug_r(context, e), self.holes), weight(e, self.holes))
 
     def _emit(self, rule: str, e: Expression, context: list[RFrame], hit="", where="rho") -> None:
         """One `--trace` line: the rule, the focus's weight, the memo depth
@@ -380,8 +379,8 @@ class DriveSession:
 
         # (1) fold: the term is a renaming of an ancestor or of a completed
         # recursive activation, so it becomes a call of that one's definition
-        table = self.done.get(_table_key(key), ())
-        for entries, where in ((reversed(self.rho), "rho"), (table, "table")):
+        finished = self.done.get(_table_key(key), ())
+        for entries, where in ((reversed(self.rho), "rho"), (finished, "table")):
             for entry in entries:
                 sigma = match_keys(entry.key, key)
                 if sigma is not None:
