@@ -149,7 +149,7 @@ class DriveSession:
     they completed; `done` indexes the same entries by their key's (shape,
     globals), for the global fold.  A rollback takes the entries of the
     abandoned drive out of both.  `holes` names the generalization holes,
-    which R11/R12 do not copy and the measure weighs 1.
+    which `_copied` does not copy and the measure weighs 1.
     """
 
     def __init__(
@@ -239,25 +239,25 @@ class DriveSession:
                     e, context = lhs, context + [("prim_l", op, rhs)]
             elif t is Let:
                 x, v, body = e.binder, e.bound, e.body
-                if self._copied(v):
-                    # R11, R12 on a let R9 or R16 did not make (from the
-                    # source, say)
-                    self._emit("R11" if type(v) is IntLit else "R12", e, context)
-                    e, context = _refocus(substitute({x: v}, body), context)
-                    continue
-                self._emit("R13", e, context)  # R13
-                strict, uses = demand(body, x)
-                if self.explain_strict is not None:
-                    self.explain_strict(
-                        f"let {x}: strict={{{', '.join(sorted(strict_vars(body)))}}} "
-                        f"linear={uses <= 1}"
-                    )
-                if strict and uses <= 1:
-                    e, context = _refocus(substitute({x: v}, body), context)
-                    continue
-                x, body = self._rebind(x, body, free_vars(plug_r(context, IntLit(0))))
-                bound = self.drive(v, [], me)
-                return Let(x, bound, self.drive(*_refocus(body, context), me))
+                if not self._copied(v):
+                    self._emit("R13", e, context)  # R13
+                    strict, uses = demand(body, x)
+                    if self.explain_strict is not None:
+                        self.explain_strict(
+                            f"let {x}: strict={{{', '.join(sorted(strict_vars(body)))}}} "
+                            f"linear={uses <= 1}"
+                        )
+                    if strict and uses <= 1:
+                        e, context = _refocus(substitute({x: v}, body), context)
+                        continue
+                    x, body = self._rebind(x, body, free_vars(plug_r(context, IntLit(0))))
+                    v = self.drive(v, [], me)
+                    if not self._copied(v):
+                        return Let(x, v, self.drive(*_refocus(body, context), me))
+                # R11, R12 on a let that R9 or R16 did not make (from the
+                # source, say), or whose bound term R13 drove to a value
+                self._emit("R11" if type(v) is IntLit else "R12", e, context)
+                e, context = _refocus(substitute({x: v}, body), context)
             elif t is Case:
                 scrut, alts = e.scrutinee, e.alts
                 ts = type(scrut)
@@ -307,11 +307,17 @@ class DriveSession:
     # ------------------------------------------------------------------
 
     def _copied(self, v: Expression) -> bool:
-        """R11/R12's test: a let's body takes v in place of its binder.  A
-        generalization hole is not copied, so its filling is not duplicated.
+        """v is a value that costs nothing to copy, so a binder's uses take v
+        in its place: the test of R11/R12, of R13 on the bound term it drove,
+        and of `_fresh_lets`.  A generalization hole is not copied, so its
+        filling is not duplicated, and a function symbol is copied only when
+        its definition is a lambda: a definition without parameters may
+        diverge, and a copy that is never used would drop that.
         """
         t = type(v)
-        return t is IntLit or t is Global or t is Var and v.name not in self.holes
+        if t is Global:
+            return type(self.G.get(v.name)) is Lambda
+        return t is IntLit or t is CtorApp and not v.args or t is Var and v.name not in self.holes
 
     def _rebind(self, x: str, body: Expression, clash=()) -> tuple[str, Expression]:
         """A binder x over body as driving emits it: renamed to a fresh name

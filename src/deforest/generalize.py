@@ -226,8 +226,10 @@ def split(
     t1: Expression, t2: Expression, supply=None
 ) -> tuple[Expression, list[Expression], list[str]]:
     """(common, parts, holes): substituting parts for holes in the common
-    term rebuilds t1 exactly.  With agreeing head symbols this is the msg;
-    otherwise every child of t1 that the msg would pair becomes a hole.
+    term rebuilds t1 exactly.  With agreeing head symbols this is the msg,
+    unless the msg is a bare hole; otherwise every child of t1 that the msg
+    would pair becomes a hole, as in Sørensen, Glück & Jones's split for a
+    trivial msg.  So no part is t1 itself.
     """
     if supply is None:
         supply = FreshSupply(free_vars(t1) | free_vars(t2))
@@ -235,7 +237,10 @@ def split(
     tree = _pair(t1, t2, varmap)
     if tree[0] == _PNODE:
         g = _render_pairs(tree, varmap, supply)
-        return g.common, [g.theta1[h] for h in g.holes], list(g.holes)
+        if type(g.common) is not Var:
+            return g.common, [g.theta1[h] for h in g.holes], list(g.holes)
+        # the msg generalized the whole pair: its only part would be t1, and
+        # driving t1 would meet the same pair again
     kids = children(t1)
     parts = list(kids[: _paired(t1, t1) or 0])
     if not parts:

@@ -28,6 +28,7 @@ from deforest import (
     supercompile,
 )
 from deforest import driver
+from deforest.cli import PASSING, _verdict
 from deforest.analysis import is_annoying
 from deforest.driver import DriveSession, _refocus, plug_r, reachable
 from deforest.generalize import embeds
@@ -60,6 +61,7 @@ from conftest import (
     generate_programs,
     subterms,
 )
+import grammar_fuzz
 
 
 def test_constants_fold_during_driving():
@@ -80,6 +82,56 @@ def test_global_bindings_propagate_like_variables():
     out = supercompile(p)
     _, body = unfold_lambdas(out.defs["main"])
     assert body == PrimOp("*", Var("y"), Var("y"))
+
+
+def _checked(text, entry, fuel=1000):
+    """The residual of text as printed, after `check`'s comparison of the
+    original with it on entry passes.
+    """
+    program = parse_program(text)
+    residual = supercompile(program)
+    call = parse_expression(entry, frozenset(program.defs))
+    before, after = eval_program(program, call, fuel), eval_program(residual, call, fuel)
+    assert _verdict(before, after) in PASSING, (before, after)
+    return pretty_program(residual), after
+
+
+def test_let_whose_bound_term_drives_to_a_value_is_substituted():
+    # R13 keeps these lets, whose binders are used twice, drives the bound
+    # term, and substitutes the value it drives to
+    cases = [
+        ("main y = let x = 2 + 1 in x * x;", "main y = 9;\n"),
+        ("main y = let x = (\\a -> a) y in K x x;", "main y = K y y;\n"),
+        ("main y = let t = (\\a -> []) y in K t t;", "main y = K [] [];\n"),
+        ("f1 = 5; main x = let y = f1 in y + y;", "main x = 10;\n"),
+    ]
+    for text, residual in cases:
+        assert _checked(text, "main 1")[0] == residual
+
+
+def test_divergent_bound_terms_are_kept():
+    # R13 keeps a let whose bound term diverges; and a global without
+    # parameters is not a value, so f0 does not drop the copy of f1
+    cases = [
+        ("loop n = loop n; main b = let x = loop 1 in 5;",
+         "h1 u1 = h1 0;\nmain b = let x = h1 0 in 5;\n"),
+        ("f1 = f1; f0 y = 0; main x = f0 f1;",
+         "h2 u1 = h2 0;\nmain x = let y1 = h2 0 in 0;\n"),
+    ]
+    for text, residual in cases:
+        printed, after = _checked(text, "main 1")
+        assert printed == residual
+        assert after.kind == "out_of_fuel"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_grammar_fuzz_keeps_termination_and_values(seed):
+    tally = grammar_fuzz.fuzz(seed, 500)
+    assert tally.refused < tally.programs // 4
+    assert not tally.unbuilt, tally.unbuilt[0]
+    assert not tally.to_value, tally.to_value[0]
+    assert not tally.value_diffs, tally.value_diffs[0]
+    assert not tally.unfolds_grow, tally.unfolds_grow[0]
 
 
 def test_strict_linear_let_is_substituted():
@@ -297,12 +349,12 @@ def test_case_of_constructor_lets_keep_their_context():
     # the frame `[] * 2` instead of a let wrapped around the plugged context;
     # y takes h's place in the walk that renames t, so no R12 comes between
     lines = []
-    p = parse_program("main y = (case Cons y Nil of { (h:t) -> h + 1 }) * 2;")
+    p = parse_program("main y = (case Cons y (Cons y Nil) of { (h:t) -> h + 1 }) * 2;")
     residual = supercompile(p, trace=lines.append)
     rules = [line.split()[0] for line in lines]
     after = lines[rules.index("R16") + 1]
     assert after.startswith("R13 ") and after.endswith(" depth=1")
-    assert program_alpha_eq(residual, parse_program("main y = let t = [] in (y + 1) * 2;"))
+    assert program_alpha_eq(residual, parse_program("main y = let t = [y] in (y + 1) * 2;"))
 
 
 def decompose(e, context=()):
@@ -689,13 +741,16 @@ def test_upward_generalization_request_names_the_filled_holes():
         " (h6 : t3) -> h5 t3 (case t3 of { [] -> h6 * n3; (h25 : t25) -> h6 * h6 })"
         " h21 z4 };"
         "main inp = case inp of {"
-        " [] -> let n1 = 0 in 3 - n1 * (n1 + n1) + (n1 + (1 - n1));"
+        " [] -> 1;"
         " (h21 : t21) -> h5 t21 h21 h21 t21 };"
     )
     residual = supercompile(p)
     assert program_alpha_eq(residual, expected), pretty_program(residual)
     call = parse_expression("main [1, 2]", frozenset({"main"}))
     assert eval_program(residual, call).steps == 27
+    # the [] branch's n drives to 0 and is substituted, so the branch folds
+    call = parse_expression("main []", frozenset({"main"}))
+    assert eval_program(residual, call).steps == 3
 
 
 STRESS_PROGRAMS = [
@@ -842,6 +897,19 @@ STRESS_PROGRAMS = [
         "main 3",
         True,
     ),
+    # both run out of fuel on either side, as `check` passes them
+    (
+        "diverges: a global without parameters passed to a function that drops it",
+        "f1 = f1; f0 y = 0; main x = f0 f1;",
+        "main 1",
+        True,
+    ),
+    (
+        "diverges: a generalization whose msg is a bare hole",
+        "f1 b x = case f1 x g of { 0 -> b; x -> 0 }; main = f1 y y 0;",
+        "main",
+        True,
+    ),
 ]
 
 
@@ -854,6 +922,10 @@ def test_stress_programs_preserved_and_improved(label, src, entry, measure_holds
     program = parse_program(src)
     residual = supercompile(program, assert_measure=measure_holds)
     call = parse_expression(entry, frozenset(program.defs))
+    if label.startswith("diverges:"):
+        before, after = eval_program(program, call, 1000), eval_program(residual, call, 1000)
+        assert _verdict(before, after) == "both-out-of-fuel"
+        return
     before = eval_program(program, call, 1_000_000)
     after = eval_program(residual, call, 1_000_000)
     assert before.kind == after.kind == "value"

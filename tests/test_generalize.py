@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from deforest import (
     App,
+    Case,
     CtorApp,
     Global,
     IntLit,
@@ -442,6 +443,26 @@ def test_split_reassembly_random(t1, t2):
     common, parts, holes = split(t1, t2)
     rebuilt = substitute(dict(zip(holes, parts)), common)
     assert alpha_eq(rebuilt, t1)
+
+
+def test_split_no_part_is_the_whole_term():
+    # y meets g in the scrutinee and stands for itself in the alternatives,
+    # so the msg generalizes the whole pair; a part that is the whole term
+    # would be driven into the same pair again, forever
+    t1 = parse_expression("case f1 y g of { 0 -> y; x -> 0 }", frozenset({"f1"}))
+    t2 = parse_expression("case f1 g g of { 0 -> y; x -> 0 }", frozenset({"f1"}))
+    g = msg(t1, t2)
+    assert g.common == Var(g.holes[0])
+    common, parts, holes = split(t1, t2)
+    assert parts == [t1.scrutinee]
+    assert common == Case(Var(holes[0]), t1.alts)
+
+
+@given(expressions(9), expressions(9))
+@settings(max_examples=300, deadline=None)
+def test_split_parts_are_proper_subterms(t1, t2):
+    _, parts, _ = split(t1, t2)
+    assert t1 not in parts
 
 
 def test_wqo_smoke_long_sequences_whistle():
