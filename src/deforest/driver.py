@@ -15,6 +15,7 @@ again in every case branch that meets it.  The whistle looks at `rho` only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_not
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .analysis import demand, is_annoying, strict_vars
@@ -433,7 +434,7 @@ class DriveSession:
         called = fun_names(e)
         if h in reachable(called, self.table):  # (4b)
             self._emit("Dapp4b", term, context)
-            new.body = fold_lambdas(list(new.params) or [self.supply.var("u")], e)
+            new.body = fold_lambdas(new.params, e)
             new.callees = called
             self.table[h] = new
             self.done.setdefault(_table_key(key), []).append(new)
@@ -474,8 +475,10 @@ def _table_key(key: Key) -> tuple:
 
 
 def _call(entry: MemoEntry, sigma: dict[str, str]) -> Expression:
-    """The call of entry's definition on the renaming sigma of its parameters."""
-    return fold_apps(Global(entry.name), [Var(sigma[p]) for p in entry.params] or [IntLit(0)])
+    """The call of entry's definition on the renaming sigma of its parameters;
+    an entry without parameters is a definition without them, called bare.
+    """
+    return fold_apps(Global(entry.name), [Var(sigma[p]) for p in entry.params])
 
 
 def reachable(names: Iterable[str], table: dict[str, MemoEntry], source: dict = {}) -> set[str]:
@@ -494,6 +497,39 @@ def reachable(names: Iterable[str], table: dict[str, MemoEntry], source: dict = 
     return out
 
 
+def _take_definition(table: dict[str, MemoEntry], h: str, name: str) -> Expression:
+    """h's residual definition, made the definition of the entry `name` that
+    forwards to h: h leaves table, and each call of h becomes a call of name,
+    in h's body and in the definitions whose callees hold h, as no other
+    calls h.  The caller checks that name occurs nowhere in the source but
+    as its definition's name, so no binder captures the renamed calls when
+    the residual is printed and read back.
+    """
+    target = table.pop(h)
+    for entry in (target, *table.values()):
+        if h in entry.callees:
+            entry.body = _rename_calls(entry.body, h, name)
+            entry.callees = {*entry.callees} - {h} | {name}
+    return target.body
+
+
+def _rename_calls(e: Expression, old: str, new: str) -> Expression:
+    """e with each occurrence of the function symbol old made one of new;
+    only the paths to them are rebuilt.
+    """
+    t = type(e)
+    if t is Global:
+        return Global(new) if e.name == old else e
+    if t is App:  # the spine of a call, inline: most nodes of a residual body
+        fun, arg = _rename_calls(e.fun, old, new), _rename_calls(e.arg, old, new)
+        return e if fun is e.fun and arg is e.arg else App(fun, arg)
+    if t is Var or t is IntLit:
+        return e
+    kids = children(e)
+    renamed = [_rename_calls(c, old, new) for c in kids]
+    return rebuild(e, renamed) if any(map(is_not, kids, renamed)) else e
+
+
 def supercompile(
     program: Program,
     trace: Optional[Callable[[str], None]] = None,
@@ -502,7 +538,9 @@ def supercompile(
 ) -> Program:
     """Drive the entry definition and assemble a whole program: the original
     definitions, then the session's table, then the new entry, keeping those
-    that the entry reaches.
+    that the entry reaches.  An entry whose residual only calls a table
+    definition on its own parameters, in order, takes that definition
+    instead (`_take_definition`), which spares each entry call a call.
     """
     identifiers, source_callees, externals = validate_program(program)
     if program.entry not in program.defs:
@@ -519,11 +557,23 @@ def supercompile(
     for i, x in enumerate(params):
         params[i], body = session._rebind(x, body)
     residual = session.drive(body, [])
+    entry_def = fold_lambdas(params, residual)
+    head, args = unfold_apps(residual)
+    target = session.table.get(head.name) if type(head) is Global else None
+    if (  # the entry forwards its parameters, distinct and in order, to target
+        target is not None
+        and len(target.params) == len(params) == len(set(params))
+        and args == [Var(p) for p in params]
+        and program.entry not in identifiers
+    ):
+        entry_def = _take_definition(session.table, head.name, program.entry)
+        source_callees[program.entry] = target.callees
+    else:
+        source_callees[program.entry] = fun_names(entry_def)
 
     defs = {**program.defs, **{h: entry.body for h, entry in session.table.items()}}
     del defs[program.entry]
-    defs[program.entry] = fold_lambdas(params, residual)
-    source_callees[program.entry] = fun_names(defs[program.entry])
+    defs[program.entry] = entry_def
     keep = reachable([program.entry], session.table, source_callees)
     if unknown := keep - set(defs):
         raise DriverError(f"residual references unknown functions {sorted(unknown)}")

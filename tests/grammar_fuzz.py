@@ -18,9 +18,10 @@ Each program gets CALLS entry calls of `main` on closed arguments, run at
 FUEL on the original and on the residual.  `fuzz` tallies each pair of
 outcome kinds and lists the faults: a program that validates but does not
 build, a value that differs (`cli._same_value`), and a value call whose
-residual takes more `unfolds`.  The test suite asserts that these lists are
-empty and that no call flips from out of fuel or stuck to a value: driving
-must neither end a divergent program nor make a stuck one go on.
+residual takes more `calls` or more `unfolds`.  The test suite asserts that
+these lists are empty and that no call flips from out of fuel or stuck to a
+value: driving must neither end a divergent program nor make a stuck one go
+on.  Run as a script, it exits 1 when any of these lists is not empty.
 """
 
 from __future__ import annotations
@@ -118,9 +119,9 @@ class Tally:
     refused: int = 0
     outcomes: Counter = field(default_factory=Counter)  # (original kind, residual kind)
     steps: list[int] = field(default_factory=lambda: [0, 0])  # over calls that give values
-    calls_grow: int = 0
     unbuilt: list = field(default_factory=list)  # (text, error)
     value_diffs: list = field(default_factory=list)  # (text, entry)
+    calls_grow: list = field(default_factory=list)  # (text, entry)
     unfolds_grow: list = field(default_factory=list)  # (text, entry)
     to_value: list = field(default_factory=list)  # (text, entry, original kind)
 
@@ -158,9 +159,10 @@ def fuzz(seed: int, count: int) -> Tally:
                 continue
             tally.steps[0] += before.steps
             tally.steps[1] += after.steps
-            tally.calls_grow += after.calls > before.calls
             if not _same_value(before.value, after.value):
                 tally.value_diffs.append((text, entry))
+            if after.calls > before.calls:
+                tally.calls_grow.append((text, entry))
             if after.unfolds > before.unfolds:
                 tally.unfolds_grow.append((text, entry))
     return tally
@@ -171,18 +173,21 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, action="append", help="a stream to draw (repeatable)")
     ap.add_argument("--programs", type=int, default=1500, help="programs per seed")
     args = ap.parse_args(argv)
+    failed = False
     for seed in args.seed or [1]:
         t = fuzz(seed, args.programs)
         print(f"seed {seed}: {t.programs} programs, {t.refused} refused")
         for (a, b), n in sorted(t.outcomes.items()):
             print(f"  {a} -> {b}: {n}")
-        print(f"  value calls: steps {t.steps[0]} -> {t.steps[1]}, calls grow on {t.calls_grow}")
+        print(f"  value calls: steps {t.steps[0]} -> {t.steps[1]}")
         for label, items in (("unbuilt", t.unbuilt), ("value differs", t.value_diffs),
-                             ("unfolds grow", t.unfolds_grow), ("to a value", t.to_value)):
+                             ("calls grow", t.calls_grow), ("unfolds grow", t.unfolds_grow),
+                             ("to a value", t.to_value)):
             print(f"  {label}: {len(items)}")
             for item in items[:3]:
                 print("   ", " | ".join(map(str, item)).replace("\n", " "))
-    return 0
+            failed = failed or bool(items)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -38,7 +38,8 @@ def test_build_writes_residual(tmp_path, capsys):
     )
     assert code == 0
     text = out_file.read_text()
-    assert "main xs ys zs = h1 xs ys zs;" in text
+    assert text.startswith("h3 xs'1 zs = case xs'1 of")
+    assert "(x3 : xs'3) -> x3 : main xs'3 ys zs };" in text
 
 
 def test_build_stdout_deterministic(capsys):

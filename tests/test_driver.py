@@ -114,9 +114,9 @@ def test_divergent_bound_terms_are_kept():
     # parameters is not a value, so f0 does not drop the copy of f1
     cases = [
         ("loop n = loop n; main b = let x = loop 1 in 5;",
-         "h1 u1 = h1 0;\nmain b = let x = h1 0 in 5;\n"),
+         "h1 = h1;\nmain b = let x = h1 in 5;\n"),
         ("f1 = f1; f0 y = 0; main x = f0 f1;",
-         "h2 u1 = h2 0;\nmain x = let y1 = h2 0 in 0;\n"),
+         "h2 = h2;\nmain x = let y1 = h2 in 0;\n"),
     ]
     for text, residual in cases:
         printed, after = _checked(text, "main 1")
@@ -131,6 +131,7 @@ def test_grammar_fuzz_keeps_termination_and_values(seed):
     assert not tally.unbuilt, tally.unbuilt[0]
     assert not tally.to_value, tally.to_value[0]
     assert not tally.value_diffs, tally.value_diffs[0]
+    assert not tally.calls_grow, tally.calls_grow[0]
     assert not tally.unfolds_grow, tally.unfolds_grow[0]
 
 
@@ -495,18 +496,19 @@ def test_driving_and_eval_fit_the_default_recursion_limit():
 @pytest.mark.parametrize("k", range(2, 13))
 def test_append_chain_has_one_definition_per_append(k):
     # a term driven in one case branch and met again in its sibling folds
-    # into the definition completed for it, so the chain yields k+1
-    # definitions and not 2^(k-1)+1; counting trace lines keeps it exact
+    # into the definition completed for it, so the chain yields k
+    # definitions and not 2^(k-1)+1 (the entry takes the definition it
+    # forwards to); counting trace lines keeps it exact
     lines = []
     residual = supercompile(parse_program(append_chain(k)), trace=lines.append)
-    assert len(residual.defs) == k + 1
+    assert len(residual.defs) == k
     assert sum(line.startswith("Dapp4 ") for line in lines) <= k * k
 
 
 def test_append_chain_definitions_differ_modulo_renaming():
     residual = supercompile(parse_program(append_chain(6)))
     shapes = [canonical(body).shape for body in residual.defs.values()]
-    assert len(set(shapes)) == len(shapes) == 7
+    assert len(set(shapes)) == len(shapes) == 6
     call = parse_expression("main [1] [2, 3] [] [4] [5, 6] [7] [8]", frozenset({"main"}))
     assert eval_program(residual, call).value == parse_expression("[1, 2, 3, 4, 5, 6, 7, 8]")
 
@@ -631,18 +633,71 @@ def test_sibling_source_letrecs_keep_their_own_definitions():
 
 def test_activation_called_back_only_from_a_nested_definition_stays_a_function():
     # h1 (for f xs) calls h2 (for g t), and only h2's definition calls h1;
-    # Dapp4b must see that call through the table, or h1 is inlined and lost
+    # Dapp4b must see that call through the table, or h1 is inlined and lost.
+    # The entry forwards to h1 and takes its definition, and the rename
+    # reaches h2's call of h1
     p = parse_program(
         "f xs = case xs of { [] -> 0; (a:t) -> g t };\n"
         "g ys = case ys of { [] -> 1; (b:u) -> g u + f u };\n"
         "main xs = f xs;"
     )
     expected = parse_program(
-        "h2 t = case t of { [] -> 1; (b:u) -> h2 u + h1 u };\n"
-        "h1 xs = case xs of { [] -> 0; (a:t) -> h2 t };\n"
-        "main xs = h1 xs;"
+        "h2 t = case t of { [] -> 1; (b:u) -> h2 u + main u };\n"
+        "main xs = case xs of { [] -> 0; (a:t) -> h2 t };"
     )
     assert program_alpha_eq(supercompile(p), expected)
+
+
+def test_entry_keeps_a_call_on_its_parameters_out_of_order():
+    printed, _ = _checked(
+        "f x y = case x of { [] -> y; (h:t) -> h : f t y }; main a b = f b a;", "main [1] [2]"
+    )
+    assert printed.endswith("main a b = h1 b a;\n")
+
+
+def test_closed_divergent_entry_becomes_a_call_of_itself():
+    # a closed activation is a definition without parameters, called bare,
+    # and the entry that only calls it takes its definition
+    program = parse_program("f n = f n; main = f 1;")
+    residual = supercompile(program)
+    assert pretty_program(residual) == "main = main;\n"
+    call = parse_expression("main", frozenset({"main"}))
+    for fuel in (10, 100, 20_000):
+        before, after = eval_program(program, call, fuel), eval_program(residual, call, fuel)
+        assert before.kind == after.kind == "out_of_fuel"
+        assert after.unfolds == fuel
+
+
+def test_entry_named_like_a_binder_keeps_its_call():
+    # renamed calls of `main` under a binder `main` would read back as that
+    # variable, so the entry keeps forwarding
+    program = parse_program(
+        "f xs = case xs of { [] -> 0; (a:t) -> let main = a * a in main + main + f t };\n"
+        "main xs = f xs;"
+    )
+    residual = supercompile(program)
+    assert unfold_apps(unfold_lambdas(residual.defs["main"])[1])[0] == Global("h1")
+    assert program_alpha_eq(parse_program(pretty_program(residual)), residual)
+
+
+def test_no_residual_entry_forwards_its_parameters_to_a_table_definition():
+    # no entry of generate_programs(40) drives to a forwarding call; five
+    # fixtures and five of generate_programs(200, 2) do
+    programs = (
+        [fixture_program(name) for name in FIXTURE_NAMES]
+        + generate_programs(40)
+        + generate_programs(200, 2)
+    )
+    for program in programs:
+        residual = supercompile(program)
+        params, body = unfold_lambdas(residual.defs[program.entry])
+        head, args = unfold_apps(body)
+        assert not (
+            type(head) is Global
+            and head.name in residual.defs
+            and head.name not in program.defs
+            and args == [Var(x) for x in params]
+        ), pretty_program(residual)
 
 
 def test_golden_comparison_respects_shadowing():
