@@ -14,7 +14,8 @@ let and lambda programs below.  For each program it prints the residual
 text, the `--explain-strict` lines, the number of `--trace` lines per rule,
 and the `--assert-measure` verdict with its message; for every entry call
 of a fixture manifest it prints `kind calls allocs steps unfolds` on the
-original and on the residual.
+original and on the residual.  A residual whose text does not parse back
+to it (modulo renaming) gets one `no read-back:` line with the reason.
 """
 
 from __future__ import annotations
@@ -86,7 +87,13 @@ def report(api, label: str, program, manifest: Optional[dict]) -> None:
     lines: list[str] = []
     explained: list[str] = []
     residual = api.supercompile(program, trace=lines.append, explain_strict=explained.append)
-    print(api.pretty_program(residual), end="")
+    text = api.pretty_program(residual)
+    print(text, end="")
+    try:
+        if not api.program_alpha_eq(api.parse_program(text), residual):
+            print("no read-back: the text parses to another program")
+    except api.ParseError as err:
+        print("no read-back:", str(err).replace("\n", " "))
     for line in explained:
         print("explain", line)
     rules = Counter(line.split(" ", 1)[0] for line in lines)

@@ -142,10 +142,11 @@ Measure = tuple[int, int, int]
 class DriveSession:
     """One drive of an entry definition, and the one record of it.  `G`
     holds the program's definitions, which Dapp4 unfolds and nothing
-    changes; `externals` holds their free variables, which no binder that
-    driving emits may capture (`supercompile` fills it).  `rho` is the memo
-    stack of the activations being driven, innermost last; Dapp4 pushes and
-    pops it.  `table` maps the name of each finished recursive activation to
+    changes; `externals` holds their free variables (`supercompile` fills
+    it).  No binder that driving emits has the name of an external or of a
+    definition, so none captures an external or hides a function symbol.
+    `rho` is the memo stack of the activations being driven, innermost
+    last; Dapp4 pushes and pops it.  `table` maps the name of each finished recursive activation to
     its memo entry, whose `body` is the residual definition, in the order
     they completed; `done` indexes the same entries by their key's (shape,
     globals), for the global fold.  A rollback takes the entries of the
@@ -323,9 +324,11 @@ class DriveSession:
     def _rebind(self, x: str, body: Expression, clash=()) -> tuple[str, Expression]:
         """A binder x over body as driving emits it: renamed to a fresh name
         if it would capture an external, which an unfolding may put under
-        it, or a name in clash.
+        it, if it has the name of a definition, a call of which an unfolding
+        may put under it and the printed residual would read back as the
+        variable, or if it is a name in clash.
         """
-        if x in self.externals or x in clash:
+        if x in self.externals or x in self.G or x in clash:
             x2 = self.supply.var(x)
             return x2, substitute({x: Var(x2)}, body)
         return x, body
@@ -481,36 +484,18 @@ def _call(entry: MemoEntry, sigma: dict[str, str]) -> Expression:
     return fold_apps(Global(entry.name), [Var(sigma[p]) for p in entry.params])
 
 
-def reachable(names: Iterable[str], table: dict[str, MemoEntry], source: dict = {}) -> set[str]:
-    """The function symbols in names and those they call, through the
-    residual definitions of table and the definitions whose function
-    symbols source lists.
-    """
+def reachable(names: Iterable[str], table: dict[str, MemoEntry]) -> set[str]:
+    """The function symbols in names and those they call through the
+    residual definitions of table."""
     out: set[str] = set()
     stack = list(names)
     while stack:
         n = stack.pop()
         if n not in out:
             out.add(n)
-            entry = table.get(n)
-            stack.extend(source.get(n, ()) if entry is None else entry.callees)
+            if n in table:
+                stack.extend(table[n].callees)
     return out
-
-
-def _take_definition(table: dict[str, MemoEntry], h: str, name: str) -> Expression:
-    """h's residual definition, made the definition of the entry `name` that
-    forwards to h: h leaves table, and each call of h becomes a call of name,
-    in h's body and in the definitions whose callees hold h, as no other
-    calls h.  The caller checks that name occurs nowhere in the source but
-    as its definition's name, so no binder captures the renamed calls when
-    the residual is printed and read back.
-    """
-    target = table.pop(h)
-    for entry in (target, *table.values()):
-        if h in entry.callees:
-            entry.body = _rename_calls(entry.body, h, name)
-            entry.callees = {*entry.callees} - {h} | {name}
-    return target.body
 
 
 def _rename_calls(e: Expression, old: str, new: str) -> Expression:
@@ -536,13 +521,16 @@ def supercompile(
     assert_measure: bool = False,
     explain_strict: Optional[Callable[[str], None]] = None,
 ) -> Program:
-    """Drive the entry definition and assemble a whole program: the original
-    definitions, then the session's table, then the new entry, keeping those
-    that the entry reaches.  An entry whose residual only calls a table
-    definition on its own parameters, in order, takes that definition
-    instead (`_take_definition`), which spares each entry call a call.
+    """Drive the entry definition and assemble a whole program: the
+    definitions that one walk from the new entry reaches, in the order of the
+    original definitions, the session's table, the entry.  An entry whose
+    residual only calls a table definition h on its own parameters, in order,
+    takes h's definition instead, and the walk makes each call of h a call of
+    the entry, which spares each entry call a call.  The entry's name occurs
+    nowhere in the source but as its definition's name, so no binder captures
+    those calls when the residual is printed and read back.
     """
-    identifiers, source_callees, externals = validate_program(program)
+    identifiers, externals = validate_program(program)
     if program.entry not in program.defs:
         raise SyntaxError_(f"no entry definition {program.entry!r}")
     session = DriveSession(
@@ -557,27 +545,35 @@ def supercompile(
     for i, x in enumerate(params):
         params[i], body = session._rebind(x, body)
     residual = session.drive(body, [])
-    entry_def = fold_lambdas(params, residual)
+    defs = {**program.defs, **{h: entry.body for h, entry in session.table.items()}}
+    del defs[program.entry]
     head, args = unfold_apps(residual)
-    target = session.table.get(head.name) if type(head) is Global else None
+    h = head.name if type(head) is Global else None
+    target = session.table.get(h)
     if (  # the entry forwards its parameters, distinct and in order, to target
         target is not None
         and len(target.params) == len(params) == len(set(params))
         and args == [Var(p) for p in params]
         and program.entry not in identifiers
     ):
-        entry_def = _take_definition(session.table, head.name, program.entry)
-        source_callees[program.entry] = target.callees
+        defs[program.entry] = defs.pop(h)
     else:
-        source_callees[program.entry] = fun_names(entry_def)
-
-    defs = {**program.defs, **{h: entry.body for h, entry in session.table.items()}}
-    del defs[program.entry]
-    defs[program.entry] = entry_def
-    keep = reachable([program.entry], session.table, source_callees)
-    if unknown := keep - set(defs):
-        raise DriverError(f"residual references unknown functions {sorted(unknown)}")
-    return Program({n: e for n, e in defs.items() if n in keep}, program.entry)
+        h = None  # no call is renamed
+        defs[program.entry] = fold_lambdas(params, residual)
+    kept: dict[str, Optional[Expression]] = {}  # None for a name without a definition
+    stack = [program.entry]
+    while stack:
+        n = stack.pop()
+        if n not in kept:
+            body = kept[n] = defs.get(n)
+            called = fun_names(body) if body is not None else set()
+            if h in called:
+                kept[n] = _rename_calls(body, h, program.entry)
+                called.discard(h)
+            stack.extend(called)
+    if unknown := sorted(n for n, body in kept.items() if body is None):
+        raise DriverError(f"residual references unknown functions {unknown}")
+    return Program({n: kept[n] for n in defs if n in kept}, program.entry)
 
 
 # ---------------------------------------------------------------------------

@@ -425,26 +425,18 @@ def substitute(mapping: dict[str, Expression], e: Expression) -> Expression:
     """
     if not mapping:
         return e
-    return _substitute(e, mapping, {})
-
-
-def _value_fvs(x: str, m: dict[str, Expression], fvs: dict[str, set[str]]) -> set[str]:
-    """free_vars(m[x]), computed once, and only where a binder could capture it."""
-    out = fvs.get(x)
-    if out is None:
-        v = m[x]
-        out = fvs[x] = {v.name} if type(v) is Var else free_vars(v)
-    return out
+    return _substitute(e, mapping, None)
 
 
 _CLOSED_LEAVES = (IntLit, Global)  # the leaves that no substitution changes
 
 
-def _substitute(e: Expression, m: dict[str, Expression], fvs: dict[str, set[str]]) -> Expression:
-    """substitute(m, e), with fvs the cache of `_value_fvs`.  A node none of
-    whose children changes is returned as it is, so only the paths to the
-    replaced variables are rebuilt.  A node that binds nothing is rebuilt
-    from its fields, with a variable, integer or global child done inline.
+def _substitute(e: Expression, m: dict[str, Expression], vfv: Optional[set[str]]) -> Expression:
+    """substitute(m, e), with vfv None or the free variables of the values of
+    the mapping that m restricts.  A node none of whose children changes is
+    returned as it is, so only the paths to the replaced variables are
+    rebuilt.  A node that binds nothing is rebuilt from its fields, with a
+    variable, integer or global child done inline.
     """
     t = type(e)
     if t is Var:
@@ -452,8 +444,8 @@ def _substitute(e: Expression, m: dict[str, Expression], fvs: dict[str, set[str]
     if t is App or t is PrimOp:
         a, b = (e.fun, e.arg) if t is App else (e.lhs, e.rhs)
         ta, tb = type(a), type(b)
-        a2 = m.get(a.name, a) if ta is Var else a if ta in _CLOSED_LEAVES else _substitute(a, m, fvs)
-        b2 = m.get(b.name, b) if tb is Var else b if tb in _CLOSED_LEAVES else _substitute(b, m, fvs)
+        a2 = m.get(a.name, a) if ta is Var else a if ta in _CLOSED_LEAVES else _substitute(a, m, vfv)
+        b2 = m.get(b.name, b) if tb is Var else b if tb in _CLOSED_LEAVES else _substitute(b, m, vfv)
         if a2 is a and b2 is b:
             return e
         return App(a2, b2) if t is App else PrimOp(e.op, a2, b2)
@@ -462,45 +454,48 @@ def _substitute(e: Expression, m: dict[str, Expression], fvs: dict[str, set[str]
         changed = False
         for c in e.args:
             tc = type(c)
-            k = m.get(c.name, c) if tc is Var else c if tc in _CLOSED_LEAVES else _substitute(c, m, fvs)
+            k = m.get(c.name, c) if tc is Var else c if tc in _CLOSED_LEAVES else _substitute(c, m, vfv)
             changed = changed or k is not c
             kids.append(k)
         return CtorApp(e.ctor, tuple(kids)) if changed else e
     if t is Lambda or t is Let or t is Case:
-        return _substitute_scopes(e, m, fvs)
+        return _substitute_scopes(e, m, vfv)
     return e
 
 
-def _substitute_scopes(e: Expression, m: dict, fvs: dict) -> Expression:
-    """`_substitute` on a node that binds variables over some of its children."""
+def _substitute_scopes(e: Expression, m: dict, vfv: Optional[set[str]]) -> Expression:
+    """`_substitute` on a node that binds variables over some of its
+    children, where vfv is computed if it is None.  Only a binder in vfv can
+    capture, and only one that shadows a key of m copies m."""
+    if vfv is None:
+        vfv = set().union(*[{v.name} if type(v) is Var else free_vars(v) for v in m.values()])
     kids = []
     changed = False
     for i, (c, bs) in enumerate(scopes(e)):
         m2 = m
         if bs:
-            m2 = {x: v for x, v in m.items() if x not in bs}
-            if m2 and any(b in _value_fvs(x, m2, fvs) for x in m2 for b in bs):
-                c, new, m2 = _avoid_capture(c, bs, m2, fvs)
+            if not m.keys().isdisjoint(bs):
+                m2 = {x: v for x, v in m.items() if x not in bs}
+            if m2 and not vfv.isdisjoint(bs):
+                c, new, m2 = _avoid_capture(c, bs, m2)
                 if new != bs:
                     e = rebind(e, i, new)
                     changed = True
         t = type(c)
         leaf = t is IntLit or t is Global or not m2
-        k = m2.get(c.name, c) if t is Var else c if leaf else _substitute(c, m2, fvs)
+        k = m2.get(c.name, c) if t is Var else c if leaf else _substitute(c, m2, vfv)
         changed = changed or k is not c
         kids.append(k)
     return rebuild(e, kids) if changed else e
 
 
-def _avoid_capture(c: Expression, bs: tuple[str, ...], m: dict, fvs: dict) -> tuple:
+def _avoid_capture(c: Expression, bs: tuple[str, ...], m: dict) -> tuple:
     """(c', bs', m'): the entries of m free in c, with each binder in bs that
     would capture a free variable of their values renamed in c.
     """
     fc = free_vars(c)
     live = {x: v for x, v in m.items() if x in fc}
-    value_fvs: set[str] = set()
-    for x in live:
-        value_fvs |= _value_fvs(x, m, fvs)
+    value_fvs = set().union(*map(free_vars, live.values()))
     if not any(b in value_fvs for b in bs):
         return c, bs, live
     avoid = value_fvs | set(live) | fc | set(bs)
@@ -692,13 +687,12 @@ def weight(e: Expression, holes: set[str] | frozenset[str]) -> int:
 # programs
 
 
-def validate_program(program: Program) -> tuple[set[str], dict[str, set[str]], set[str]]:
+def validate_program(program: Program) -> tuple[set[str], set[str]]:
     """Check each definition in one walk: undefined functions first, then its
-    first bad case or unknown operator in preorder.  Returns every identifier that occurs
-    (variable, binder or function symbol), each definition's callees, and
-    the program's externals: the free variables of its definitions."""
+    first bad case or unknown operator in preorder.  Returns every identifier
+    that occurs (variable, binder or function symbol) and the program's
+    externals: the free variables of its definitions."""
     names: set[str] = set()
-    callees: dict[str, set[str]] = {}
     externals: set[str] = set()
     for name, body in program.defs.items():
         calls: set[str] = set()
@@ -731,8 +725,7 @@ def validate_program(program: Program) -> tuple[set[str], dict[str, set[str]], s
         if bad is not None:
             raise SyntaxError_(f"{name}: {bad}")
         names |= calls
-        callees[name] = calls
-    return names, callees, externals
+    return names, externals
 
 
 def _case_error(t: Case) -> Optional[str]:

@@ -21,7 +21,10 @@ build, a value that differs (`cli._same_value`), and a value call whose
 residual takes more `calls` or more `unfolds`.  The test suite asserts that
 these lists are empty and that no call flips from out of fuel or stuck to a
 value: driving must neither end a divergent program nor make a stuck one go
-on.  Run as a script, it exits 1 when any of these lists is not empty.
+on.  Run as a script, it exits 1 when any of these lists is not empty.  It
+also lists, without failing on them, the residuals whose printed text does
+not parse back to them: an ill-typed residual such as `3 3` is refused, and
+`[] x` reads back as a constructor application.
 """
 
 from __future__ import annotations
@@ -32,7 +35,14 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
-from deforest import eval_program, parse_expression, parse_program, supercompile
+from deforest import (
+    eval_program,
+    parse_expression,
+    parse_program,
+    pretty_program,
+    program_alpha_eq,
+    supercompile,
+)
 from deforest.cli import _same_value
 from deforest.parser import ParseError
 from deforest.syntax import SyntaxError_, validate_program
@@ -124,6 +134,7 @@ class Tally:
     calls_grow: list = field(default_factory=list)  # (text, entry)
     unfolds_grow: list = field(default_factory=list)  # (text, entry)
     to_value: list = field(default_factory=list)  # (text, entry, original kind)
+    unreadable: list = field(default_factory=list)  # (text, why the residual text fails)
 
 
 def fuzz(seed: int, count: int) -> Tally:
@@ -147,6 +158,11 @@ def fuzz(seed: int, count: int) -> Tally:
         except Exception as err:  # any error is a fault: the program is valid
             tally.unbuilt.append((text, repr(err)))
             continue
+        try:
+            if not program_alpha_eq(parse_program(pretty_program(residual)), residual):
+                tally.unreadable.append((text, "reads back as another program"))
+        except ParseError as err:
+            tally.unreadable.append((text, str(err)))
         for entry in entries:
             call = parse_expression(entry, frozenset(program.defs))
             before = eval_program(program, call, FUEL)
@@ -187,6 +203,9 @@ def main(argv=None) -> int:
             for item in items[:3]:
                 print("   ", " | ".join(map(str, item)).replace("\n", " "))
             failed = failed or bool(items)
+        print(f"  no read-back: {len(t.unreadable)}")
+        for item in t.unreadable[:3]:
+            print("   ", " | ".join(item).replace("\n", " "))
     return 1 if failed else 0
 
 

@@ -607,6 +607,35 @@ def test_residual_definitions_are_letrec_free_reachable_and_closed():
             assert free_vars(body) <= externals
 
 
+def test_residual_text_reads_back_as_the_residual():
+    # a binder that driving emits with a definition's name is renamed, as
+    # `main k` is here, so no call that an unfolding puts under it reads
+    # back as the variable
+    found = "k x = x; h = \\y -> k y; main k = h + 1;"
+    guarded = "k x = x; h = \\y -> k y; main k = case k of { 0 -> 1; n -> h + 1 };"
+    programs = [fixture_program(name) for name in FIXTURE_NAMES] + generate_programs(200, 0)
+    programs += [parse_program(found), parse_program(guarded)]
+    for program in programs:
+        residual = supercompile(program)
+        assert program_alpha_eq(parse_program(pretty_program(residual)), residual)
+    assert pretty_program(supercompile(parse_program(found))) == (
+        "k x = x;\nmain k1 = (\\y -> k y) + 1;\n"
+    )
+    p = parse_program(guarded)
+    call = parse_expression("main 0", frozenset(p.defs))
+    after = parse_program(pretty_program(supercompile(p)))
+    assert eval_program(p, call).value == eval_program(after, call).value == IntLit(1)
+
+
+def test_residual_calls_without_definitions_are_listed(monkeypatch):
+    # an internal error: every name the walk from the entry meets without a
+    # definition is listed, sorted
+    residual = App(Global("zz"), App(Global("aa"), Global("zz")))
+    monkeypatch.setattr(DriveSession, "drive", lambda self, e, context, parent=None: residual)
+    with pytest.raises(driver.DriverError, match=r"unknown functions \['aa', 'zz'\]"):
+        supercompile(parse_program("main = 1;"))
+
+
 def test_sibling_source_letrecs_keep_their_own_definitions():
     # each branch binds its own go, which the residual still calls under a
     # stuck case; the second one is a definition of its own, go', unless it
@@ -729,12 +758,11 @@ def test_undefined_function_rejected():
         supercompile(p)
 
 
-def test_validate_program_lists_identifiers_and_callees():
+def test_validate_program_lists_identifiers_and_externals():
     programs = [fixture_program(n) for n in FIXTURE_NAMES] + generate_programs(200, 0)
     for p in programs:
-        names, callees, externals = validate_program(p)
+        names, externals = validate_program(p)
         assert names == set().union(*map(all_identifiers, p.defs.values()))
-        assert callees == {n: fun_names(e) for n, e in p.defs.items()}
         assert externals == set().union(*map(free_vars, p.defs.values()))
 
 
