@@ -192,6 +192,8 @@ def cmd_check(args) -> int:
         if not golden_path.is_absolute():
             golden_path = manifest_path.parent / golden_path
         golden = _load_program(str(golden_path))
+        if golden.entry not in golden.defs:
+            raise UsageError(f"golden {golden_path} has no entry definition {golden.entry!r}")
         ok = program_alpha_eq(residual, golden)
         print(f"golden: {'match' if ok else 'MISMATCH'}")
         failed |= not ok

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_not
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .analysis import demand, is_annoying, strict_vars
 from .generalize import embeds, split
@@ -77,13 +77,14 @@ class _Rollback(DriverError):
 
 @dataclass
 class MemoEntry:
+    """An activation of Dapp4; `DriveSession.folds` logs the folds into it."""
+
     name: str
     term: Expression
     key: Key  # canonical(term)
     pre: list  # the whistle's symbols of term's nodes, in preorder, for `_may_embed`
     post: list  # the same, in postorder
     body: Optional[Expression] = None  # the residual definition, set by Dapp4b
-    callees: Collection[str] = ()  # the function symbols of body
 
     @property
     def params(self) -> tuple[str, ...]:  # fv(term) in first-occurrence order
@@ -146,11 +147,14 @@ class DriveSession:
     it).  No binder that driving emits has the name of an external or of a
     definition, so none captures an external or hides a function symbol.
     `rho` is the memo stack of the activations being driven, innermost
-    last; Dapp4 pushes and pops it.  `table` maps the name of each finished recursive activation to
+    last; Dapp4 pushes and pops it.  `folds` logs the entries of `rho` that
+    Dapp1 folds hit, by name: an activation is recursive if it is logged
+    during its own drive.  `table` maps the name of each finished recursive activation to
     its memo entry, whose `body` is the residual definition, in the order
     they completed; `done` indexes the same entries by their key's (shape,
-    globals), for the global fold.  A rollback takes the entries of the
-    abandoned drive out of both.  `holes` names the generalization holes,
+    globals), for the global fold.  A rollback takes the entries and folds
+    of the abandoned drive out of all three, so a finished drive has logged
+    exactly the names in `table`.  `holes` names the generalization holes,
     which `_copied` does not copy and the measure weighs 1.
     """
 
@@ -171,6 +175,7 @@ class DriveSession:
         self.rho: list[MemoEntry] = []
         self.table: dict[str, MemoEntry] = {}
         self.done: dict[tuple, list[MemoEntry]] = {}
+        self.folds: list[str] = []
         self.holes: set[str] = set()
 
     # ------------------------------------------------------------------
@@ -380,9 +385,11 @@ class DriveSession:
         fold into an ancestor in rho (Dapp1), fold into a completed
         definition of the table `done` (Dapp1, the global fold), the whistle
         against rho (Dapp2, Dapp3), and otherwise memoize and unfold (Dapp4).
-        Ancestors come first, and the whistle looks at rho only.  Dapp2
-        raises `_Rollback`, which abandons every activation up to the one it
-        names; that one generalizes instead of returning its result (Dapp4a).
+        Ancestors come first, and the whistle looks at rho only.  Dapp4
+        makes a definition (Dapp4b) when `folds` logged a fold into it
+        during its drive.  Dapp2 raises `_Rollback`, which abandons every
+        activation up to the one it names; that one drops the abandoned
+        drive's definitions and folds, and generalizes (Dapp4a).
         """
         term = plug_r(context, Global(g))
         key, pre, post = canonical_symbols(term)
@@ -395,6 +402,8 @@ class DriveSession:
                 sigma = match_keys(entry.key, key)
                 if sigma is not None:
                     self._emit("Dapp1", term, context, entry.name, where)
+                    if where == "rho":
+                        self.folds.append(entry.name)
                     return _call(entry, sigma)
 
         # (2) mutual embedding: ask the owning activation to generalize;
@@ -419,7 +428,7 @@ class DriveSession:
             raise DriverError(f"undefined function {g} during driving")
         h = new.name = self.supply.fun()
         self._emit("Dapp4", term, context)
-        mark = len(self.table)
+        mark, logged = len(self.table), len(self.folds)
         self.rho.append(new)
         try:
             e = self.drive(*_refocus(v, context), me)
@@ -427,18 +436,18 @@ class DriveSession:
             self.rho.pop()
             if r.owner != h:
                 raise
-            # definitions completed in the abandoned drive may call it
+            # definitions completed in the abandoned drive may call it, and
+            # the folds made in it are gone with its residual
             while len(self.table) > mark:
                 _, done = self.table.popitem()
                 self.done[_table_key(done.key)].remove(done)
+            del self.folds[logged:]
             self._emit("Dapp4a", term, context, h)
             return self._generalize(term, r.term, me)
         self.rho.pop()
-        called = fun_names(e)
-        if h in reachable(called, self.table):  # (4b)
+        if h in self.folds[logged:]:  # (4b) something folded into h
             self._emit("Dapp4b", term, context)
             new.body = fold_lambdas(new.params, e)
-            new.callees = called
             self.table[h] = new
             self.done.setdefault(_table_key(key), []).append(new)
             return _call(new, {p: p for p in new.params})
@@ -482,20 +491,6 @@ def _call(entry: MemoEntry, sigma: dict[str, str]) -> Expression:
     an entry without parameters is a definition without them, called bare.
     """
     return fold_apps(Global(entry.name), [Var(sigma[p]) for p in entry.params])
-
-
-def reachable(names: Iterable[str], table: dict[str, MemoEntry]) -> set[str]:
-    """The function symbols in names and those they call through the
-    residual definitions of table."""
-    out: set[str] = set()
-    stack = list(names)
-    while stack:
-        n = stack.pop()
-        if n not in out:
-            out.add(n)
-            if n in table:
-                stack.extend(table[n].callees)
-    return out
 
 
 def _rename_calls(e: Expression, old: str, new: str) -> Expression:

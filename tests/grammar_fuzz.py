@@ -18,13 +18,18 @@ Each program gets CALLS entry calls of `main` on closed arguments, run at
 FUEL on the original and on the residual.  `fuzz` tallies each pair of
 outcome kinds and lists the faults: a program that validates but does not
 build, a value that differs (`cli._same_value`), and a value call whose
-residual takes more `calls` or more `unfolds`.  The test suite asserts that
-these lists are empty and that no call flips from out of fuel or stuck to a
-value: driving must neither end a divergent program nor make a stuck one go
-on.  Run as a script, it exits 1 when any of these lists is not empty.  It
-also lists, without failing on them, the residuals whose printed text does
-not parse back to them: an ill-typed residual such as `3 3` is refused, and
-`[] x` reads back as a constructor application.
+residual takes more `calls` or more `unfolds`.  Each residual is also built
+a second time, and the second residual run on the same calls: its faults
+are a value that differs from the first residual's, a call that flips to a
+value, and a value call that takes more `unfolds`.  The test suite asserts
+that these lists are empty and that no call flips from out of fuel or stuck
+to a value: driving must neither end a divergent program nor make a stuck
+one go on.  Run as a script, it exits 1 when any of these lists is not
+empty.  It also lists, without failing on them, the residuals whose printed
+text does not parse back to them (an ill-typed residual such as `3 3` is
+refused, and `[] x` reads back as a constructor application), and the
+calls whose second residual takes more `calls` than the first or flips
+between out of fuel and stuck.
 """
 
 from __future__ import annotations
@@ -135,6 +140,8 @@ class Tally:
     unfolds_grow: list = field(default_factory=list)  # (text, entry)
     to_value: list = field(default_factory=list)  # (text, entry, original kind)
     unreadable: list = field(default_factory=list)  # (text, why the residual text fails)
+    second_faults: list = field(default_factory=list)  # (text, entry, fault)
+    second_noted: list = field(default_factory=list)  # (text, entry, what changed)
 
 
 def fuzz(seed: int, count: int) -> Tally:
@@ -155,6 +162,7 @@ def fuzz(seed: int, count: int) -> Tally:
             continue
         try:
             residual = supercompile(program)
+            again = supercompile(residual)
         except Exception as err:  # any error is a fault: the program is valid
             tally.unbuilt.append((text, repr(err)))
             continue
@@ -168,6 +176,7 @@ def fuzz(seed: int, count: int) -> Tally:
             before = eval_program(program, call, FUEL)
             after = eval_program(residual, call, FUEL)
             tally.outcomes[before.kind, after.kind] += 1
+            second_pass(tally, text, entry, after, eval_program(again, call, FUEL))
             if after.kind != "value":
                 continue
             if before.kind != "value":
@@ -184,6 +193,22 @@ def fuzz(seed: int, count: int) -> Tally:
     return tally
 
 
+def second_pass(tally: Tally, text: str, entry: str, first, second) -> None:
+    """Compare a call's outcome on the residual with its outcome on the
+    residual built again from it."""
+    if second.kind != "value":
+        if second.kind != first.kind:
+            tally.second_noted.append((text, entry, f"{first.kind} -> {second.kind}"))
+    elif first.kind != "value":
+        tally.second_faults.append((text, entry, f"{first.kind} -> value"))
+    elif not _same_value(first.value, second.value):
+        tally.second_faults.append((text, entry, "value differs"))
+    elif second.unfolds > first.unfolds:
+        tally.second_faults.append((text, entry, "unfolds grow"))
+    elif second.calls > first.calls:
+        tally.second_noted.append((text, entry, "calls grow"))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, action="append", help="a stream to draw (repeatable)")
@@ -198,14 +223,16 @@ def main(argv=None) -> int:
         print(f"  value calls: steps {t.steps[0]} -> {t.steps[1]}")
         for label, items in (("unbuilt", t.unbuilt), ("value differs", t.value_diffs),
                              ("calls grow", t.calls_grow), ("unfolds grow", t.unfolds_grow),
-                             ("to a value", t.to_value)):
+                             ("to a value", t.to_value), ("second pass", t.second_faults)):
             print(f"  {label}: {len(items)}")
             for item in items[:3]:
                 print("   ", " | ".join(map(str, item)).replace("\n", " "))
             failed = failed or bool(items)
-        print(f"  no read-back: {len(t.unreadable)}")
-        for item in t.unreadable[:3]:
-            print("   ", " | ".join(item).replace("\n", " "))
+        for label, items in (("no read-back", t.unreadable),
+                             ("second pass noted", t.second_noted)):
+            print(f"  {label}: {len(items)}")
+            for item in items[:3]:
+                print("   ", " | ".join(item).replace("\n", " "))
     return 1 if failed else 0
 
 

@@ -191,16 +191,21 @@ def test_check_detects_golden_mismatch(tmp_path, capsys):
         ("golden: latin1.core\n", "cannot read {d}/latin1.core: not UTF-8 text"),
         (b"entry: main \xff\n", "cannot read {d}/p.manifest: not UTF-8 text"),
         (IsADirectoryError, "cannot read {d}/p.manifest: Is a directory"),
+        (
+            "entry: main 1\ngolden: no_entry.core\n",
+            "golden {d}/no_entry.core has no entry definition 'main'",
+        ),
     ],
     ids=["bad-fuel", "free-variable-entry", "missing-golden", "negative-fuel", "zero-fuel",
          "unknown-key", "no-manifest", "golden-not-utf8", "manifest-not-utf8",
-         "manifest-is-a-directory"],
+         "manifest-is-a-directory", "golden-without-entry"],
 )
 def test_check_bad_manifest_exits_2(tmp_path, capsys, manifest, message):
     # none of these errors has a source position, and none prints one
     prog = tmp_path / "p.core"
     prog.write_text("main x = x + 1;")
     (tmp_path / "latin1.core").write_bytes(b"main = \xff;")
+    (tmp_path / "no_entry.core").write_text("f y = y;")
     path = tmp_path / "p.manifest"
     if manifest is IsADirectoryError:
         path.mkdir()

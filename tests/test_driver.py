@@ -30,7 +30,7 @@ from deforest import (
 from deforest import driver
 from deforest.cli import PASSING, _verdict
 from deforest.analysis import is_annoying
-from deforest.driver import DriveSession, _refocus, plug_r, reachable
+from deforest.driver import DriveSession, _refocus, plug_r
 from deforest.generalize import embeds
 from deforest.syntax import (
     FreshSupply,
@@ -133,6 +133,7 @@ def test_grammar_fuzz_keeps_termination_and_values(seed):
     assert not tally.value_diffs, tally.value_diffs[0]
     assert not tally.calls_grow, tally.calls_grow[0]
     assert not tally.unfolds_grow, tally.unfolds_grow[0]
+    assert not tally.second_faults, tally.second_faults[0]
 
 
 def test_strict_linear_let_is_substituted():
@@ -554,8 +555,9 @@ def test_definitions_of_an_abandoned_drive_leave_the_table():
 
 def test_session_holds_one_record_of_the_drive():
     # the program above rolls back through Dapp4a: afterwards the memo stack
-    # is empty, and the table and the fold index hold the same entries, none
-    # of them from the abandoned drive, each with its residual definition
+    # is empty, and the table, the fold index and the fold log hold the same
+    # entries, none of them from the abandoned drive, each with its residual
+    # definition
     p = parse_program(
         "f xs ys = case xs of { [] -> 0; (a:t) -> P (g t) (f t ys) };\n"
         "g zs = case zs of { [] -> 1; (b:u) -> P (g u) (f u u) };\n"
@@ -564,16 +566,47 @@ def test_session_holds_one_record_of_the_drive():
     names = set(p.defs).union(*map(all_identifiers, p.defs.values()))
     lines = []
     session = DriveSession(FreshSupply(names), p.defs, trace=lines.append)
-    residual = session.drive(unfold_lambdas(p.defs["main"])[1], [])
+    session.drive(unfold_lambdas(p.defs["main"])[1], [])
     assert any(line.startswith("Dapp4a ") for line in lines)
     assert session.rho == []
     assert list(session.table) == ["h4", "h3"]
     indexed = [entry for entries in session.done.values() for entry in entries]
     assert sorted(e.name for e in indexed) == ["h3", "h4"]
     assert all(session.table[e.name] is e for e in indexed)
-    for entry in indexed:
-        assert entry.callees == fun_names(entry.body)
-    assert reachable(fun_names(residual), session.table) == {"h3", "h4"}
+    assert all(entry.body is not None for entry in indexed)
+    assert set(session.folds) <= set(session.table)
+    assert set(session.table) <= set(session.folds)
+
+
+def test_every_table_definition_is_recursive(monkeypatch):
+    # Dapp4b keeps an activation as a definition only when it calls itself:
+    # its name is reachable from its own body through the table's bodies,
+    # read here with fun_names as the reference for the fold log
+    sessions = []
+
+    class Recorded(DriveSession):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(self)
+
+    monkeypatch.setattr(driver, "DriveSession", Recorded)
+    programs = [fixture_program(name) for name in FIXTURE_NAMES]
+    programs += generate_programs(200) + generate_programs(200, 2)
+    programs.append(parse_program(append_chain(6)))
+    not_recursive = []
+    for program in programs:
+        supercompile(program)
+        table = sessions.pop().table
+        for name, entry in table.items():
+            reached, worklist = set(), [entry.body]
+            while worklist and name not in reached:
+                for callee in fun_names(worklist.pop()) - reached:
+                    reached.add(callee)
+                    if callee in table:
+                        worklist.append(table[callee].body)
+            if name not in reached:
+                not_recursive.append((pretty_program(program), name))
+    assert not not_recursive, (len(not_recursive), not_recursive[0])
 
 
 def test_letrec_in_source_is_driven():
